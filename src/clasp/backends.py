@@ -28,7 +28,7 @@ from typing import Protocol, Sequence
 
 import requests
 
-from .prompts import Method, Prompt, continuation_for
+from .prompts import METHOD_DIALECTS, Method, Prompt, continuation_for
 from .trees import (
     Dialect,
     ParseTree,
@@ -55,13 +55,6 @@ MOCK_CORRUPTIONS = frozenset(
         "unknown_entity",
     }
 )
-
-METHOD_DIALECT = {
-    Method.REPLACE_SLOTS: Dialect.PIZZA_PAREN,
-    Method.GENERATE_BOTH: Dialect.PIZZA_PAREN,
-    Method.TRANSLATE_SLOTS: Dialect.MTOP_BRACKET,
-    Method.TRANSLATE_BOTH: Dialect.MTOP_BRACKET,
-}
 
 _PAIR_METHODS = (Method.GENERATE_BOTH, Method.TRANSLATE_BOTH)
 
@@ -177,10 +170,6 @@ def load_mock_rules(path: str | Path) -> list[MockRule]:
         return [MockRule.from_dict(d) for d in json.load(fh)]
 
 
-def mock_configure(rules: Sequence[MockRule], seed: int = 0) -> "MockBackend":
-    return MockBackend(rules, seed=seed)
-
-
 _FILLERS = ("please get me", "kindly send over", "we would enjoy", "now preparing")
 _TERM = ";"
 
@@ -263,7 +252,7 @@ def _synthesize(prompt: Prompt, i: int) -> str:
 
 def _cover_text(parse_text: str, method: Method, i: int) -> str:
     """Text containing every leaf-slot value of the parse, in order."""
-    dialect = METHOD_DIALECT.get(method, Dialect.MTOP_BRACKET)
+    dialect = METHOD_DIALECTS.get(method, Dialect.MTOP_BRACKET)
     try:
         refs = leaf_slots(parse_tree(parse_text, dialect))
     except Exception:
@@ -336,7 +325,7 @@ def _first_slot(prompt: Prompt, raw: str) -> tuple[ParseTree, SlotRef] | None:
     else:
         parse_text = prompt.expected.target_parse or ""
     try:
-        tree = parse_tree(parse_text.strip(), METHOD_DIALECT[method])
+        tree = parse_tree(parse_text.strip(), METHOD_DIALECTS[method])
     except (KeyError, TreeError):
         return None
     refs = leaf_slots(tree)

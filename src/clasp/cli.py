@@ -2,8 +2,17 @@
 scoring, and report rendering.
 
 All randomness flows from the --seed flag; identical inputs and seed give
-byte-identical outputs. Config precedence is flags > --config file >
-built-in defaults.
+byte-identical outputs.
+
+``augment`` takes each setting from its flag, else from the JSON object in
+--config, else from a built-in default. The config keys are the flag names
+with underscores: dataset, method, k, seed, backend (default mock),
+mock_rules, catalog, anchors, langs (a list or a comma-separated string),
+nbest_in, nbest_out, max_inflight (default 4), prompt_templates and
+cf_templates; plus decoding, an object of DecodingConfig fields that
+override the default decoding of the method and of the slot n-best pass.
+Any other key is an error. The target languages default to every language
+of the anchor file, sorted.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import logging
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace as dc_replace
+from dataclasses import fields, replace as dc_replace
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -26,7 +35,6 @@ from .datasets import (
     RowMalformed,
     atomic_write_text,
     class_key,
-    dump_record,
     read_jsonl,
     read_mtop_rows,
     read_pizza_rows,
@@ -46,8 +54,6 @@ from .trees import (
 )
 
 log = logging.getLogger("clasp")
-
-DEFAULT_LANGS = ("de", "es", "fr", "hi")
 
 
 class CliError(Exception):
@@ -119,7 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mock-rules", default=None)
     p.add_argument("--catalog", default=None)
     p.add_argument("--anchors", default=None)
-    p.add_argument("--langs", default=None, help="comma-separated target languages")
+    p.add_argument(
+        "--langs", default=None,
+        help="comma-separated target languages (default: every anchor language)",
+    )
     p.add_argument("--nbest-in", default=None)
     p.add_argument("--nbest-out", default=None)
     p.add_argument("--max-inflight", type=int, default=None)
@@ -128,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out", default=None)
-    p.set_defaults(func=cmd_augment)
+    p.set_defaults(func=cmd_augment, decoding=None)
 
     p = sub.add_parser("project-mt", help="project parses over MT output alignments")
     p.add_argument("--dataset", required=True, help="English source examples")
@@ -166,7 +175,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--metric", choices=["uem", "sciem"], required=True)
     p.add_argument("--dialect", choices=["pizza", "mtop"], default="mtop")
-    p.add_argument("--zero-shot-langs", default=",".join(DEFAULT_LANGS))
+    p.add_argument(
+        "--zero-shot-langs", default=",".join(metrics.DEFAULT_ZERO_SHOT_LANGS)
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_score)
 
@@ -261,64 +272,67 @@ def cmd_preprocess_mtop(args: argparse.Namespace) -> None:
 
 # ------------------------------------------------------------------- augment
 
-
-def _merged(args: argparse.Namespace, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+# Built-in values of the augment settings that neither a flag nor the
+# --config file sets.
+_AUGMENT_DEFAULTS = {"backend": "mock", "max_inflight": 4, "decoding": {}}
+# Namespace entries a --config file may not set.
+_NOT_CONFIG = frozenset({"command", "func", "config", "out", "stats_out"})
 
 
-def _require(value, name: str):
-    if value is None:
-        raise CliError(f"--{name.replace('_', '-')} is required (flag or config file)")
-    return value
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill every augment setting no flag gave from --config, then from the
+    built-in defaults, so the rest of the command reads only ``args``."""
+    config = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise CliError(f"config file {args.config} must hold a JSON object")
+    for key, value in config.items():
+        if key in _NOT_CONFIG or not hasattr(args, key):
+            raise CliError(f"unknown config key {key!r} in {args.config}")
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    for key, value in _AUGMENT_DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    for key in ("method", "k", "seed", "dataset"):
+        if getattr(args, key) is None:
+            raise CliError(f"--{key} is required (flag or config file)")
+    unknown = set(args.decoding) - {f.name for f in fields(DecodingConfig)}
+    if unknown:
+        raise CliError(f"unknown decoding key(s) {sorted(unknown)} in {args.config}")
+    if isinstance(args.langs, str):
+        args.langs = [l.strip() for l in args.langs.split(",") if l.strip()]
 
 
-def _load_backend(kind: str, mock_rules_path: str | None, seed: int):
-    if kind == "mock":
+def _load_backend(args: argparse.Namespace):
+    if args.backend == "mock":
         rules = (
-            backends.load_mock_rules(mock_rules_path)
-            if mock_rules_path
+            backends.load_mock_rules(args.mock_rules)
+            if args.mock_rules
             else [MockRule()]
         )
-        return MockBackend(rules, seed=seed)
+        return MockBackend(rules, seed=args.seed)
     return backends.HttpBackend()
 
 
-def _default_anchor_examples() -> dict[str, tuple[Example, Example]]:
-    text = resources.files("clasp.data").joinpath("mtop_anchors.json").read_text()
-    return _anchors_from_mapping(json.loads(text))
-
-
-def _anchors_from_mapping(data: dict) -> dict[str, tuple[Example, Example]]:
-    out = {}
-    for lang, pair in data.items():
-        en = Example(
-            id=f"anchor-{lang}-en",
-            lang="en",
-            text=pair["en"]["text"],
-            parse=pair["en"]["parse"],
-            source="anchor",
-        )
-        tgt = Example(
-            id=f"anchor-{lang}",
-            lang=lang,
-            text=pair["tgt"]["text"],
-            parse=pair["tgt"]["parse"],
-            source="anchor",
-        )
-        out[lang] = (en, tgt)
-    return out
-
-
 def _load_anchors(path: str | None) -> dict[str, tuple[Example, Example]]:
-    if path is None:
-        return _default_anchor_examples()
-    with open(path, encoding="utf-8") as fh:
-        return _anchors_from_mapping(json.load(fh))
+    """{language: (English anchor, target anchor)}; the shipped pairs by default."""
+    if path:
+        text = Path(path).read_text(encoding="utf-8")
+    else:
+        text = resources.files("clasp.data").joinpath("mtop_anchors.json").read_text(
+            encoding="utf-8"
+        )
+    anchors = {}
+    for lang, pair in json.loads(text).items():
+        en, tgt = pair["en"], pair["tgt"]
+        anchors[lang] = (
+            Example(f"anchor-{lang}-en", "en", en["text"], en["parse"], "anchor"),
+            Example(f"anchor-{lang}", lang, tgt["text"], tgt["parse"], "anchor"),
+        )
+    return anchors
 
 
 def _slot_anchor_pairs(
@@ -337,153 +351,115 @@ def _task_seed(seed: int, i: int) -> int:
     return seed * 1_000_003 + i
 
 
-def _generate_all(backend, tasks, cfg: DecodingConfig, max_inflight: int):
-    """Issue requests with bounded concurrency; results keep task order."""
+def _generate(backend, requests, cfg: DecodingConfig, max_inflight: int):
+    """Yield each prompt's outputs in task order as they arrive, with at
+    most ``max_inflight`` requests running; a ``None`` prompt yields None."""
+
+    def call(prompt):
+        return None if prompt is None else backend.generate(prompt, cfg)
+
     if max_inflight <= 1:
-        return [backend.generate(p, cfg) for p in tasks]
+        yield from map(call, requests)
+        return
     with ThreadPoolExecutor(max_workers=max_inflight) as pool:
-        return list(pool.map(lambda p: backend.generate(p, cfg), tasks))
-
-
-def _flush_partial(path: str, examples: list[Example]) -> None:
-    partial = str(path) + ".partial"
-    write_jsonl(partial, examples)
-    log.error("flushed %d partial examples to %s", len(examples), partial)
-
-
-def _stats_paths(args) -> tuple[str, str]:
-    stats_json = args.stats_out or str(Path(args.out).with_suffix("")) + ".stats.json"
-    return stats_json, str(Path(stats_json).with_suffix(".txt"))
+        yield from pool.map(call, requests)
 
 
 def cmd_augment(args: argparse.Namespace) -> None:
-    config = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    method = _require(_merged(args, config, "method"), "method")
-    k = _require(_merged(args, config, "k"), "k")
-    seed = _require(_merged(args, config, "seed"), "seed")
-    backend_kind = _merged(args, config, "backend", "mock")
-    max_inflight = _merged(args, config, "max_inflight", 4)
-    dataset = _require(_merged(args, config, "dataset"), "dataset")
-    langs_raw = _merged(args, config, "langs", ",".join(DEFAULT_LANGS))
-    langs = (
-        [l.strip() for l in langs_raw.split(",") if l.strip()]
-        if isinstance(langs_raw, str)
-        else list(langs_raw)
-    )
-    prompt_templates = (
+    """One pass for every method: build the tasks, then generate, gate or
+    fall back, and collect each task's row in task order."""
+    _merge_config(args)
+    pool = read_jsonl(args.dataset)
+    if not pool:
+        raise CliError(f"dataset {args.dataset} is empty")
+    if args.k <= 0:
+        raise CliError("--k must be positive")
+    templates = (
         prompts.PromptTemplates.load(args.prompt_templates)
-        if _merged(args, config, "prompt_templates")
+        if args.prompt_templates
         else prompts.PromptTemplates()
     )
-    decoding_overrides = config.get("decoding", {})
-    pool = read_jsonl(dataset)
-    if not pool:
-        raise CliError(f"dataset {dataset} is empty")
-    if k <= 0:
-        raise CliError("--k must be positive")
-    backend = _load_backend(
-        backend_kind, _merged(args, config, "mock_rules"), seed
-    )
-    if method in ("rs", "gb"):
-        _augment_pizza(args, config, method, k, seed, backend, pool,
-                       prompt_templates, decoding_overrides, max_inflight)
-    elif method in ("ts", "tb"):
-        _augment_mtop(args, config, method, k, seed, backend, pool, langs,
-                      prompt_templates, decoding_overrides, max_inflight)
-    else:
-        _augment_mt(args, config, k, seed, backend, pool, langs,
-                    prompt_templates, decoding_overrides, max_inflight)
+    backend = _load_backend(args)
+    build = _pizza_tasks if args.method in ("rs", "gb") else _mtop_tasks
+    default_cfg, tasks, to_row = build(args, pool, templates, backend)
+    cfg = dc_replace(default_cfg, **args.decoding)
+    results = _generate(backend, [t[3] for t in tasks], cfg, args.max_inflight)
+    rows: list[dict] = []
+    events: list[gate.GateEvent] = []
+    try:
+        for task, outs in zip(tasks, results):
+            row, event = to_row(*task, outs)
+            rows.append(row)
+            if event is not None:
+                events.append(event)
+    except BaseException:
+        # Whatever stops the run (a backend failure, an interrupt), the
+        # rows finished so far are kept.
+        partial = str(args.out) + ".partial"
+        write_records(partial, rows)
+        log.error("flushed %d partial rows to %s", len(rows), partial)
+        raise
+    write_records(args.out, rows)
+    if events:
+        stats = gate.compile_stats(events)
+        _write_stats(args, stats.to_record(), stats.to_table())
+    log.info("wrote %d rows to %s", len(rows), args.out)
 
 
-def _decoding(default: DecodingConfig, overrides: dict) -> DecodingConfig:
-    return dc_replace(default, **overrides) if overrides else default
-
-
-def _augment_pizza(args, config, method, k, seed, backend, pool,
-                   prompt_templates, decoding_overrides, max_inflight) -> None:
+def _pizza_tasks(args, pool, templates, backend):
+    """rs/gb: task i starts from pool example i mod len(pool); rows carry a
+    canonical form."""
     catalog = (
-        canonical.SlotCatalog.load(_merged(args, config, "catalog"))
-        if _merged(args, config, "catalog")
+        canonical.SlotCatalog.load(args.catalog)
+        if args.catalog
         else canonical.SlotCatalog.default()
     )
     cf_templates = (
         canonical.CfTemplateSet.load(args.cf_templates)
-        if _merged(args, config, "cf_templates")
+        if args.cf_templates
         else canonical.CfTemplateSet.default()
     )
-    cfg = _decoding(DecodingConfig.sampling(n=4), decoding_overrides)
-    tasks: list[tuple[int, Example | None, prompts.Prompt | None]] = []
-    for i in range(k):
+    tasks = []
+    for i in range(args.k):
         original = pool[i % len(pool)]
-        rng = random.Random(_task_seed(seed, i))
-        if method == "rs":
+        rng = random.Random(_task_seed(args.seed, i))
+        if args.method == "rs":
             prompt = _build_rs_task(pool, original, catalog, rng,
-                                    _task_seed(seed, i), prompt_templates)
+                                    _task_seed(args.seed, i), templates)
         else:
             arity = min(5, len(pool))
-            context = rng.sample(pool, arity)
-            prompt = prompts.build_gb_prompt(context, prompt_templates)
-        tasks.append((i, original, prompt))
+            prompt = prompts.build_gb_prompt(rng.sample(pool, arity), templates)
+        tasks.append((i, original, original.lang, prompt))
 
-    issued = [(i, ex, p) for i, ex, p in tasks if p is not None]
-    examples: list[Example] = []
-    events: list[gate.GateEvent] = []
-    try:
-        results = _generate_all(
-            backend, [p for _, _, p in issued], cfg, max_inflight
-        )
-    except BackendError:
-        _flush_partial(args.out, examples)
-        raise
-    for (i, original, prompt), outs in zip(issued, results):
-        input_id = f"{method}-{i:05d}"
-        if method == "rs":
+    def to_row(i, original, lang, prompt, outs):
+        input_id = f"{args.method}-{i:05d}"
+        seed = _task_seed(args.seed, i)
+        if prompt is None:
+            # No replaceable slot: the task falls back without a request.
+            event = gate.GateEvent(args.method, lang, input_id, (), None)
+            emitted = gate.fallback([original], None, seed)
+        elif args.method == "rs":
             expected_tree = parse_tree(
                 prompt.expected.target_parse, Dialect.PIZZA_PAREN
             )
             verdict, event = gate.gate_rs(
                 outs, expected_tree, prompt.expected.context_texts, catalog,
-                input_id=input_id, language=original.lang,
-                templates=prompt_templates,
+                input_id=input_id, language=lang, templates=templates,
             )
-            fallback_pool = [original]
+            emitted = verdict.final or gate.fallback(
+                [original], class_key(original.parse), seed
+            )
         else:
             verdict, event = gate.gate_gb(
                 outs, prompt.expected.context_texts, catalog,
-                input_id=input_id, language=original.lang,
-                templates=prompt_templates,
+                input_id=input_id, language=lang, templates=templates,
             )
-            fallback_pool = _gb_context_pool(pool, prompt)
-        if verdict.final is not None:
-            emitted = verdict.final
-        else:
-            emitted = gate.fallback(
-                fallback_pool,
-                class_key(original.parse) if method == "rs" else None,
-                _task_seed(seed, i),
+            emitted = verdict.final or gate.fallback(
+                _gb_context_pool(pool, prompt), None, seed
             )
-        examples.append(_with_cf(emitted, cf_templates))
-        events.append(event)
-    # Tasks that never produced a prompt (no replaceable slot) fall back
-    # immediately so the output still has k rows.
-    for i, original, prompt in tasks:
-        if prompt is None:
-            examples.append(
-                _with_cf(
-                    gate.fallback([original], None, _task_seed(seed, i)),
-                    cf_templates,
-                )
-            )
-            events.append(
-                gate.GateEvent(method, original.lang, f"{method}-{i:05d}", (), None)
-            )
-    write_jsonl(args.out, examples)
-    stats = gate.compile_stats(events)
-    _write_stats(args, stats.to_record(), stats.to_table())
-    log.info("wrote %d examples to %s", len(examples), args.out)
+        return _with_cf(emitted, cf_templates).to_dict(), event
+
+    return DecodingConfig.sampling(n=4), tasks, to_row
 
 
 def _build_rs_task(pool, original, catalog, rng, task_seed, prompt_templates):
@@ -523,68 +499,61 @@ def _with_cf(ex: Example, cf_templates) -> Example:
     return dc_replace(ex, cf=cf)
 
 
-def _augment_mtop(args, config, method, k, seed, backend, pool, langs,
-                  prompt_templates, decoding_overrides, max_inflight) -> None:
-    anchors = _load_anchors(_merged(args, config, "anchors"))
+def _mtop_tasks(args, pool, templates, backend):
+    """ts/tb/mt: task i renders pool example i // len(langs) in language
+    langs[i % len(langs)]; mt rows are bare translations with no gate."""
+    anchors = _load_anchors(args.anchors)
+    langs = args.langs or sorted(anchors)
     missing = [lang for lang in langs if lang not in anchors]
     if missing:
         raise CliError(
             f"no anchor pair configured for language(s): {', '.join(missing)}"
         )
-    nbest = _load_or_build_nbest(args, config, backend, pool, langs,
-                                 prompt_templates, decoding_overrides,
-                                 max_inflight)
-    cfg = _decoding(DecodingConfig.greedy(), decoding_overrides)
+    nbest = None
+    if args.method != "mt":
+        nbest = _load_or_build_nbest(args, backend, pool, langs, anchors, templates)
     tasks = []
-    for i in range(k):
+    for i in range(args.k):
         lang = langs[i % len(langs)]
         ex = pool[(i // len(langs)) % len(pool)]
         anchor_en, anchor_tgt = anchors[lang]
-        if method == "ts":
+        if args.method == "mt":
+            prompt = prompts.build_sent_mt_prompt(
+                (anchor_en.text, anchor_tgt.text), ex.text, lang, templates
+            )
+        elif args.method == "ts":
             tree = parse_tree(ex.parse, Dialect.MTOP_BRACKET)
             for ref in leaf_slots(tree):
                 top = nbest.top(ref.value_text, lang)
                 if top:
                     tree = replace_slot(tree, ref, top.split())
             prompt = prompts.build_ts_prompt(
-                anchor_en, anchor_tgt, ex, tree, lang, prompt_templates
+                anchor_en, anchor_tgt, ex, tree, lang, templates
             )
         else:
             prompt = prompts.build_tb_prompt(
-                anchor_en, anchor_tgt, ex, lang, prompt_templates
+                anchor_en, anchor_tgt, ex, lang, templates
             )
         tasks.append((i, ex, lang, prompt))
-    examples: list[Example] = []
-    events: list[gate.GateEvent] = []
-    try:
-        results = _generate_all(backend, [p for _, _, _, p in tasks], cfg,
-                                max_inflight)
-    except BackendError:
-        _flush_partial(args.out, examples)
-        raise
-    for (i, ex, lang, prompt), outs in zip(tasks, results):
+
+    def to_row(i, ex, lang, prompt, outs):
+        if args.method == "mt":
+            return {"id": ex.id, "language": lang, "text": outs[0].text}, None
         verdict, event = gate.gate_mtop(
-            method, outs[0], prompt.expected, nbest,
-            input_id=f"{method}-{i:05d}", language=lang,
-            templates=prompt_templates,
+            args.method, outs[0], prompt.expected, nbest,
+            input_id=f"{args.method}-{i:05d}", language=lang, templates=templates,
         )
-        emitted = verdict.final
-        if emitted is None:
-            emitted = gate.fallback([ex], class_key(ex.parse), _task_seed(seed, i))
-        examples.append(emitted)
-        events.append(event)
-    write_jsonl(args.out, examples)
-    stats = gate.compile_stats(events)
-    _write_stats(args, stats.to_record(), stats.to_table())
-    log.info("wrote %d examples to %s", len(examples), args.out)
+        emitted = verdict.final or gate.fallback(
+            [ex], class_key(ex.parse), _task_seed(args.seed, i)
+        )
+        return emitted.to_dict(), event
+
+    return DecodingConfig.greedy(), tasks, to_row
 
 
-def _load_or_build_nbest(args, config, backend, pool, langs, prompt_templates,
-                         decoding_overrides, max_inflight) -> gate.SlotNBestMap:
-    nbest_in = _merged(args, config, "nbest_in")
-    if nbest_in:
-        return gate.SlotNBestMap.load(nbest_in)
-    anchors = _load_anchors(_merged(args, config, "anchors"))
+def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
+    if args.nbest_in:
+        return gate.SlotNBestMap.load(args.nbest_in)
     values = sorted(
         {
             ref.value_text
@@ -592,25 +561,24 @@ def _load_or_build_nbest(args, config, backend, pool, langs, prompt_templates,
             for ref in leaf_slots(parse_tree(ex.parse, Dialect.MTOP_BRACKET))
         }
     )
-    cfg = _decoding(DecodingConfig.beam(4), decoding_overrides)
-    mapping: dict[str, dict[str, list[str]]] = {}
-    task_list = []
+    keys, requests = [], []
     for lang in langs:
         pairs = _slot_anchor_pairs(*anchors[lang])
         for value in values:
-            task_list.append(
-                (lang, value,
-                 prompts.build_slot_mt_prompt(pairs, value, lang,
-                                              prompt_templates))
+            keys.append((lang, value))
+            requests.append(
+                prompts.build_slot_mt_prompt(pairs, value, lang, templates)
             )
-    results = _generate_all(backend, [p for _, _, p in task_list], cfg,
-                            max_inflight)
-    for (lang, value, _), outs in zip(task_list, results):
+    cfg = dc_replace(DecodingConfig.beam(4), **args.decoding)
+    mapping: dict[str, dict[str, list[str]]] = {}
+    for (lang, value), outs in zip(
+        keys, _generate(backend, requests, cfg, args.max_inflight)
+    ):
         candidates = []
         for out in outs:
             try:
                 cand = prompts.split_generation(
-                    prompts.Method.SLOT_MT, out.text, prompt_templates
+                    prompts.Method.SLOT_MT, out.text, templates
                 )
             except prompts.InvalidSeparators:
                 continue
@@ -619,7 +587,7 @@ def _load_or_build_nbest(args, config, backend, pool, langs, prompt_templates,
         if candidates:
             mapping.setdefault(lang, {})[value] = list(dict.fromkeys(candidates))
     nbest = gate.SlotNBestMap.from_mapping(mapping)
-    nbest_out = _merged(args, config, "nbest_out") or str(args.out) + ".nbest.json"
+    nbest_out = args.nbest_out or str(args.out) + ".nbest.json"
     atomic_write_text(
         nbest_out, json.dumps(nbest.to_mapping(), ensure_ascii=False, indent=2)
     )
@@ -627,40 +595,9 @@ def _load_or_build_nbest(args, config, backend, pool, langs, prompt_templates,
     return nbest
 
 
-def _augment_mt(args, config, k, seed, backend, pool, langs,
-                prompt_templates, decoding_overrides, max_inflight) -> None:
-    anchors = _load_anchors(_merged(args, config, "anchors"))
-    missing = [lang for lang in langs if lang not in anchors]
-    if missing:
-        raise CliError(
-            f"no anchor pair configured for language(s): {', '.join(missing)}"
-        )
-    cfg = _decoding(DecodingConfig.greedy(), decoding_overrides)
-    tasks = []
-    for i in range(k):
-        lang = langs[i % len(langs)]
-        ex = pool[(i // len(langs)) % len(pool)]
-        anchor_en, anchor_tgt = anchors[lang]
-        prompt = prompts.build_sent_mt_prompt(
-            (anchor_en.text, anchor_tgt.text), ex.text, lang, prompt_templates
-        )
-        tasks.append((ex, lang, prompt))
-    try:
-        results = _generate_all(backend, [p for _, _, p in tasks], cfg,
-                                max_inflight)
-    except BackendError:
-        _flush_partial(args.out, [])
-        raise
-    records = [
-        {"id": ex.id, "language": lang, "text": outs[0].text}
-        for (ex, lang, _), outs in zip(tasks, results)
-    ]
-    write_records(args.out, records)
-    log.info("wrote %d translations to %s", len(records), args.out)
-
-
 def _write_stats(args, record: dict, table: str) -> None:
-    stats_json, stats_txt = _stats_paths(args)
+    stats_json = args.stats_out or str(Path(args.out).with_suffix("")) + ".stats.json"
+    stats_txt = str(Path(stats_json).with_suffix(".txt"))
     atomic_write_text(stats_json, json.dumps(record, ensure_ascii=False, indent=2) + "\n")
     atomic_write_text(stats_txt, table)
     log.info("wrote stats to %s and %s", stats_json, stats_txt)
@@ -801,15 +738,14 @@ def cmd_score(args: argparse.Namespace) -> None:
 def cmd_report(args: argparse.Namespace) -> None:
     with open(args.infile, encoding="utf-8") as fh:
         record = json.load(fh)
-    kind = record.get("kind")
-    if kind == "gate_stats":
-        table = _gate_stats_from_record(record).to_table()
-    elif kind == "mt_stats":
-        table = _mt_stats_from_record(record).to_table()
-    elif kind == "metric_report":
-        table = _metric_report_from_record(record).to_table()
-    elif kind == "mix_plan":
+    kind = record.get("kind") if isinstance(record, dict) else None
+    if kind == "mix_plan":
         table = json.dumps(record, indent=2) + "\n"
+    elif kind in _REPORTS:
+        try:
+            table = _REPORTS[kind].from_record(record).to_table()
+        except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
+            raise CliError(f"malformed {kind} record in {args.infile}: {exc!r}") from exc
     else:
         raise CliError(f"unknown record kind {kind!r} in {args.infile}")
     if args.out:
@@ -817,46 +753,11 @@ def cmd_report(args: argparse.Namespace) -> None:
     sys.stdout.write(table)
 
 
-def _gate_stats_from_record(record: dict) -> gate.GateStats:
-    rows = tuple(
-        gate.GateStatsRow(
-            method=r["method"],
-            language=r["language"],
-            inputs=r["inputs"],
-            outputs=r["outputs"],
-            success_rate_inputs=r["success_rate_inputs"],
-            success_rate_outputs=r["success_rate_outputs"],
-            success_modes=r["success_modes"],
-            failure_modes=r["failure_modes"],
-        )
-        for r in record["rows"]
-    )
-    return gate.GateStats(rows)
-
-
-def _mt_stats_from_record(record: dict) -> projection.MtStats:
-    rows = tuple(
-        projection.MtStatsRow(
-            language=r["language"],
-            total=r["total"],
-            success_rate=r["success_rate"],
-            failure_modes=r["failure_modes"],
-        )
-        for r in record["rows"]
-    )
-    return projection.MtStats(rows)
-
-
-def _metric_report_from_record(record: dict) -> metrics.MetricReport:
-    per_lang = {
-        lang: metrics.LangScore(total=s["total"], matched=s["matched"])
-        for lang, s in record["per_lang"].items()
-    }
-    return metrics.MetricReport(
-        metric=record["metric"],
-        per_lang=per_lang,
-        zero_shot_langs=tuple(record.get("zero_shot_langs", DEFAULT_LANGS)),
-    )
+_REPORTS = {
+    "gate_stats": gate.GateStats,
+    "mt_stats": projection.MtStats,
+    "metric_report": metrics.MetricReport,
+}
 
 
 if __name__ == "__main__":

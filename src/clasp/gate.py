@@ -31,7 +31,7 @@ from .prompts import (
     PromptTemplates,
     split_generation,
 )
-from .tables import format_table, pct
+from .tables import EmptyEvents, format_table, pct
 from .trees import (
     Dialect,
     ParseTree,
@@ -83,10 +83,6 @@ _IMPOSSIBLE = {
     "rs": {INVALID_PARSE, UNKNOWN_ENTITY},
     "ts": {INVALID_PARSE, MISMATCH_PARSE},
 }
-
-
-class EmptyEvents(ValueError):
-    pass
 
 
 class GateError(ValueError):
@@ -488,6 +484,10 @@ class GateStats:
 
     def to_record(self) -> dict:
         return {"kind": "gate_stats", "rows": [r.to_dict() for r in self.rows]}
+
+    @classmethod
+    def from_record(cls, record: Mapping) -> "GateStats":
+        return cls(tuple(GateStatsRow(**r) for r in record["rows"]))
 
     def to_table(self) -> str:
         pizza = [r for r in self.rows if r.method in ("rs", "gb")]

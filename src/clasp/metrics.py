@@ -90,6 +90,19 @@ class MetricReport:
             else round(self.avg_zero_shot, 4),
         }
 
+    @classmethod
+    def from_record(cls, record: Mapping) -> "MetricReport":
+        return cls(
+            metric=record["metric"],
+            per_lang={
+                lang: LangScore(total=s["total"], matched=s["matched"])
+                for lang, s in record["per_lang"].items()
+            },
+            zero_shot_langs=tuple(
+                record.get("zero_shot_langs", DEFAULT_ZERO_SHOT_LANGS)
+            ),
+        )
+
     def to_table(self) -> str:
         headers = ["lang", "total", "matched", f"{self.metric} acc"]
         rows = [

@@ -19,18 +19,6 @@ from typing import Mapping, Sequence
 
 from .datasets import Example, atomic_write_text, dump_record
 
-MANIFEST_SOURCES = (
-    "dev",
-    "train-grammar",
-    "clasp-rs",
-    "clasp-gb",
-    "clasp-ts",
-    "clasp-tb",
-    "mt-opus",
-    "mt-20b",
-    "fallback",
-)
-
 
 class EmptyReal(ValueError):
     pass

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .datasets import Example
-from .tables import format_table, pct
+from .tables import EmptyEvents, format_table, pct
 from .trees import (
     Dialect,
     ParseTree,
@@ -41,10 +41,6 @@ _MARKER_RE = re.compile(r"\bSentence\b")
 
 
 class IndexOutOfBounds(ValueError):
-    pass
-
-
-class EmptyEvents(ValueError):
     pass
 
 
@@ -153,6 +149,10 @@ class MtStats:
 
     def to_record(self) -> dict:
         return {"kind": "mt_stats", "rows": [r.to_dict() for r in self.rows]}
+
+    @classmethod
+    def from_record(cls, record: Mapping) -> "MtStats":
+        return cls(tuple(MtStatsRow(**r) for r in record["rows"]))
 
     def to_table(self) -> str:
         headers = ["lang", "success rate"] + [

@@ -5,6 +5,10 @@ from __future__ import annotations
 from typing import Sequence
 
 
+class EmptyEvents(ValueError):
+    """Nothing to compile into a statistics table."""
+
+
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     cols = [list(col) for col in zip(headers, *rows)] if rows else [[h] for h in headers]
     widths = [max(len(cell) for cell in col) for col in cols]

@@ -15,7 +15,6 @@ from clasp.backends import (
     MockBackend,
     MockRule,
     Timeout,
-    mock_configure,
 )
 from clasp.datasets import Example
 from clasp.prompts import (
@@ -58,7 +57,7 @@ class TestDecodingConfig:
 
 class TestMockBackend:
     def test_sampling_returns_n_stable_outputs(self):
-        backend = mock_configure([MockRule()], seed=3)
+        backend = MockBackend([MockRule()], seed=3)
         cfg = DecodingConfig.sampling(n=4)
         first = backend.generate(rs_prompt(), cfg)
         second = backend.generate(rs_prompt(), cfg)
