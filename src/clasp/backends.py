@@ -15,18 +15,24 @@ Endpoint and bearer token come from CLASP_BACKEND_ENDPOINT /
 CLASP_BACKEND_TOKEN unless passed explicitly. ``score`` is the mean
 per-token negative log-likelihood (lower is better), used for
 lowest-perplexity selection.
+
+The client is the standard library's ``urllib``: one connection per
+request, proxies taken from the environment (``http_proxy``,
+``https_proxy``, ``no_proxy``), and HTTPS certificates checked against the
+system trust store.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
-
-import requests
 
 from .prompts import METHOD_DIALECTS, Method, Prompt, continuation_for
 from .trees import (
@@ -382,7 +388,6 @@ class HttpBackend:
         token: str | None = None,
         timeout: float = 60.0,
         max_retries: int = 2,
-        session: requests.Session | None = None,
     ) -> None:
         self.endpoint = endpoint or os.environ.get("CLASP_BACKEND_ENDPOINT")
         if not self.endpoint:
@@ -392,7 +397,6 @@ class HttpBackend:
         self.token = token or os.environ.get("CLASP_BACKEND_TOKEN")
         self.timeout = timeout
         self.max_retries = max_retries
-        self.session = session or requests.Session()
 
     def generate(self, prompt: Prompt, cfg: DecodingConfig) -> list[GenOutput]:
         payload = {
@@ -408,36 +412,43 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
+        try:
+            request = urllib.request.Request(
+                self.endpoint, json.dumps(payload).encode(), headers, method="POST"
+            )
+        except ValueError as exc:  # no URL scheme
+            raise BackendUnavailable(str(exc)) from exc
         last_error: Exception | None = None
         for _ in range(self.max_retries + 1):
             try:
-                resp = self.session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.exceptions.Timeout as exc:
-                last_error = Timeout(str(exc))
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                # urlopen raises for every 4xx/5xx status.
+                exc.close()
+                status, body = exc.code, b""
+            except (OSError, http.client.HTTPException) as exc:
+                # A timeout comes bare, or as the reason of a URLError.
+                reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+                if isinstance(reason, TimeoutError):
+                    last_error = Timeout(str(exc))
+                else:
+                    last_error = BackendUnavailable(str(exc))
                 continue
-            except requests.exceptions.RequestException as exc:
-                last_error = BackendUnavailable(str(exc))
+            if status >= 500:
+                last_error = BackendUnavailable(f"server error {status}")
                 continue
-            if resp.status_code >= 500:
-                last_error = BackendUnavailable(f"server error {resp.status_code}")
-                continue
-            if resp.status_code != 200:
-                raise BackendUnavailable(
-                    f"backend rejected request: {resp.status_code}"
-                )
+            if status != 200:
+                raise BackendUnavailable(f"backend rejected request: {status}")
             # Each retry replaces the whole result set, so a retried
             # request can never duplicate entries in the returned list.
-            return self._parse_response(resp, cfg)
+            return self._parse_response(body, cfg)
         assert last_error is not None
         raise last_error
 
-    def _parse_response(
-        self, resp: requests.Response, cfg: DecodingConfig
-    ) -> list[GenOutput]:
+    def _parse_response(self, body: bytes, cfg: DecodingConfig) -> list[GenOutput]:
         try:
-            data = resp.json()
+            data = json.loads(body)
         except ValueError as exc:
             raise BackendMalformedResponse("response is not JSON") from exc
         outputs = data.get("outputs") if isinstance(data, dict) else None

@@ -11,8 +11,9 @@ mock_rules, catalog, anchors, langs (a list or a comma-separated string),
 nbest_in, nbest_out, max_inflight (default 4), prompt_templates and
 cf_templates; plus decoding, an object of DecodingConfig fields that
 override the default decoding of the method and of the slot n-best pass.
-Any other key is an error. The target languages default to every language
-of the anchor file, sorted.
+A null value leaves its setting unset. Any other key, or a value that fails
+its flag's or field's type or choices, is an error. The target languages
+default to every language of the anchor file, sorted.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import logging
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace as dc_replace
+from dataclasses import replace as dc_replace
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from . import backends, canonical, gate, metrics, mixing, projection, prompts, sentinels
 from .backends import BackendError, DecodingConfig, MockBackend, MockRule
@@ -55,6 +56,19 @@ from .trees import (
 
 log = logging.getLogger("clasp")
 
+# The augment settings that a --config file may set too, with the type and
+# the choices of each flag; config values must pass the same checks.
+_AUGMENT_FLAGS = {
+    "dataset": (str, None), "method": (str, ("rs", "gb", "ts", "tb", "mt")),
+    "k": (int, None), "seed": (int, None), "backend": (str, ("mock", "http")),
+    "mock_rules": (str, None), "catalog": (str, None), "anchors": (str, None),
+    "langs": (str, None), "nbest_in": (str, None), "nbest_out": (str, None),
+    "max_inflight": (int, None), "prompt_templates": (str, None),
+    "cf_templates": (str, None),
+}
+_DECODING_FIELDS = get_type_hints(DecodingConfig)
+_LANGS_HELP = "comma-separated target languages (default: every anchor language)"
+
 
 class CliError(Exception):
     """User-facing error; message printed, nonzero exit."""
@@ -77,7 +91,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         args.func(args)
-    except (CliError, RowMalformed, TreeError, ValueError) as exc:
+    except (CliError, RowMalformed, TreeError, ValueError, OSError) as exc:
         log.error("%s", exc)
         return 1
     except BackendError as exc:
@@ -117,23 +131,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess_mtop)
 
     p = sub.add_parser("augment", help="generate synthetic examples via a backend")
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--method", choices=["rs", "gb", "ts", "tb", "mt"], default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--backend", choices=["mock", "http"], default=None)
-    p.add_argument("--mock-rules", default=None)
-    p.add_argument("--catalog", default=None)
-    p.add_argument("--anchors", default=None)
-    p.add_argument(
-        "--langs", default=None,
-        help="comma-separated target languages (default: every anchor language)",
-    )
-    p.add_argument("--nbest-in", default=None)
-    p.add_argument("--nbest-out", default=None)
-    p.add_argument("--max-inflight", type=int, default=None)
-    p.add_argument("--prompt-templates", default=None)
-    p.add_argument("--cf-templates", default=None)
+    for key, (kind, choices) in _AUGMENT_FLAGS.items():
+        p.add_argument(
+            "--" + key.replace("_", "-"), type=kind, choices=choices,
+            help=_LANGS_HELP if key == "langs" else None,
+        )
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out", default=None)
@@ -275,8 +277,14 @@ def cmd_preprocess_mtop(args: argparse.Namespace) -> None:
 # Built-in values of the augment settings that neither a flag nor the
 # --config file sets.
 _AUGMENT_DEFAULTS = {"backend": "mock", "max_inflight": 4, "decoding": {}}
-# Namespace entries a --config file may not set.
-_NOT_CONFIG = frozenset({"command", "func", "config", "out", "stats_out"})
+
+
+def _check_config_value(key: str, value, kind: type, choices=None) -> None:
+    """Apply a flag's type and choices check to a --config value."""
+    typed = isinstance(value, (int, float) if kind is float else kind)
+    if isinstance(value, bool) or not typed or (choices and value not in choices):
+        wanted = f"one of {', '.join(choices)}" if choices else kind.__name__
+        raise CliError(f"config key {key!r} must be {wanted}, got {value!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> None:
@@ -289,8 +297,21 @@ def _merge_config(args: argparse.Namespace) -> None:
         if not isinstance(config, dict):
             raise CliError(f"config file {args.config} must hold a JSON object")
     for key, value in config.items():
-        if key in _NOT_CONFIG or not hasattr(args, key):
+        if key != "decoding" and key not in _AUGMENT_FLAGS:
             raise CliError(f"unknown config key {key!r} in {args.config}")
+        if value is None:
+            continue  # null leaves the setting unset
+        if key == "decoding":
+            _check_config_value(key, value, dict)
+            for field, item in value.items():
+                if field not in _DECODING_FIELDS:
+                    raise CliError(f"unknown decoding key {field!r} in {args.config}")
+                _check_config_value(f"decoding.{field}", item, _DECODING_FIELDS[field])
+        elif key == "langs" and isinstance(value, list):
+            for lang in value:
+                _check_config_value("langs", lang, str)
+        else:
+            _check_config_value(key, value, *_AUGMENT_FLAGS[key])
         if getattr(args, key) is None:
             setattr(args, key, value)
     for key, value in _AUGMENT_DEFAULTS.items():
@@ -299,9 +320,6 @@ def _merge_config(args: argparse.Namespace) -> None:
     for key in ("method", "k", "seed", "dataset"):
         if getattr(args, key) is None:
             raise CliError(f"--{key} is required (flag or config file)")
-    unknown = set(args.decoding) - {f.name for f in fields(DecodingConfig)}
-    if unknown:
-        raise CliError(f"unknown decoding key(s) {sorted(unknown)} in {args.config}")
     if isinstance(args.langs, str):
         args.langs = [l.strip() for l in args.langs.split(",") if l.strip()]
 

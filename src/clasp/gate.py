@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -263,7 +263,6 @@ def gate_gb(
     *,
     input_id: str = "",
     language: str = "en",
-    dialect: Dialect = Dialect.PIZZA_PAREN,
     templates: PromptTemplates | None = None,
 ) -> tuple[GateVerdict, GateEvent]:
     """Gate one generate-both batch; the parse itself is also validated."""
@@ -275,7 +274,6 @@ def gate_gb(
         expected_parse=None,
         input_id=input_id,
         language=language,
-        dialect=dialect,
         templates=templates,
     )
 
@@ -289,7 +287,6 @@ def _gate_pizza(
     expected_parse: ParseTree | None,
     input_id: str,
     language: str,
-    dialect: Dialect = Dialect.PIZZA_PAREN,
     templates: PromptTemplates | None = None,
 ) -> tuple[GateVerdict, GateEvent]:
     prompt_set = {t.strip() for t in prompt_texts}
@@ -305,7 +302,7 @@ def _gate_pizza(
             modes.add(sep_mode)
         elif method is Method.GENERATE_BOTH:
             try:
-                tree = parse_tree(cand.parse_text or "", dialect)
+                tree = parse_tree(cand.parse_text or "", Dialect.PIZZA_PAREN)
             except TreeError:
                 tree = None
                 modes.add(INVALID_PARSE)
@@ -460,16 +457,7 @@ class GateStatsRow:
     failure_modes: Mapping[str, float | None]
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "language": self.language,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "success_rate_inputs": self.success_rate_inputs,
-            "success_rate_outputs": self.success_rate_outputs,
-            "success_modes": dict(self.success_modes),
-            "failure_modes": dict(self.failure_modes),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -44,17 +44,7 @@ class MixPlan:
         return self.real_emitted / self.total
 
     def to_record(self) -> dict:
-        return {
-            "kind": "mix_plan",
-            "real_count": self.real_count,
-            "real_emitted": self.real_emitted,
-            "synthetic_counts": dict(self.synthetic_counts),
-            "duplication_factor": self.duplication_factor,
-            "total": self.total,
-            "updates": self.updates,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-        }
+        return {"kind": "mix_plan", **asdict(self)}
 
 
 def plan_mix(

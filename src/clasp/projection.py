@@ -12,7 +12,7 @@ word "Sentence" or missing the prompted trailing semicolon.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .datasets import Example
@@ -64,10 +64,7 @@ class ProjectionVerdict:
 
 
 def project_parse(
-    en: Example,
-    tgt_text: str,
-    align: WordAlignment,
-    dialect: Dialect = Dialect.MTOP_BRACKET,
+    en: Example, tgt_text: str, align: WordAlignment
 ) -> ProjectionVerdict:
     """Project the English example's parse onto ``tgt_text``.
 
@@ -86,7 +83,7 @@ def project_parse(
     for s, t in align.pairs:
         src_to_tgt.setdefault(s, set()).add(t)
 
-    tree = parse_tree(en.parse, dialect)
+    tree = parse_tree(en.parse, Dialect.MTOP_BRACKET)
     modes: set[str] = set()
     if " ".join(tgt_tokens) == " ".join(src_tokens):
         modes.add(COPY_ORIGINAL)
@@ -129,12 +126,7 @@ class MtStatsRow:
     failure_modes: Mapping[str, float | None]
 
     def to_dict(self) -> dict:
-        return {
-            "language": self.language,
-            "total": self.total,
-            "success_rate": self.success_rate,
-            "failure_modes": dict(self.failure_modes),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

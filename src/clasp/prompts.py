@@ -370,7 +370,6 @@ def build_sent_mt_prompt(
 
 
 _TEXT_ONLY = (Method.REPLACE_SLOTS, Method.TRANSLATE_SLOTS, Method.SLOT_MT, Method.SENT_MT)
-_TRANSLATION_LABEL_RE = re.compile(r"^Translation in [^:]+:\s*")
 
 
 def split_generation(
@@ -398,7 +397,9 @@ def split_generation(
         )
     parse_text = parts[0].strip()
     right = parts[1].strip()
-    m = _TRANSLATION_LABEL_RE.match(right)
+    # The translation cue, with any language name and the spaces after it.
+    label = "[^:]+".join(map(re.escape, t.translation_cue.split("{language}")))
+    m = re.match(label + r"\s*", right)
     if m is None:
         raise InvalidSeparators("missing translation label after the arrow")
     if not parse_text:

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import json
+import socket
+import subprocess
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import clasp
 from clasp.backends import (
     BackendMalformedResponse,
     BackendUnavailable,
@@ -258,3 +264,82 @@ class TestHttpBackend:
         _Handler.responses = [(200, _ok_body(1))]
         outs = HttpBackend().generate(rs_prompt(), DecodingConfig.greedy())
         assert outs == [GenOutput("out0;", pytest.approx(0.1))]
+
+
+class _ErrorHandler(BaseHTTPRequestHandler):
+    """Answers every POST with ``server.status`` and ``server.body`` after
+    ``server.delay`` seconds, counting the requests in ``server.hits``."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.hits.append(self.path)
+        time.sleep(self.server.delay)
+        self.send_response(self.server.status)
+        self.end_headers()
+        self.wfile.write(self.server.body)
+
+    def log_message(self, *args):
+        pass
+
+
+class _ThreadedServer(ThreadingHTTPServer):
+    """One thread per request, so a slow handler cannot hold up the retry."""
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out has hung up on the late reply
+
+
+@pytest.fixture
+def error_server():
+    server = _ThreadedServer(("127.0.0.1", 0), _ErrorHandler)
+    server.hits, server.delay, server.status, server.body = [], 0.0, 200, b""
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield server, f"http://127.0.0.1:{server.server_port}/generate"
+    server.shutdown()
+    server.server_close()
+
+
+class TestHttpErrorPaths:
+    def test_slow_server_times_out_after_every_retry(self, error_server):
+        server, url = error_server
+        server.delay = 1.0
+        backend = HttpBackend(endpoint=url, timeout=0.2, max_retries=2)
+        with pytest.raises(Timeout):
+            backend.generate(rs_prompt(), DecodingConfig.greedy())
+        assert len(server.hits) == 3
+
+    def test_closed_port_is_unavailable(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        backend = HttpBackend(endpoint=f"http://127.0.0.1:{port}/", max_retries=1)
+        with pytest.raises(BackendUnavailable):
+            backend.generate(rs_prompt(), DecodingConfig.greedy())
+
+    def test_non_json_body_is_malformed(self, error_server):
+        server, url = error_server
+        server.body = b"<html>not json</html>"
+        with pytest.raises(BackendMalformedResponse):
+            HttpBackend(endpoint=url).generate(rs_prompt(), DecodingConfig.greedy())
+        assert len(server.hits) == 1
+
+    def test_no_content_is_rejected_without_retry(self, error_server):
+        server, url = error_server
+        server.status = 204
+        backend = HttpBackend(endpoint=url, max_retries=2)
+        with pytest.raises(BackendUnavailable, match="204"):
+            backend.generate(rs_prompt(), DecodingConfig.greedy())
+        assert len(server.hits) == 1
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    src = Path(clasp.__file__).resolve().parents[1]
+    code = (
+        "import sys, clasp.cli; "
+        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.strip() == "[]"

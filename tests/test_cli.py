@@ -270,6 +270,17 @@ def test_missing_required_setting_exits_1(data, tmp_path, caplog):
     assert "--method" in caplog.text
 
 
+@pytest.mark.parametrize("flag", ["--config", "--dataset"])
+def test_missing_file_is_a_one_line_error(data, tmp_path, caplog, flag):
+    missing = tmp_path / "missing.json"
+    code = run("augment", "--dataset", data / "pool.jsonl", "--method", "rs",
+               "--k", "2", "--seed", "1", flag, missing, "--out", tmp_path / "o.jsonl")
+    assert code == 1
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert str(missing) in record.getMessage()
+    assert record.exc_info is None
+
+
 def test_config_only_templates_are_used(data, tmp_path):
     cf = json.loads(
         resources.files("clasp.data").joinpath("cf_templates.json").read_text("utf-8")
@@ -296,6 +307,10 @@ def test_config_only_templates_are_used(data, tmp_path):
     ({"max_inflite": 2}, "max_inflite"),
     ({"out": "elsewhere.jsonl"}, "out"),
     ({"decoding": {"temprature": 0.5}}, "temprature"),
+    # Values that fail the flag's type or choices check, or the field type.
+    ({"k": "5"}, "k"),
+    ({"decoding": {"n": "2"}}, "decoding.n"),
+    ({"method": "xx"}, "method"),
 ])
 def test_unknown_config_key_is_rejected(data, tmp_path, caplog, typo, name):
     config = write_json(tmp_path / "config.json", {

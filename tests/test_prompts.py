@@ -12,6 +12,7 @@ from clasp.prompts import (
     InvalidSeparators,
     LanguageUnsupported,
     Method,
+    PromptTemplates,
     build_gb_prompt,
     build_rs_prompt,
     build_sent_mt_prompt,
@@ -391,6 +392,26 @@ class TestSplitGeneration:
         cand = split_generation(method, raw)
         assert cand.text == "two olive pies"
         assert cand.parse_text == "(Order (Pizzaorder (Number two ) ) )"
+
+    @pytest.mark.parametrize(
+        "method", [Method.GENERATE_BOTH, Method.TRANSLATE_BOTH]
+    )
+    def test_split_follows_a_configured_translation_cue(self, method):
+        templates = PromptTemplates(translation_cue="Text in {language}:")
+        raw = continuation_for(
+            method,
+            text="zwei Pizzen",
+            parse_text="[IN:ORDER [SL:NUMBER zwei ] ]",
+            language="de",
+            templates=templates,
+        )
+        assert "=> Text in German: zwei Pizzen;" in raw
+        cand = split_generation(method, raw, templates)
+        assert cand.text == "zwei Pizzen"
+        assert cand.parse_text == "[IN:ORDER [SL:NUMBER zwei ] ]"
+        # The default label is not the configured cue.
+        with pytest.raises(InvalidSeparators):
+            split_generation(method, raw.replace("Text in", "Translation in"), templates)
 
     def test_builders_are_deterministic(self):
         a = build_rs_prompt(RS_CONTEXT, RS_ORIGINAL, parse(RS_EDITED, PIZZA))
