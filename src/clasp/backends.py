@@ -32,7 +32,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from .prompts import METHOD_DIALECTS, Method, Prompt, continuation_for
 from .trees import (
@@ -123,10 +123,6 @@ class DecodingConfig:
 class GenOutput:
     text: str
     score: float  # mean per-token NLL; lower is better
-
-
-class GenerationBackend(Protocol):
-    def generate(self, prompt: Prompt, cfg: DecodingConfig) -> list[GenOutput]: ...
 
 
 @dataclass(frozen=True)
@@ -227,33 +223,36 @@ def _default_score(i: int) -> float:
 def _synthesize(prompt: Prompt, i: int) -> str:
     exp = prompt.expected
     method = prompt.method
+    t = prompt.templates
     if method in (Method.REPLACE_SLOTS, Method.TRANSLATE_SLOTS):
         text = _cover_text(exp.target_parse or "", method, i)
-        return continuation_for(method, text=text)
+        return continuation_for(method, text=text, templates=t)
     if method is Method.GENERATE_BOTH:
         k = i % len(exp.context_parses) if exp.context_parses else 0
         parse_text = exp.context_parses[k] if exp.context_parses else ""
         text = _cover_text(parse_text, method, i)
         return continuation_for(
-            method, text=text, parse_text=parse_text, language=exp.language
+            method, text=text, parse_text=parse_text, language=exp.language,
+            templates=t,
         )
     if method is Method.TRANSLATE_BOTH:
         parse_text = exp.source_parse or ""
         text = _cover_text(parse_text, method, i)
         return continuation_for(
-            method, text=text, parse_text=parse_text, language=exp.language
+            method, text=text, parse_text=parse_text, language=exp.language,
+            templates=t,
         )
     if method is Method.SLOT_MT:
         value = exp.source_text or ""
         text = value if i == 0 else f"{value} alt{i}"
-        return continuation_for(method, text=text)
+        return continuation_for(method, text=text, templates=t)
     # Sentence translation: reverse the token order so the output is a
     # deterministic non-copy of the source.
     tokens = (exp.source_text or "").split()
     text = " ".join(reversed(tokens))
     if i > 0:
         text = f"{text} v{i}"
-    return continuation_for(Method.SENT_MT, text=text)
+    return continuation_for(Method.SENT_MT, text=text, templates=t)
 
 
 def _cover_text(parse_text: str, method: Method, i: int) -> str:

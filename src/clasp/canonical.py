@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -63,6 +63,10 @@ class SlotCatalog:
     as untagged slot mentions. Each must be a value of some slot. The key
     is not a slot label, so ``labels``, ``values``, ``iter_values`` and
     ``has_value`` never see it.
+
+    Lookups go through indexes built on first use and kept with the
+    catalog; they assume every value has a token, which ``from_mapping``
+    checks.
     """
 
     entries: Mapping[str, tuple[str, ...]]
@@ -99,19 +103,34 @@ class SlotCatalog:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.entries)
 
-    def values(self, slot_label: str) -> tuple[str, ...]:
-        wanted = slot_label.lower()
+    @cached_property
+    def _by_label(self) -> dict[str, tuple[tuple[str, ...], frozenset[str]]]:
+        """{lower-cased label: (values, lower-cased values)}; of two labels
+        that differ only in case, the first one wins."""
+        index: dict[str, tuple[tuple[str, ...], frozenset[str]]] = {}
         for label, vals in self.entries.items():
-            if label.lower() == wanted:
-                return vals
-        raise SlotUnknown(slot_label)
+            index.setdefault(label.lower(), (vals, frozenset(v.lower() for v in vals)))
+        return index
+
+    @cached_property
+    def _by_first_token(self) -> dict[str, list[tuple[str, str, list[str]]]]:
+        """{first lower-cased token: [(label, value, lower-cased tokens)]},
+        each list in ``iter_values`` order."""
+        index: dict[str, list[tuple[str, str, list[str]]]] = {}
+        for label, value in self.iter_values():
+            needle = value.lower().split()
+            index.setdefault(needle[0], []).append((label, value, needle))
+        return index
+
+    def values(self, slot_label: str) -> tuple[str, ...]:
+        try:
+            return self._by_label[slot_label.lower()][0]
+        except KeyError:
+            raise SlotUnknown(slot_label) from None
 
     def has_value(self, slot_label: str, value: str) -> bool:
-        try:
-            vals = self.values(slot_label)
-        except SlotUnknown:
-            return False
-        return value.lower() in {v.lower() for v in vals}
+        found = self._by_label.get(slot_label.lower())
+        return found is not None and value.lower() in found[1]
 
     def iter_values(self) -> Iterator[tuple[str, str]]:
         for label, vals in self.entries.items():
@@ -137,13 +156,12 @@ def contains_catalog_word(text: str, catalog: SlotCatalog) -> list[CatalogMatch]
     Tokens are whitespace-delimited, so "ham" never matches inside
     "champagne". Matches strictly contained in a longer match are dropped.
     """
-    tokens = text.split()
-    lowered = [t.lower() for t in tokens]
+    lowered = [t.lower() for t in text.split()]
+    by_first = catalog._by_first_token
     raw: list[CatalogMatch] = []
-    for label, value in catalog.iter_values():
-        needle = value.lower().split()
-        k = len(needle)
-        for i in range(len(lowered) - k + 1):
+    for i, token in enumerate(lowered):
+        for label, value, needle in by_first.get(token, ()):
+            k = len(needle)
             if lowered[i : i + k] == needle:
                 raw.append(CatalogMatch(label, value, (i, i + k)))
     maximal = [

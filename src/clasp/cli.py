@@ -23,11 +23,12 @@ import json
 import logging
 import random
 import sys
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as dc_replace
 from importlib import resources
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import get_type_hints
 
 from . import backends, canonical, gate, metrics, mixing, projection, prompts, sentinels
 from .backends import BackendError, DecodingConfig, MockBackend, MockRule
@@ -437,12 +438,18 @@ def _pizza_tasks(args, pool, templates, backend):
         if args.cf_templates
         else canonical.CfTemplateSet.default()
     )
+    # Pool positions by id (rs: the original's rows leave the context
+    # pool) or by text (gb: the fallback draws from the context rows).
+    positions: dict[str, list[int]] = {}
+    for j, ex in enumerate(pool):
+        positions.setdefault(ex.id if args.method == "rs" else ex.text, []).append(j)
     tasks = []
     for i in range(args.k):
         original = pool[i % len(pool)]
         rng = random.Random(_task_seed(args.seed, i))
         if args.method == "rs":
-            prompt = _build_rs_task(pool, original, catalog, rng,
+            others = _Without(pool, positions[original.id])
+            prompt = _build_rs_task(others, original, catalog, rng,
                                     _task_seed(args.seed, i), templates)
         else:
             arity = min(5, len(pool))
@@ -473,15 +480,37 @@ def _pizza_tasks(args, pool, templates, backend):
                 input_id=input_id, language=lang, templates=templates,
             )
             emitted = verdict.final or gate.fallback(
-                _gb_context_pool(pool, prompt), None, seed
+                _gb_context_pool(pool, positions, prompt), None, seed
             )
         return _with_cf(emitted, cf_templates).to_dict(), event
 
     return DecodingConfig.sampling(n=4), tasks, to_row
 
 
-def _build_rs_task(pool, original, catalog, rng, task_seed, prompt_templates):
-    others = [e for e in pool if e.id != original.id]
+class _Without(Sequence):
+    """Read-only view of ``pool`` without the rows at the sorted positions
+    ``skip``; ``random.sample`` draws from it as from the filtered list."""
+
+    def __init__(self, pool: Sequence[Example], skip: Sequence[int]) -> None:
+        self._pool = pool
+        self._skip = skip
+
+    def __len__(self) -> int:
+        return len(self._pool) - len(self._skip)
+
+    def __getitem__(self, i: int) -> Example:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        for j in self._skip:
+            if j > i:
+                break
+            i += 1
+        return self._pool[i]
+
+
+def _build_rs_task(others, original, catalog, rng, task_seed, prompt_templates):
+    """The rs prompt for ``original`` with 4 context rows drawn from
+    ``others``, or None when no slot of it has a catalog alternative."""
     if len(others) < 4:
         raise CliError("replace-slots needs at least 5 distinct dataset examples")
     context = rng.sample(others, 4)
@@ -500,9 +529,13 @@ def _build_rs_task(pool, original, catalog, rng, task_seed, prompt_templates):
     return None
 
 
-def _gb_context_pool(pool, prompt) -> list[Example]:
-    texts = set(prompt.expected.context_texts)
-    return [e for e in pool if e.text in texts] or list(pool)
+def _gb_context_pool(pool, positions, prompt) -> list[Example]:
+    """The pool rows, in pool order, whose text is one of the prompt's
+    context texts; ``positions`` maps each text to its pool positions."""
+    found = set()
+    for text in set(prompt.expected.context_texts):
+        found.update(positions.get(text, ()))
+    return [pool[j] for j in sorted(found)] or list(pool)
 
 
 def _with_cf(ex: Example, cf_templates) -> Example:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -114,22 +115,26 @@ class GateEvent:
 
 @dataclass(frozen=True)
 class SlotNBestMap:
-    """Beam-ranked translation alternatives per (English value, language)."""
+    """Beam-ranked translation alternatives per (English value, language).
 
-    entries: tuple[tuple[tuple[str, str], tuple[str, ...]], ...] = ()
+    ``lists`` is {language: {english_value: candidates}}, each candidate
+    tuple deduplicated and non-empty.
+    """
+
+    lists: Mapping[str, Mapping[str, tuple[str, ...]]] = field(default_factory=dict)
 
     @classmethod
     def from_mapping(
         cls, mapping: Mapping[str, Mapping[str, Sequence[str]]]
     ) -> "SlotNBestMap":
         """Build from {language: {english_value: [candidates...]}}."""
-        entries = []
+        lists: dict[str, dict[str, tuple[str, ...]]] = {}
         for lang, values in mapping.items():
             for en_value, candidates in values.items():
                 deduped = tuple(dict.fromkeys(candidates))
                 if deduped:
-                    entries.append(((en_value, lang), deduped))
-        return cls(tuple(entries))
+                    lists.setdefault(lang, {})[en_value] = deduped
+        return cls(lists)
 
     @classmethod
     def load(cls, path: str | Path) -> "SlotNBestMap":
@@ -137,23 +142,29 @@ class SlotNBestMap:
             return cls.from_mapping(json.load(fh))
 
     def to_mapping(self) -> dict[str, dict[str, list[str]]]:
-        out: dict[str, dict[str, list[str]]] = {}
-        for (en_value, lang), candidates in self.entries:
-            out.setdefault(lang, {})[en_value] = list(candidates)
-        return out
+        return {
+            lang: {en_value: list(cands) for en_value, cands in values.items()}
+            for lang, values in self.lists.items()
+        }
+
+    @cached_property
+    def _by_candidate(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        """{language: {candidate: the first list holding it, in map order}}."""
+        index: dict[str, dict[str, tuple[str, ...]]] = {}
+        for lang, values in self.lists.items():
+            owner = index.setdefault(lang, {})
+            for candidates in values.values():
+                for cand in candidates:
+                    owner.setdefault(cand, candidates)
+        return index
 
     def top(self, en_value: str, language: str) -> str | None:
-        for (value, lang), candidates in self.entries:
-            if value == en_value and lang == language:
-                return candidates[0]
-        return None
+        candidates = self.lists.get(language, {}).get(en_value)
+        return candidates[0] if candidates else None
 
     def alternatives(self, current_value: str, language: str) -> tuple[str, ...]:
         """Beam-ordered variants of the list containing ``current_value``."""
-        for (_, lang), candidates in self.entries:
-            if lang == language and current_value in candidates:
-                return candidates
-        return ()
+        return self._by_candidate.get(language, {}).get(current_value, ())
 
 
 def check_vp2(parse: ParseTree, text: str) -> list[SlotRef]:

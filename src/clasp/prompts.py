@@ -126,6 +126,7 @@ class Prompt:
     text: str
     method: Method
     expected: PromptExpectation
+    templates: PromptTemplates = PromptTemplates()  # the ones it was built with
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,7 @@ def build_rs_prompt(
             context_texts=tuple(ex.text for ex in examples),
             context_parses=tuple(ex.parse for ex in examples),
         ),
+        templates=t,
     )
 
 
@@ -237,6 +239,7 @@ def build_gb_prompt(
             context_texts=tuple(ex.text for ex in context),
             context_parses=tuple(ex.parse for ex in context),
         ),
+        templates=t,
     )
 
 
@@ -277,6 +280,7 @@ def build_ts_prompt(
             context_texts=(anchor_en.text, anchor_tgt.text, en_source.text),
             context_parses=(anchor_en.parse, anchor_tgt.parse, en_source.parse),
         ),
+        templates=t,
     )
 
 
@@ -307,6 +311,7 @@ def build_tb_prompt(
             context_texts=(anchor_en.text, anchor_tgt.text, en_source.text),
             context_parses=(anchor_en.parse, anchor_tgt.parse, en_source.parse),
         ),
+        templates=t,
     )
 
 
@@ -337,6 +342,7 @@ def build_slot_mt_prompt(
             source_text=slot_value,
             context_texts=tuple(x for pair in anchor_slot_pairs for x in pair),
         ),
+        templates=t,
     )
 
 
@@ -366,6 +372,7 @@ def build_sent_mt_prompt(
             source_text=text,
             context_texts=anchor_sent_pair,
         ),
+        templates=t,
     )
 
 

@@ -184,7 +184,10 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval lets shutdown() return at once.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     _Handler.requests_seen = []
     _Handler.responses = []
@@ -293,7 +296,9 @@ class _ThreadedServer(ThreadingHTTPServer):
 def error_server():
     server = _ThreadedServer(("127.0.0.1", 0), _ErrorHandler)
     server.hits, server.delay, server.status, server.body = [], 0.0, 200, b""
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    ).start()
     yield server, f"http://127.0.0.1:{server.server_port}/generate"
     server.shutdown()
     server.server_close()

@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from clasp.canonical import (
     FUNCTION_WORDS_KEY,
@@ -255,3 +256,98 @@ def _regex_scan(text: str, catalog) -> set:
             for o in raw
         )
     }
+
+
+# Reference scans: the lookups as they were before the catalog indexes.
+
+
+def _scan_contains_catalog_word(text: str, catalog: SlotCatalog) -> list[CatalogMatch]:
+    tokens = text.split()
+    lowered = [t.lower() for t in tokens]
+    raw: list[CatalogMatch] = []
+    for label, value in catalog.iter_values():
+        needle = value.lower().split()
+        k = len(needle)
+        for i in range(len(lowered) - k + 1):
+            if lowered[i : i + k] == needle:
+                raw.append(CatalogMatch(label, value, (i, i + k)))
+    maximal = [
+        m
+        for m in raw
+        if not any(
+            (o.span[0] <= m.span[0] and m.span[1] <= o.span[1] and o.span != m.span)
+            for o in raw
+        )
+    ]
+    return sorted(maximal, key=lambda m: (m.span, m.slot_label, m.value))
+
+
+def _scan_values(catalog: SlotCatalog, slot_label: str) -> tuple[str, ...]:
+    for label, vals in catalog.entries.items():
+        if label.lower() == slot_label.lower():
+            return vals
+    raise SlotUnknown(slot_label)
+
+
+def _scan_has_value(catalog: SlotCatalog, slot_label: str, value: str) -> bool:
+    try:
+        vals = _scan_values(catalog, slot_label)
+    except SlotUnknown:
+        return False
+    return value.lower() in {v.lower() for v in vals}
+
+
+_WORDS = ("ham", "Ham", "HAM", "extra", "cheese", "a", "can", "diet", "coke", "thin")
+_LABELS = ("Topping", "topping", "Number", "Drinktype", "Containertype")
+_catalog_values = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+_catalogs = st.dictionaries(
+    st.sampled_from(_LABELS), st.lists(_catalog_values, max_size=6), max_size=5
+)
+_texts = st.lists(
+    st.sampled_from(_WORDS + ("pizza", "with", "please", "champagne")), max_size=14
+).map(" ".join)
+
+# Multi-token values, one value under two labels, a duplicate entry, case
+# variants, and a label that differs from another only in case.
+_MIXED_CATALOG = {
+    "Topping": ["ham", "extra cheese", "cheese", "ham", "HAM"],
+    "topping": ["thin"],
+    "Containertype": ["can", "diet coke"],
+    "Drinktype": ["diet coke", "coke", "Diet Coke"],
+}
+
+
+class TestCatalogIndexes:
+    @given(mapping=_catalogs, text=_texts)
+    @example(mapping=_MIXED_CATALOG, text="a can of Diet COKE with extra cheese and ham")
+    @example(mapping=_MIXED_CATALOG, text="ham ham extra extra cheese thin")
+    def test_contains_catalog_word_equals_the_scan(self, mapping, text):
+        catalog = SlotCatalog.from_mapping(mapping)
+        assert contains_catalog_word(text, catalog) == _scan_contains_catalog_word(
+            text, catalog
+        )
+
+    @given(mapping=_catalogs, text=_texts)
+    def test_a_directly_built_catalog_is_indexed_too(self, mapping, text):
+        catalog = SlotCatalog({k: tuple(v) for k, v in mapping.items()})
+        assert contains_catalog_word(text, catalog) == _scan_contains_catalog_word(
+            text, catalog
+        )
+
+    @given(
+        mapping=_catalogs,
+        label=st.sampled_from(_LABELS + ("TOPPING", "Size")),
+        value=st.one_of(_catalog_values, st.just("")),
+    )
+    @example(mapping=_MIXED_CATALOG, label="TOPPING", value="Ham")
+    @example(mapping=_MIXED_CATALOG, label="topping", value="thin")
+    def test_values_and_has_value_equal_the_scan(self, mapping, label, value):
+        catalog = SlotCatalog.from_mapping(mapping)
+        try:
+            expected = _scan_values(catalog, label)
+        except SlotUnknown:
+            with pytest.raises(SlotUnknown):
+                catalog.values(label)
+        else:
+            assert catalog.values(label) == expected
+        assert catalog.has_value(label, value) == _scan_has_value(catalog, label, value)

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from clasp import cli
 from clasp.backends import BackendUnavailable, MockBackend
 from clasp.datasets import Example, read_jsonl, read_records
+from clasp.prompts import build_gb_prompt
 
 PIZZA_ROWS = [
     ("i want two pizza with bacon",
@@ -465,3 +468,69 @@ def test_score_reports_exact_match(data, tmp_path, capsys):
 def test_report_rejects_malformed_record(tmp_path, record):
     path = write_json(tmp_path / "bad.json", record)
     assert run("report", "--in", path) == 1
+
+
+# The rs and gb context pools against the list comprehensions they replace.
+
+_ROW_IDS = ("p0", "p1", "p2", "p3")
+
+
+def _pool_rows(ids: list[str], period: int = 9) -> list[Example]:
+    """Rows with the given ids; rows ``period`` apart share a text."""
+    return [
+        Example(i, "en", f"text {j % period}", "(Order )", "dev")
+        for j, i in enumerate(ids)
+    ]
+
+
+def _positions(pool, key) -> dict[str, list[int]]:
+    positions: dict[str, list[int]] = {}
+    for j, ex in enumerate(pool):
+        positions.setdefault(key(ex), []).append(j)
+    return positions
+
+
+class TestContextPools:
+    # random.sample copies a population of at most 21 rows into a list and
+    # indexes a larger one directly (for k = 4), so sizes run across 21.
+    @given(
+        ids=st.lists(st.sampled_from(_ROW_IDS), min_size=5, max_size=60).map(
+            lambda ids: [f"{i}-{j}" if j % 3 else i for j, i in enumerate(ids)]
+        ),
+        pick=st.integers(min_value=0),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @example(ids=[f"r{j}" for j in range(22)], pick=5, seed=1)  # 21 others
+    @example(ids=[f"r{j}" for j in range(23)], pick=5, seed=1)  # 22 others
+    @example(ids=["a", "b", "a", "c", "d", "e", "a"], pick=2, seed=7)
+    @example(ids=["a", "a", *(f"r{j}" for j in range(24)), "a"], pick=1, seed=3)
+    def test_rs_context_equals_a_sample_of_the_filtered_pool(self, ids, pick, seed):
+        pool = _pool_rows(ids)
+        original = pool[pick % len(pool)]
+        others = [e for e in pool if e.id != original.id]
+        view = cli._Without(pool, _positions(pool, lambda e: e.id)[original.id])
+        assert len(view) == len(others)
+        assert list(view) == others
+        if len(others) < 4:
+            return
+        want, got = random.Random(seed), random.Random(seed)
+        assert got.sample(view, 4) == want.sample(others, 4)
+        assert got.getstate() == want.getstate()
+
+    @given(
+        ids=st.lists(st.sampled_from(_ROW_IDS), min_size=1, max_size=80),
+        period=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    # Positions past a small set's table size: a set of them is unordered.
+    @example(ids=["p0"] * 80, period=37, seed=1)
+    @example(ids=["p0"] * 80, period=23, seed=2)
+    def test_gb_context_pool_equals_the_scan(self, ids, period, seed):
+        pool = _pool_rows(ids, period)
+        context = random.Random(seed).sample(pool, min(5, len(pool)))
+        prompt = build_gb_prompt(context)
+        texts = set(prompt.expected.context_texts)
+        positions = _positions(pool, lambda e: e.text)
+        assert cli._gb_context_pool(pool, positions, prompt) == (
+            [e for e in pool if e.text in texts] or list(pool)
+        )

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from clasp.backends import DecodingConfig, GenOutput, MockBackend, MockRule
 from clasp.datasets import Example
@@ -31,7 +35,13 @@ from clasp.gate import (
     recover_slot_nbest,
 )
 from clasp.canonical import SlotCatalog
-from clasp.prompts import Method, PromptExpectation, build_tb_prompt, build_ts_prompt
+from clasp.prompts import (
+    Method,
+    PromptExpectation,
+    PromptTemplates,
+    build_tb_prompt,
+    build_ts_prompt,
+)
 from clasp.trees import Dialect, parse, serialize, structure_signature
 
 from conftest import random_encodable_example
@@ -587,3 +597,119 @@ class TestMockCorruptionsTriggerIntendedModes:
         verdict, event = gate_mtop("ts", outs[0], prompt.expected, nbest)
         assert verdict.status == "recovered"
         assert verdict.recovery == SLOT_NBEST
+
+    def test_gb_mock_follows_a_renamed_translation_cue(self, catalog):
+        from test_prompts import GB_CONTEXT
+        from clasp.prompts import build_gb_prompt
+
+        templates = PromptTemplates(translation_cue="Text in {language}:")
+        prompt = build_gb_prompt(GB_CONTEXT, templates)
+        outs = MockBackend([MockRule()]).generate(
+            prompt, DecodingConfig.sampling(n=4)
+        )
+        assert all("=> Text in English: " in out.text for out in outs)
+        verdict, event = gate_gb(
+            outs, prompt.expected.context_texts, catalog, templates=templates
+        )
+        assert verdict.status == "clean"
+        assert event.candidate_modes == (frozenset(),) * 4
+
+    def test_tb_mock_follows_a_renamed_translation_cue(self):
+        templates = PromptTemplates(translation_cue="Text in {language}:")
+        prompt = build_tb_prompt(
+            TS_ANCHOR_EN, TS_ANCHOR_FR, TS_SOURCE, "fr", templates
+        )
+        out = MockBackend([MockRule()]).generate(prompt, DecodingConfig.greedy())[0]
+        assert "=> Text in French: " in out.text
+        verdict, event = gate_mtop(
+            "tb", out, prompt.expected, SlotNBestMap(), templates=templates
+        )
+        assert verdict.status == "clean"
+        assert event.candidate_modes == (frozenset(),)
+
+
+# Reference scans: the n-best lookups as they were before the dict index,
+# over the (English value, language) entries in map order.
+
+
+def _scan_entries(mapping) -> list:
+    return [
+        ((en_value, lang), tuple(dict.fromkeys(cands)))
+        for lang, values in mapping.items()
+        for en_value, cands in values.items()
+        if cands
+    ]
+
+
+def _scan_top(entries, en_value, language):
+    for (value, lang), candidates in entries:
+        if value == en_value and lang == language:
+            return candidates[0]
+    return None
+
+
+def _scan_alternatives(entries, current_value, language):
+    for (_, lang), candidates in entries:
+        if lang == language and current_value in candidates:
+            return candidates
+    return ()
+
+
+def _scan_to_mapping(entries) -> dict:
+    out: dict = {}
+    for (en_value, lang), candidates in entries:
+        out.setdefault(lang, {})[en_value] = list(candidates)
+    return out
+
+
+_NB_WORDS = ("todo", "todos", "viernes", "für", "mon", "ma", "día", "all")
+_NB_LANGS = ("de", "es", "fr")
+_nbest_mappings = st.dictionaries(
+    st.sampled_from(_NB_LANGS),
+    st.dictionaries(
+        st.sampled_from(_NB_WORDS),
+        st.lists(st.sampled_from(_NB_WORDS), max_size=4),
+        max_size=5,
+    ),
+    max_size=3,
+)
+# "todos" sits in two Spanish lists: the first one in map order wins.
+_SHARED_CANDIDATE = {
+    "es": {"all": ["todo", "todos", "todos"], "every": ["todos", "cada"], "none": []},
+    "fr": {"all": ["tout", "todos"]},
+    "de": {"none": []},
+}
+
+
+class TestSlotNBestIndex:
+    @given(
+        mapping=_nbest_mappings,
+        word=st.sampled_from(_NB_WORDS + ("every", "cada", "tout")),
+        lang=st.sampled_from(_NB_LANGS + ("hi",)),
+    )
+    @example(mapping=_SHARED_CANDIDATE, word="todos", lang="es")
+    @example(mapping=_SHARED_CANDIDATE, word="todos", lang="fr")
+    @example(mapping=_SHARED_CANDIDATE, word="none", lang="es")
+    def test_top_and_alternatives_equal_the_scan(self, mapping, word, lang):
+        nbest = SlotNBestMap.from_mapping(mapping)
+        entries = _scan_entries(mapping)
+        assert nbest.top(word, lang) == _scan_top(entries, word, lang)
+        assert nbest.alternatives(word, lang) == _scan_alternatives(entries, word, lang)
+
+    def test_first_list_in_map_order_wins(self):
+        nbest = SlotNBestMap.from_mapping(_SHARED_CANDIDATE)
+        assert nbest.alternatives("todos", "es") == ("todo", "todos")
+        assert nbest.alternatives("todos", "fr") == ("tout", "todos")
+        assert nbest.alternatives("cada", "es") == ("todos", "cada")
+
+    @given(mapping=_nbest_mappings)
+    @example(mapping=_SHARED_CANDIDATE)
+    def test_load_to_mapping_round_trips_byte_for_byte(self, mapping):
+        nbest = SlotNBestMap.from_mapping(mapping)
+        assert nbest.to_mapping() == _scan_to_mapping(_scan_entries(mapping))
+        text = json.dumps(nbest.to_mapping(), ensure_ascii=False, indent=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "nbest.json"
+            path.write_text(text, encoding="utf-8")
+            loaded = SlotNBestMap.load(path)
+        assert json.dumps(loaded.to_mapping(), ensure_ascii=False, indent=2) == text
