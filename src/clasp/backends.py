@@ -173,7 +173,6 @@ def load_mock_rules(path: str | Path) -> list[MockRule]:
 
 
 _FILLERS = ("please get me", "kindly send over", "we would enjoy", "now preparing")
-_TERM = ";"
 
 
 class MockBackend:
@@ -270,7 +269,7 @@ def _cover_text(parse_text: str, method: Method, i: int) -> str:
 def _corrupt(prompt: Prompt, rule: MockRule, texts: list[str], i: int) -> str:
     raw = texts[i]
     for old, new in rule.substitutions:
-        raw = _edit_text_part(prompt.method, raw, lambda s: s.replace(old, new))
+        raw = _edit_text_part(prompt, raw, lambda s: s.replace(old, new))
     for flag in rule.corruptions:
         raw = _apply_corruption(flag, raw, prompt, rule, texts, i)
     return raw
@@ -281,12 +280,14 @@ def _apply_corruption(
 ) -> str:
     exp = prompt.expected
     method = prompt.method
+    t = prompt.templates
     if flag == "duplicate_output":
         return raw if i == 0 else texts[0]
     if flag == "no_semicolon":
-        return raw.rstrip().rstrip(_TERM)
+        return _strip_terminators(raw, t.terminator)
     if flag == "bad_separators":
-        return raw.rstrip().rstrip(_TERM) + " => oops" + _TERM
+        body = _strip_terminators(raw, t.terminator)
+        return f"{body} {t.arrow} oops{t.terminator}"
     if flag in ("drop_slot_word", "flip_casing", "unknown_entity"):
         found = _first_slot(prompt, raw)
         if found is None:
@@ -300,25 +301,25 @@ def _apply_corruption(
             new_value = ("unobtainium",)
             if method in _PAIR_METHODS:
                 raw = _swap_parse_part(
-                    raw, serialize(replace_slot(tree, ref, new_value))
+                    prompt, raw, serialize(replace_slot(tree, ref, new_value))
                 )
         return _edit_text_part(
-            method, raw, lambda s: _replace_tokens(s, ref.value, new_value)
+            prompt, raw, lambda s: _replace_tokens(s, ref.value, new_value)
         )
     if flag == "untagged_word":
         word = rule.inject_word
-        return _edit_text_part(method, raw, lambda s: f"{s} {word}")
+        return _edit_text_part(prompt, raw, lambda s: f"{s} {word}")
     if flag == "copy_example":
         copied = exp.context_texts[0] if exp.context_texts else ""
-        return _edit_text_part(method, raw, lambda s: copied)
+        return _edit_text_part(prompt, raw, lambda s: copied)
     if flag == "invalid_parse":
         broken = (
             "(Broken (Number" if method is Method.GENERATE_BOTH else "[IN:BROKEN [SL:X"
         )
-        return _swap_parse_part(raw, broken)
+        return _swap_parse_part(prompt, raw, broken)
     if flag == "mismatch_parse":
         other = exp.context_parses[0] if exp.context_parses else ""
-        return _swap_parse_part(raw, other)
+        return _swap_parse_part(prompt, raw, other)
     return raw
 
 
@@ -326,7 +327,7 @@ def _first_slot(prompt: Prompt, raw: str) -> tuple[ParseTree, SlotRef] | None:
     """The parse this continuation must realize and its first leaf slot."""
     method = prompt.method
     if method in _PAIR_METHODS:
-        parse_text, _, _ = raw.partition("=>")
+        parse_text, _, _ = raw.partition(prompt.templates.arrow)
     else:
         parse_text = prompt.expected.target_parse or ""
     try:
@@ -346,30 +347,40 @@ def _replace_tokens(text: str, old: Sequence[str], new: Sequence[str]) -> str:
     return " ".join([*tokens[: span[0]], *new, *tokens[span[1] :]])
 
 
-def _edit_text_part(method: Method, raw: str, edit) -> str:
+def _edit_text_part(prompt: Prompt, raw: str, edit) -> str:
     """Apply ``edit`` to the surface-text field of a continuation."""
+    t = prompt.templates
     body = raw.rstrip()
-    had_term = body.endswith(_TERM)
+    had_term = body.endswith(t.terminator)
     if had_term:
-        body = body[: -len(_TERM)]
-    if method in _PAIR_METHODS:
-        left, sep, right = body.partition("=>")
+        body = body[: -len(t.terminator)]
+    if prompt.method in _PAIR_METHODS:
+        left, sep, right = body.partition(t.arrow)
         if sep:
             colon = right.find(":")
             label, text = right[: colon + 1], right[colon + 1 :].strip()
-            body = f"{left}=>{label} {edit(text)}"
+            body = f"{left}{t.arrow}{label} {edit(text)}"
         else:
             body = edit(body)
     else:
         body = edit(body)
-    return body + (_TERM if had_term else "")
+    return body + (t.terminator if had_term else "")
 
 
-def _swap_parse_part(raw: str, new_parse: str) -> str:
-    left, sep, right = raw.partition("=>")
+def _swap_parse_part(prompt: Prompt, raw: str, new_parse: str) -> str:
+    arrow = prompt.templates.arrow
+    left, sep, right = raw.partition(arrow)
     if not sep:
         return raw
-    return f"{new_parse}\n=>{right}"
+    return f"{new_parse}\n{arrow}{right}"
+
+
+def _strip_terminators(raw: str, terminator: str) -> str:
+    """``raw`` without trailing whitespace and trailing terminators."""
+    body = raw.rstrip()
+    while terminator and body.endswith(terminator):
+        body = body[: -len(terminator)]
+    return body
 
 
 def _flip_case(value: str) -> str:

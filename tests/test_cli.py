@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from clasp import cli
+from clasp import cli, trees
 from clasp.backends import BackendUnavailable, MockBackend
 from clasp.datasets import Example, read_jsonl, read_records
 from clasp.prompts import build_gb_prompt
@@ -388,6 +388,32 @@ def test_partial_holds_rows_finished_before_backend_failure(
     assert not out.exists()
     partial = read_records(str(out) + ".partial")
     assert partial == read_records(full)[:2]
+
+
+# Real parses (memo misses) of one serial run on the fixtures; a call site
+# that goes around the memo, or a smaller memo, parses more. The parse
+# calls these runs make are 198 (rs) and 72 (ts).
+REAL_PARSES = {
+    "rs": ("--k", "24", "--max-inflight", "1"),
+    "ts": ("--k", "18", "--langs", "de,es,fr", "--max-inflight", "1"),
+}
+MAX_REAL_PARSES = {"rs": 31, "ts": 18}
+
+
+@pytest.mark.parametrize("method", sorted(REAL_PARSES))
+def test_trees_are_parsed_about_once(data, tmp_path, monkeypatch, method):
+    parse_text = trees._parse_text
+    parsed = []
+
+    def counting(s, dialect):
+        parsed.append(s)
+        return parse_text(s, dialect)
+
+    monkeypatch.setattr(trees, "_parse_text", counting)
+    trees._parse_memo.cache_clear()
+    out = tmp_path / "out.jsonl"
+    assert run(*augment_argv(data, method, out, *REAL_PARSES[method])) == 0
+    assert len(parsed) <= MAX_REAL_PARSES[method]
 
 
 # ------------------------------------------------------------ downstream stages

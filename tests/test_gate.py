@@ -487,6 +487,18 @@ class TestCompileStats:
         assert "slot nbest" in table or "slot n" in table
 
 
+# Corruptions that edit a continuation's separators or text field, each
+# under templates that rename the separator it has to find.
+TEMPLATE_CORRUPTIONS = [
+    (PromptTemplates(arrow="->"), "drop_slot_word", MISSING_SLOT),
+    (PromptTemplates(arrow="->"), "bad_separators", INVALID_SEPARATORS),
+    (PromptTemplates(terminator="."), "no_semicolon", INVALID_SEPARATORS),
+]
+TEMPLATE_CORRUPTION_IDS = [
+    "arrow-drop_slot_word", "arrow-bad_separators", "terminator-no_semicolon"
+]
+
+
 class TestMockCorruptionsTriggerIntendedModes:
     """Each corruption flag fires exactly its failure mode at gate time."""
 
@@ -626,6 +638,39 @@ class TestMockCorruptionsTriggerIntendedModes:
         )
         assert verdict.status == "clean"
         assert event.candidate_modes == (frozenset(),)
+
+
+    @pytest.mark.parametrize(
+        "templates,flag,mode", TEMPLATE_CORRUPTIONS, ids=TEMPLATE_CORRUPTION_IDS
+    )
+    def test_gb_corruptions_follow_the_templates(self, catalog, templates, flag, mode):
+        from test_prompts import GB_CONTEXT
+        from clasp.prompts import build_gb_prompt
+
+        prompt = build_gb_prompt(GB_CONTEXT, templates)
+        outs = MockBackend([MockRule(corruptions=(flag,))]).generate(
+            prompt, DecodingConfig.sampling(n=4)
+        )
+        verdict, event = gate_gb(
+            outs, prompt.expected.context_texts, catalog, templates=templates
+        )
+        assert verdict.status == "failed"
+        assert all(mode in modes for modes in event.candidate_modes)
+
+    @pytest.mark.parametrize(
+        "templates,flag,mode", TEMPLATE_CORRUPTIONS, ids=TEMPLATE_CORRUPTION_IDS
+    )
+    def test_tb_corruptions_follow_the_templates(self, templates, flag, mode):
+        prompt = build_tb_prompt(
+            TS_ANCHOR_EN, TS_ANCHOR_FR, TS_SOURCE, "fr", templates
+        )
+        backend = MockBackend([MockRule(corruptions=(flag,))])
+        out = backend.generate(prompt, DecodingConfig.greedy())[0]
+        verdict, event = gate_mtop(
+            "tb", out, prompt.expected, SlotNBestMap(), templates=templates
+        )
+        assert verdict.status == "failed"
+        assert mode in verdict.failure_modes
 
 
 # Reference scans: the n-best lookups as they were before the dict index,

@@ -3,7 +3,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from clasp import trees
 from clasp.trees import (
     BadDialectMarker,
     Dialect,
@@ -299,3 +301,175 @@ class TestSpanHelpers:
         tree = parse("[IN:A [SL:X zz ] ]", MTOP)
         with pytest.raises(UnmatchableSlot):
             bind_slot_spans(tree, "a b".split())
+
+
+# Reference parser: the parse loop as it was before the memo and the
+# per-dialect loops, kept to pin every tree and every error message.
+
+
+def _reference_parse(s: str, dialect: Dialect) -> ParseTree:
+    pieces = s.split()
+    if not pieces:
+        raise UnbalancedDelimiters("cannot parse empty input")
+    stack: list[list] = []
+    root = None
+
+    def attach(node) -> None:
+        nonlocal root
+        if stack:
+            stack[-1][2].append(node)
+        elif root is None:
+            root = node
+        else:
+            raise UnbalancedDelimiters(f"multiple top-level groups in {s!r}")
+
+    for piece in pieces:
+        if dialect is Dialect.PIZZA_PAREN:
+            if piece.startswith("[IN:") or piece.startswith("[SL:"):
+                raise BadDialectMarker(
+                    f"bracketed label {piece!r} in parenthesis-dialect input"
+                )
+            if piece.startswith("("):
+                label = piece[1:]
+                if not label:
+                    raise EmptyLabel(f"missing label after '(' in {s!r}")
+                stack.append([None, label, []])
+                continue
+            if piece == ")":
+                if not stack:
+                    raise UnbalancedDelimiters(f"unmatched ')' in {s!r}")
+                _, label, children = stack.pop()
+                kids = tuple(children)
+                if kids and all(isinstance(c, Token) for c in kids):
+                    attach(Slot(label, kids))
+                else:
+                    attach(Intent(label, kids))
+                continue
+        else:
+            if piece.startswith("[IN:") or piece.startswith("[SL:"):
+                cls = Intent if piece.startswith("[IN:") else Slot
+                label = piece[1:]
+                if len(label) <= 3:
+                    raise EmptyLabel(f"missing name after {piece!r}")
+                stack.append([cls, label, []])
+                continue
+            if piece == "]":
+                if not stack:
+                    raise UnbalancedDelimiters(f"unmatched ']' in {s!r}")
+                cls, label, children = stack.pop()
+                attach(cls(label, tuple(children)))
+                continue
+        if not stack:
+            raise UnbalancedDelimiters(f"token {piece!r} outside any group in {s!r}")
+        stack[-1][2].append(Token(piece))
+
+    if stack:
+        raise UnbalancedDelimiters(f"unclosed group in {s!r}")
+    if root is None:
+        raise UnbalancedDelimiters(f"no tree in {s!r}")
+    return ParseTree(root, dialect)
+
+
+def _outcome(fn, s: str, dialect: Dialect):
+    try:
+        return fn(s, dialect)
+    except Exception as exc:  # compared by class and message
+        return (type(exc), str(exc))
+
+
+# Pieces of either dialect, both delimiters alone, empty labels, and
+# tokens that only look like delimiters.
+_PIECES = st.sampled_from((
+    "a", "ham", "(X", "(Topping", ")", "[IN:X", "[SL:Y", "]", "[", "(",
+    "[IN:", "[SL:", "[IN", "x)", "]]",
+))
+_WHITESPACE = st.sampled_from((" ", "  ", "\t", "\n"))
+
+
+@st.composite
+def _piece_strings(draw) -> str:
+    pieces = draw(st.lists(_PIECES, max_size=14))
+    gaps = draw(st.lists(_WHITESPACE, min_size=len(pieces) + 1,
+                         max_size=len(pieces) + 1))
+    return gaps[0] + "".join(p + g for p, g in zip(pieces, gaps[1:]))
+
+
+# Tokens each dialect reads as plain words.
+_WORDS = {
+    PIZZA: ("a", "ham", "[", "]", "[IN", "x)", "o'clock"),
+    MTOP: ("a", "ham", "(", ")", "(X", "[", "[IN", "x)"),
+}
+_GROUP_OPENS = {
+    PIZZA: ("(Order", "(Topping", "(NUMBER"),
+    MTOP: ("[IN:GET_X", "[SL:DATE_TIME", "[IN:A"),
+}
+
+
+@st.composite
+def _well_formed(draw, dialect: Dialect) -> str:
+    """A one-group tree string with arbitrary whitespace between pieces."""
+    close = ")" if dialect is PIZZA else "]"
+    opens = st.sampled_from(_GROUP_OPENS[dialect])
+    words = st.sampled_from(_WORDS[dialect])
+
+    def group(depth: int) -> list[str]:
+        pieces = [draw(opens)]
+        for kind in draw(st.lists(st.integers(0, 2), max_size=4)):
+            pieces += group(depth - 1) if kind == 0 and depth else [draw(words)]
+        return [*pieces, close]
+
+    pieces = group(3)
+    gaps = draw(st.lists(_WHITESPACE, min_size=len(pieces) + 1,
+                         max_size=len(pieces) + 1))
+    return gaps[0] + "".join(p + g for p, g in zip(pieces, gaps[1:]))
+
+
+class TestParseProperties:
+    @pytest.mark.parametrize("dialect", [PIZZA, MTOP])
+    @given(data=st.data())
+    def test_serialize_inverts_parse(self, dialect, data):
+        s = data.draw(_well_formed(dialect))
+        assert serialize(parse(s, dialect)) == " ".join(s.split())
+
+    @pytest.mark.parametrize("dialect", [PIZZA, MTOP])
+    @given(s=st.one_of(_piece_strings(), _well_formed(PIZZA), _well_formed(MTOP)))
+    @example(s="")
+    @example(s="(A ) (B )")
+    @example(s="[IN:A ] [IN:B ]")
+    @example(s="(Order [SL:X a ] )")
+    @example(s="[IN: foo ]")
+    @example(s="(ORDER can you (TOPPING ham ) please )")
+    def test_parse_equals_the_reference(self, dialect, s):
+        assert _outcome(parse, s, dialect) == _outcome(_reference_parse, s, dialect)
+
+
+class TestParseMemo:
+    def test_equal_inputs_give_equal_trees(self):
+        assert parse(RS_PARSE, PIZZA) == parse(RS_PARSE, PIZZA)
+        assert parse(RS_PARSE, PIZZA) == _reference_parse(RS_PARSE, PIZZA)
+
+    def test_editing_a_leaf_slots_list_leaves_the_tree_alone(self):
+        refs = leaf_slots(parse(RS_PARSE, PIZZA))
+        expected = list(refs)
+        refs.reverse()
+        refs.clear()
+        assert leaf_slots(parse(RS_PARSE, PIZZA)) == expected
+        assert [r.value_text for r in expected] == ["a", "mushroom"]
+
+    def test_malformed_input_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(UnbalancedDelimiters, match="unclosed group"):
+                parse("(Order (Topping ham )", PIZZA)
+
+    def test_dialect_is_part_of_the_key(self):
+        s = "[IN:A [SL:B x ] ]"
+        assert parse(s, MTOP).dialect is MTOP
+        with pytest.raises(BadDialectMarker):
+            parse(s, PIZZA)
+        assert parse(s, MTOP).root == Intent("IN:A", (Slot("SL:B", (Token("x"),)),))
+
+    def test_memo_is_bounded(self):
+        for i in range(200):
+            parse(f"(Order (Number n{i} ) )", PIZZA)
+        info = trees._parse_memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 64
