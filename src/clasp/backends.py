@@ -40,7 +40,7 @@ from .trees import (
     ParseTree,
     SlotRef,
     TreeError,
-    find_token_span,
+    bind_slot_spans,
     leaf_slots,
     parse as parse_tree,
     replace_slot,
@@ -304,7 +304,7 @@ def _apply_corruption(
                     prompt, raw, serialize(replace_slot(tree, ref, new_value))
                 )
         return _edit_text_part(
-            prompt, raw, lambda s: _replace_tokens(s, ref.value, new_value)
+            prompt, raw, lambda s: _replace_first_slot(s, tree, new_value)
         )
     if flag == "untagged_word":
         word = rule.inject_word
@@ -338,10 +338,10 @@ def _first_slot(prompt: Prompt, raw: str) -> tuple[ParseTree, SlotRef] | None:
     return (tree, refs[0]) if refs else None
 
 
-def _replace_tokens(text: str, old: Sequence[str], new: Sequence[str]) -> str:
-    """Replace the first whole-token occurrence of ``old`` in ``text``."""
+def _replace_first_slot(text: str, tree: ParseTree, new: Sequence[str]) -> str:
+    """Replace the tokens bound to the tree's first leaf slot, if any."""
     tokens = text.split()
-    span = find_token_span(tokens, old)
+    (_, span), *_ = bind_slot_spans(tree, tokens)
     if span is None:
         return text
     return " ".join([*tokens[: span[0]], *new, *tokens[span[1] :]])
@@ -384,7 +384,8 @@ def _strip_terminators(raw: str, terminator: str) -> str:
 
 
 def _flip_case(value: str) -> str:
-    head = value[0]
+    # An empty value stays empty; its slot binds nowhere, so nothing is edited.
+    head = value[:1]
     flipped = head.lower() if head.isupper() else head.upper()
     return flipped + value[1:]
 

@@ -9,6 +9,11 @@ When no candidate of a prompt survives, a fallback example is duplicated
 from the prompt so the per-class distribution of the emitted dataset
 matches the input task list.
 
+Every check takes its slot spans from ``trees.bind_slot_spans`` (see
+``trees``): VP2 binds exact case, so two slots with the value "a" need two
+"a"s; casing repair and the untagged check bind case-folded. A recovery
+counts only if its tree passes VP2.
+
 Failure modes are non-mutually exclusive: one candidate may carry several,
 so occurrence percentages can sum above 100.
 """
@@ -38,9 +43,8 @@ from .trees import (
     ParseTree,
     SlotRef,
     TreeError,
-    find_token_span,
+    bind_slot_spans,
     leaf_slots,
-    match_slot_spans,
     parse as parse_tree,
     replace_slot,
     serialize,
@@ -168,12 +172,9 @@ class SlotNBestMap:
 
 
 def check_vp2(parse: ParseTree, text: str) -> list[SlotRef]:
-    """Leaf slots whose value is not a contiguous token run of ``text``."""
-    tokens = text.split()
+    """Leaf slots that get no span of their own in ``text`` (exact case)."""
     return [
-        ref
-        for ref in leaf_slots(parse)
-        if find_token_span(tokens, ref.value) is None
+        ref for ref, span in bind_slot_spans(parse, text.split()) if span is None
     ]
 
 
@@ -182,33 +183,38 @@ def recover_slot_nbest(
 ) -> ParseTree | None:
     """Swap missing slot values for n-best alternatives found in the text.
 
-    Every missing slot must be repaired for the recovery to count; the
-    first alternative (beam order) occurring contiguously wins.
+    Each missing slot, depth-first, takes the first alternative (beam
+    order) with which it binds; the tree counts only if every slot binds.
     """
-    tokens = text.split()
-    repaired = parse
-    for ref in check_vp2(parse, text):
-        chosen = None
+    missing = check_vp2(parse, text)
+    words = set(text.split())
+    repaired, left = parse, missing
+    for ref in missing:
         for alt in nbest.alternatives(ref.value_text, language):
-            if alt != ref.value_text and find_token_span(tokens, alt.split()):
-                chosen = alt
+            # A word the text lacks rules an alternative out without a trial.
+            if alt == ref.value_text or not words.issuperset(alt.split()):
+                continue
+            trial = replace_slot(repaired, ref, alt.split())
+            left = check_vp2(trial, text)
+            if all(r.path != ref.path for r in left):
+                repaired = trial
                 break
-        if chosen is None:
+        else:
             return None
-        repaired = replace_slot(repaired, ref, chosen.split())
-    return repaired if repaired is not parse else None
+    # ``left`` is what the last accepted trial, the repaired tree, misses.
+    return repaired if missing and not left else None
 
 
 def recover_fix_casing(parse: ParseTree, text: str) -> ParseTree | None:
-    """Replace missing slot values with a case-variant found in the text."""
+    """Give each missing slot the tokens of its case-folded binding; the
+    repaired tree is returned only if every slot then binds exactly."""
+    missing = {ref.path for ref in check_vp2(parse, text)}
     tokens = text.split()
     repaired = parse
-    for ref in check_vp2(parse, text):
-        span = find_token_span(tokens, ref.value, casefold=True)
-        if span is None:
-            return None
-        repaired = replace_slot(repaired, ref, tokens[span[0] : span[1]])
-    return repaired if repaired is not parse else None
+    for ref, span in bind_slot_spans(parse, tokens, fold=True):
+        if ref.path in missing and span is not None:
+            repaired = replace_slot(repaired, ref, tokens[span[0] : span[1]])
+    return repaired if missing and not check_vp2(repaired, text) else None
 
 
 def _split_or_mode(
@@ -225,16 +231,15 @@ def _untagged(
 ) -> bool:
     """True when the text mentions a catalog value that no slot tags.
 
-    Each leaf slot is bound to a token span as ``bind_slot_spans`` does
-    (leftmost unused run, depth-first), lower-cased like
-    ``contains_catalog_word``; slots that cannot be bound are skipped, as
-    the missing-slot check reports them. A maximal catalog match is
-    untagged when its span lies inside no bound slot span, unless its value
-    is one of the catalog's function words ("can you ...", "thanks a lot").
+    Slots are bound case-folded, as ``contains_catalog_word`` matches;
+    unbound slots are skipped, since the missing-slot check reports them.
+    A maximal catalog match is untagged when its span lies inside no bound
+    span, unless its value is one of the catalog's function words ("can
+    you ...", "thanks a lot").
     """
     bound = [
         span
-        for _, span in match_slot_spans(parse, text.split(), lower=True)
+        for _, span in bind_slot_spans(parse, text.split(), fold=True)
         if span is not None
     ]
     return any(

@@ -20,6 +20,7 @@ from .tables import EmptyEvents, format_table, pct
 from .trees import (
     Dialect,
     ParseTree,
+    UnmatchableSlot,
     bind_slot_spans,
     parse as parse_tree,
     replace_slot,
@@ -69,8 +70,8 @@ def project_parse(
     """Project the English example's parse onto ``tgt_text``.
 
     Sibling order of the parse is preserved; only leaf-slot values are
-    replaced by their aligned target spans. Requires every slot value to
-    be contiguous in the English text.
+    replaced by their aligned target spans. Raises UnmatchableSlot when a
+    slot gets no span of its own in the English text.
     """
     src_tokens = en.text.split()
     tgt_tokens = tgt_text.split()
@@ -89,11 +90,13 @@ def project_parse(
         modes.add(COPY_ORIGINAL)
     spans = []
     claimed: set[int] = set()
-    for ref, (start, end) in bind_slot_spans(tree, src_tokens):
-        if any(s not in src_to_tgt for s in range(start, end)):
+    for ref, span in bind_slot_spans(tree, src_tokens):
+        if span is None:
+            raise UnmatchableSlot(f"{ref.slot_label} {ref.value_text!r}")
+        if any(s not in src_to_tgt for s in range(*span)):
             modes.add(MISSING_SLOT_VALUE)
             continue
-        tgt_idxs = sorted({t for s in range(start, end) for t in src_to_tgt[s]})
+        tgt_idxs = sorted({t for s in range(*span) for t in src_to_tgt[s]})
         if tgt_idxs != list(range(tgt_idxs[0], tgt_idxs[-1] + 1)):
             modes.add(DISCONTIGUOUS_TARGET)
             continue

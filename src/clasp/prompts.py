@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -87,6 +87,13 @@ class PromptTemplates:
         ("hi", "Hindi"),
     )
 
+    def __post_init__(self) -> None:
+        # A blank one would make ``split_generation`` reject every candidate.
+        for key in ("arrow", "terminator"):
+            value = getattr(self, key)
+            if not isinstance(value, str) or not value.strip():
+                raise ValueError(f"prompt template {key!r} is blank: {value!r}")
+
     def language_name(self, code: str) -> str:
         for key, name in self.language_names:
             if code == key or code == name:
@@ -103,8 +110,14 @@ class PromptTemplates:
     def load(cls, path: str | Path) -> "PromptTemplates":
         with open(path, encoding="utf-8") as fh:
             data = dict(json.load(fh))
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown prompt template key {unknown[0]!r} in {path}")
         if "language_names" in data:
-            data["language_names"] = tuple(sorted(data["language_names"].items()))
+            names = data["language_names"]
+            if not isinstance(names, dict):
+                raise ValueError(f"'language_names' must be an object in {path}")
+            data["language_names"] = tuple(sorted(names.items()))
         return cls(**data)
 
 

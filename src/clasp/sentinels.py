@@ -21,7 +21,6 @@ from typing import Sequence
 from .trees import (
     Node,
     ParseTree,
-    Slot,
     Token,
     UnmatchableSlot,
     bind_slot_spans,
@@ -61,17 +60,17 @@ def space_join_tokens(tokens: Sequence[str]) -> str:
 def encode_sentinels(text: str, parse: ParseTree) -> SentinelEncoding:
     """Interleave sentinels into ``text`` and re-point slot values at them.
 
-    Every leaf-slot value must occur as a contiguous token run; when a
-    value occurs more than once the leftmost unused run is bound, scanning
-    slots depth-first. Raises UnmatchableSlot otherwise (callers decide
+    Slots are bound to spans by ``trees.bind_slot_spans``. Raises
+    UnmatchableSlot when a slot has no span of its own (callers decide
     whether to discard such rows).
     """
     tokens = text.split()
-    bindings = bind_slot_spans(parse, tokens)
     encoded = parse
-    for ref, (start, end) in bindings:
+    for ref, span in bind_slot_spans(parse, tokens):
+        if span is None:
+            raise UnmatchableSlot(f"{ref.slot_label} {ref.value_text!r}")
         encoded = replace_slot(
-            encoded, ref, tuple(f"word{i}" for i in range(start, end))
+            encoded, ref, tuple(f"word{i}" for i in range(*span))
         )
     sentinel_text = " ".join(f"word{i} {tok}" for i, tok in enumerate(tokens))
     return SentinelEncoding(sentinel_text, encoded, tuple(tokens))

@@ -16,6 +16,16 @@ gate and for the fallback. The bound stays small since a task's repeats
 are close together, and a memo of 1024 trees raised the peak RSS of a
 2k-row rs run against an HTTP backend from 24.8 to 28.8 MB. Each tree
 also computes its leaf slots once; ``leaf_slots`` returns a fresh list.
+
+Which tokens realize a slot is decided in one place, ``bind_slot_spans``:
+leaf slots, depth-first, each take the leftmost free contiguous run of
+their value, so no two slots share a token and two slots with the value
+"a" need two "a"s. The rule is greedy, with no search over assignments:
+slots ``b`` then ``a b`` over "a b b" leave ``a b`` unbound, although ``b``
+could take the last token. A search grows factorially with repeated
+values; a greedy miss only rejects a text, it never accepts one that no
+assignment fits. Exact case is VP2 (``gate.check_vp2``); casing repair and
+the untagged-slot check bind case-folded.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ class PathInvalid(TreeError):
 
 
 class UnmatchableSlot(TreeError):
-    """A leaf-slot value does not occur as a contiguous token run."""
+    """A leaf slot that ``bind_slot_spans`` cannot bind to its own span."""
 
 
 @dataclass(frozen=True)
@@ -348,60 +358,27 @@ def _sort_key(node: Node, dialect: Dialect) -> tuple[int, str, str]:
     return (rank, node.label, serialize_node(node, dialect))
 
 
-def find_token_span(
-    tokens: Sequence[str], value: Sequence[str], *, casefold: bool = False
-) -> tuple[int, int] | None:
-    """Leftmost contiguous occurrence of ``value`` in ``tokens``, or None."""
-    if not value:
-        return None
-    hay = [t.casefold() for t in tokens] if casefold else list(tokens)
-    needle = [t.casefold() for t in value] if casefold else list(value)
-    k = len(needle)
-    for i in range(len(hay) - k + 1):
-        if hay[i : i + k] == needle:
-            return (i, i + k)
-    return None
-
-
-def match_slot_spans(
-    tree: ParseTree, tokens: Sequence[str], *, lower: bool = False
+def bind_slot_spans(
+    tree: ParseTree, tokens: Sequence[str], *, fold: bool = False
 ) -> list[tuple[SlotRef, tuple[int, int] | None]]:
-    """Bind each leaf slot to the leftmost unused matching token span.
+    """Bind each leaf slot to its own contiguous span of ``tokens``.
 
-    Slots are visited depth-first; spans never overlap. A slot whose value
-    is empty or has no free contiguous occurrence gets ``None`` and claims
-    no tokens. With ``lower`` both sides are lower-cased before comparing.
+    The only rule for which tokens realize a slot (see the module
+    docstring). A slot whose value is empty or has no free occurrence gets
+    ``None`` and claims no tokens. ``fold`` compares after ``str.casefold``.
     """
-    hay = [t.lower() for t in tokens] if lower else list(tokens)
-    used = [False] * len(hay)
+    hay = tuple([t.casefold() for t in tokens] if fold else tokens)
+    free = [True] * len(hay)
     out: list[tuple[SlotRef, tuple[int, int] | None]] = []
-    for ref in leaf_slots(tree):
-        needle = [t.lower() for t in ref.value] if lower else list(ref.value)
-        k = len(needle)
+    for ref in tree._leaf_slots:
+        value = tuple([t.casefold() for t in ref.value]) if fold else ref.value
+        k = len(value)
         span: tuple[int, int] | None = None
         for i in range(len(hay) - k + 1 if k else 0):
-            if hay[i : i + k] == needle and not any(used[i : i + k]):
+            # The first-token test spares a slice at most positions.
+            if hay[i] == value[0] and hay[i : i + k] == value and all(free[i : i + k]):
                 span = (i, i + k)
+                free[i : i + k] = [False] * k
                 break
-        if span is not None:
-            for i in range(span[0], span[1]):
-                used[i] = True
-        out.append((ref, span))
-    return out
-
-
-def bind_slot_spans(
-    tree: ParseTree, tokens: Sequence[str]
-) -> list[tuple[SlotRef, tuple[int, int]]]:
-    """Bind every leaf slot as ``match_slot_spans`` does, exact-case.
-
-    Raises UnmatchableSlot when a value has no free contiguous occurrence.
-    """
-    out: list[tuple[SlotRef, tuple[int, int]]] = []
-    for ref, span in match_slot_spans(tree, tokens):
-        if span is None:
-            if not ref.value:
-                raise UnmatchableSlot(f"empty value for slot {ref.slot_label!r}")
-            raise UnmatchableSlot(ref.value_text)
         out.append((ref, span))
     return out

@@ -138,10 +138,16 @@ def random_pizza_tree(rng: random.Random, catalog: SlotCatalog) -> ParseTree:
     return ParseTree(Intent("Order", tuple(suborders)), Dialect.PIZZA_PAREN)
 
 
-def random_encodable_example(rng: random.Random) -> tuple[str, ParseTree]:
-    """(text, parse) whose slot values are disjoint contiguous token spans."""
+def random_encodable_example(
+    rng: random.Random, words: tuple[str, ...] = WORDS
+) -> tuple[str, ParseTree]:
+    """(text, parse) whose slot values are disjoint contiguous token spans.
+
+    A small ``words`` makes slots with equal values, and repeated values in
+    the text, common.
+    """
     n = rng.randint(3, 10)
-    tokens = [rng.choice(WORDS) for _ in range(n)]
+    tokens = [rng.choice(words) for _ in range(n)]
     # Carve non-overlapping spans out of the token list.
     starts = list(range(n))
     rng.shuffle(starts)

@@ -28,11 +28,20 @@ from clasp.prompts import (
     build_gb_prompt,
     build_rs_prompt,
     build_slot_mt_prompt,
+    build_ts_prompt,
     split_generation,
 )
 from clasp.trees import Dialect, leaf_slots, parse, replace_slot, structure_signature
 
-from test_prompts import GB_CONTEXT, RS_CONTEXT, RS_EDITED, RS_ORIGINAL
+from test_prompts import (
+    GB_CONTEXT,
+    RS_CONTEXT,
+    RS_EDITED,
+    RS_ORIGINAL,
+    TS_ANCHOR_EN,
+    TS_ANCHOR_FR,
+    TS_SOURCE,
+)
 
 
 def rs_prompt():
@@ -140,6 +149,26 @@ class TestMockBackend:
             tokens = old.text.split()
             i = tokens.index("a")
             assert new.text.split() == tokens[:i] + ["unobtainium"] + tokens[i + 1 :]
+
+    @pytest.mark.parametrize(
+        "corruption", ["drop_slot_word", "flip_casing", "unknown_entity"]
+    )
+    def test_slot_corruption_skips_a_slot_without_tokens(self, corruption):
+        # The first slot is empty, so no span binds it: the candidate stays
+        # as the clean rule renders it.
+        prompt = build_ts_prompt(
+            TS_ANCHOR_EN,
+            TS_ANCHOR_FR,
+            TS_SOURCE,
+            parse("[IN:SEND_MESSAGE [SL:X ] [SL:Y pain ] ]", Dialect.MTOP_BRACKET),
+            "fr",
+        )
+        cfg = DecodingConfig.greedy()
+        clean = MockBackend([MockRule()]).generate(prompt, cfg)
+        corrupt = MockBackend([MockRule(corruptions=(corruption,))]).generate(
+            prompt, cfg
+        )
+        assert corrupt == clean
 
     def test_no_semicolon_corruption(self):
         backend = MockBackend([MockRule(corruptions=("no_semicolon",))])

@@ -284,6 +284,28 @@ def test_missing_file_is_a_one_line_error(data, tmp_path, caplog, flag):
     assert record.exc_info is None
 
 
+@pytest.mark.parametrize("templates, key", [
+    ({"terminator": ""}, "terminator"),
+    ({"arrow": ""}, "arrow"),
+    ({"arrow": "  "}, "arrow"),
+    ({"arow": "->"}, "arow"),
+    ({"language_names": ["en"]}, "language_names"),
+], ids=["empty-terminator", "empty-arrow", "blank-arrow", "unknown-key",
+        "names-list"])
+def test_bad_prompt_template_file_is_rejected(data, tmp_path, caplog, templates, key):
+    # A blank arrow or terminator would fail every candidate as invalid
+    # separators, so the file is refused with one line before any work.
+    path = write_json(tmp_path / "prompts.json", templates)
+    code = run("augment", "--dataset", data / "pool.jsonl", "--method", "gb",
+               "--k", "2", "--seed", "1", "--prompt-templates", path,
+               "--out", tmp_path / "o.jsonl")
+    assert code == 1
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert repr(key) in record.getMessage()
+    assert record.exc_info is None
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 def test_config_only_templates_are_used(data, tmp_path):
     cf = json.loads(
         resources.files("clasp.data").joinpath("cf_templates.json").read_text("utf-8")

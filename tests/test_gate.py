@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clasp.backends import DecodingConfig, GenOutput, MockBackend, MockRule
 from clasp.datasets import Example
@@ -42,9 +42,20 @@ from clasp.prompts import (
     build_tb_prompt,
     build_ts_prompt,
 )
-from clasp.trees import Dialect, parse, serialize, structure_signature
+from clasp.projection import WordAlignment, project_parse
+from clasp.sentinels import encode_sentinels
+from clasp.trees import (
+    Dialect,
+    UnmatchableSlot,
+    bind_slot_spans,
+    leaf_slots,
+    parse,
+    replace_slot,
+    serialize,
+    structure_signature,
+)
 
-from conftest import random_encodable_example
+from conftest import WORDS, random_encodable_example
 from test_prompts import TS_ANCHOR_EN, TS_ANCHOR_FR, TS_SOURCE, TS_TRANSLATED
 
 PIZZA = Dialect.PIZZA_PAREN
@@ -86,18 +97,103 @@ class TestCheckVp2:
                 tokens = tokens[:k] + tokens[k + 1 :]
             mutated = " ".join(tokens)
             missing = {r.path for r in check_vp2(tree, mutated)}
-            brute = set()
-            from clasp.trees import leaf_slots
+            refs = leaf_slots(tree)
+            if not missing:
+                assert _disjoint_spans_exist([r.value for r in refs], tokens)
+            # A value that occurs nowhere is always reported.
+            assert missing >= {
+                r.path for r in refs if not _disjoint_spans_exist([r.value], tokens)
+            }
 
-            for ref in leaf_slots(tree):
-                hits = [
-                    i
-                    for i in range(len(tokens) - len(ref.value) + 1)
-                    if tuple(tokens[i : i + len(ref.value)]) == ref.value
-                ]
-                if not hits:
-                    brute.add(ref.path)
-            assert missing == brute
+    def test_greedy_limit(self):
+        # The documented greedy rule: "b" binds the first b, and "a b" then
+        # has no free run, although another assignment would fit both.
+        tree = parse("[IN:A [SL:X b ] [SL:Y a b ] ]", MTOP)
+        assert [r.value_text for r in check_vp2(tree, "a b b")] == ["a b"]
+        assert _disjoint_spans_exist([("b",), ("a", "b")], "a b b".split())
+
+    def test_slots_with_equal_values_need_two_occurrences(self, catalog):
+        tree = parse(
+            "(Order (Pizzaorder (Number a ) (Topping ham ) ) "
+            "(Drinkorder (Number a ) (Drinktype coke ) ) )",
+            PIZZA,
+        )
+        for text, modes in [
+            ("a ham pizza and coke", {MISSING_SLOT}),
+            ("a ham pizza and a coke", set()),
+        ]:
+            verdict, _ = gate_rs(
+                [GenOutput(f"{text};", 0.5)], tree, RS_PROMPT_TEXTS, catalog
+            )
+            assert verdict.failure_modes == modes
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        edits=st.lists(st.tuples(st.booleans(), st.integers(0, 99)), max_size=4),
+    )
+    def test_vp2_sentinels_projection_and_gate_agree(self, seed, edits):
+        """VP2, sentinel encoding, identity projection and the ts gate accept
+        the same (text, parse) pairs, and every row the gate emits binds."""
+        text, tree = random_encodable_example(random.Random(seed), WORDS[:3])
+        tokens = text.split()
+        for duplicate, pos in edits:
+            if tokens:
+                i = pos % len(tokens)
+                if duplicate:
+                    tokens.insert(i, tokens[i])
+                else:
+                    del tokens[i]
+        text = " ".join(tokens)
+        ok = check_vp2(tree, text) == []
+
+        try:
+            encode_sentinels(text, tree)
+            encoded = True
+        except UnmatchableSlot:
+            encoded = False
+        assert encoded == ok
+
+        upper = " ".join(t.upper() for t in tokens)
+        identity = WordAlignment.from_pairs([(i, i) for i in range(len(tokens))])
+        en = Example("x", "en", text, serialize(tree))
+        try:
+            projected = project_parse(en, upper, identity).parse
+        except UnmatchableSlot:
+            projected = None
+        expected = tree
+        for ref in leaf_slots(tree):
+            expected = replace_slot(expected, ref, [t.upper() for t in ref.value])
+        assert (projected == expected) == ok
+
+        verdict, _ = gate_mtop(
+            "ts",
+            GenOutput(f"{text};", 0.5),
+            PromptExpectation(language="fr", target_parse=serialize(tree)),
+            SlotNBestMap(),
+        )
+        assert verdict.ok == ok
+        if verdict.ok:
+            row = verdict.final
+            bound = bind_slot_spans(parse(row.parse, MTOP), row.text.split())
+            assert all(span is not None for _, span in bound)
+
+
+def _disjoint_spans_exist(values, tokens) -> bool:
+    """Exhaustive search: can each value get its own contiguous token run?"""
+
+    def fits(i: int, taken: frozenset[int]) -> bool:
+        if i == len(values):
+            return True
+        k = len(values[i])
+        return k > 0 and any(
+            tuple(tokens[s : s + k]) == values[i]
+            and taken.isdisjoint(range(s, s + k))
+            and fits(i + 1, taken.union(range(s, s + k)))
+            for s in range(len(tokens) - k + 1)
+        )
+
+    return fits(0, frozenset())
 
 
 class TestGateRs:

@@ -16,10 +16,8 @@ from clasp.trees import (
     Slot,
     Token,
     UnbalancedDelimiters,
-    UnmatchableSlot,
     bind_slot_spans,
     decouple,
-    find_token_span,
     leaf_slots,
     parse,
     replace_slot,
@@ -286,11 +284,18 @@ class TestUnorderedNormalize:
 
 
 class TestSpanHelpers:
-    def test_find_token_span(self):
-        tokens = "a b c b c".split()
-        assert find_token_span(tokens, ("b", "c")) == (1, 3)
-        assert find_token_span(tokens, ("c", "a")) is None
-        assert find_token_span(tokens, ("B",), casefold=True) == (1, 2)
+    @staticmethod
+    def spans(parse_text: str, text: str, **kw):
+        tree = parse(parse_text, MTOP)
+        return [span for _, span in bind_slot_spans(tree, text.split(), **kw)]
+
+    def test_bind_folds_case(self):
+        text = "a b c b c"
+        assert self.spans("[IN:A [SL:X b c ] ]", text) == [(1, 3)]
+        assert self.spans("[IN:A [SL:X c a ] ]", text) == [None]
+        assert self.spans("[IN:A [SL:X B ] ]", text) == [None]
+        assert self.spans("[IN:A [SL:X B ] ]", text, fold=True) == [(1, 2)]
+        assert self.spans("[IN:A [SL:X b ] ]", "A B", fold=True) == [(1, 2)]
 
     def test_bind_prefers_leftmost_unused(self):
         tree = parse("[IN:A [SL:X b ] [SL:Y b ] ]", MTOP)
@@ -298,9 +303,17 @@ class TestSpanHelpers:
         assert [span for _, span in spans] == [(0, 1), (2, 3)]
 
     def test_bind_unmatchable(self):
-        tree = parse("[IN:A [SL:X zz ] ]", MTOP)
-        with pytest.raises(UnmatchableSlot):
-            bind_slot_spans(tree, "a b".split())
+        # A value with no occurrence and an empty value both stay unbound.
+        assert self.spans("[IN:A [SL:X zz ] [SL:Y ] ]", "a b") == [None, None]
+
+    def test_slots_never_share_an_occurrence(self):
+        tree = "[IN:A [SL:N a ] [SL:T ham ] [SL:N a ] [SL:D coke ] ]"
+        assert self.spans(tree, "a ham pizza and coke") == [
+            (0, 1), (1, 2), None, (4, 5)
+        ]
+        assert self.spans(tree, "a ham pizza and a coke") == [
+            (0, 1), (1, 2), (4, 5), (5, 6)
+        ]
 
 
 # Reference parser: the parse loop as it was before the memo and the
