@@ -16,19 +16,26 @@ CLASP_BACKEND_TOKEN unless passed explicitly. ``score`` is the mean
 per-token negative log-likelihood (lower is better), used for
 lowest-perplexity selection.
 
-The client is the standard library's ``urllib``: one connection per
-request, proxies taken from the environment (``http_proxy``,
-``https_proxy``, ``no_proxy``), and HTTPS certificates checked against the
-system trust store.
+The client is the standard library's ``http.client``: one keep-alive
+connection per calling thread, remade after the server closes it, and all
+closed by ``HttpBackend.close``. Proxies come from the environment
+(``http_proxy``, ``https_proxy``, ``no_proxy``, read with
+``urllib.request.getproxies``/``proxy_bypass``): an http endpoint is asked
+through the proxy by absolute URL, an https one through a CONNECT tunnel.
+HTTPS certificates are checked against the system trust store.
 """
 
 from __future__ import annotations
 
+import base64
+import functools
 import http.client
 import json
 import os
 import re
-import urllib.error
+import ssl
+import threading
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
@@ -197,6 +204,9 @@ class MockBackend:
         if cfg.mode == "beam":
             outputs.sort(key=lambda o: o.score)
         return outputs
+
+    def close(self) -> None:
+        """The mock holds no connections; every backend can be closed."""
 
     def _score(self, rule: MockRule, i: int) -> float:
         if rule.scores:
@@ -391,7 +401,16 @@ def _flip_case(value: str) -> str:
 
 
 class HttpBackend:
-    """Single-shot JSON-over-HTTP backend with idempotent retries."""
+    """JSON-over-HTTP backend with idempotent retries.
+
+    Each calling thread keeps one keep-alive connection, made on its first
+    request and remade after the server closes it; ``close`` closes them
+    all. Up to ``max_retries`` more attempts follow a status of 500 or
+    more, a timeout or a connection error. A request that fails on a
+    kept-alive connection before any response byte arrives (the server
+    closed it while idle) is sent once more on a fresh connection, and
+    that resend is not a retry.
+    """
 
     def __init__(
         self,
@@ -408,6 +427,76 @@ class HttpBackend:
         self.token = token or os.environ.get("CLASP_BACKEND_TOKEN")
         self.timeout = timeout
         self.max_retries = max_retries
+        url = urllib.parse.urlsplit(self.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise BackendUnavailable(f"not an http(s) URL: {self.endpoint!r}")
+        self._tls = url.scheme == "https"
+        self._host, self._port = url.hostname, url.port
+        self._path = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._headers = {"Content-Type": "application/json"}
+        if self.token:
+            self._headers["Authorization"] = f"Bearer {self.token}"
+        self._tunnel: tuple[str, int | None, dict[str, str]] | None = None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
+            self._route_via_proxy(proxy)
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def _route_via_proxy(self, proxy: str) -> None:
+        """Send requests through ``proxy``: an http endpoint's as absolute
+        URLs, an https endpoint's through a CONNECT tunnel."""
+        if "://" not in proxy:
+            proxy = "http://" + proxy
+        via = urllib.parse.urlsplit(proxy)
+        auth = {}
+        if via.username is not None:
+            user = urllib.parse.unquote(via.username)
+            password = urllib.parse.unquote(via.password or "")
+            auth["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                f"{user}:{password}".encode()
+            ).decode("ascii")
+        if self._tls:
+            self._tunnel = (self._host, self._port, auth)
+        else:
+            self._path = self.endpoint
+            self._headers.update(auth)
+        self._host, self._port = via.hostname, via.port
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; it connects on its next request."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            if self._tls:
+                conn = http.client.HTTPSConnection(
+                    self._host, self._port, timeout=self.timeout,
+                    context=self._tls_context,
+                )
+            else:
+                conn = http.client.HTTPConnection(
+                    self._host, self._port, timeout=self.timeout
+                )
+            if self._tunnel is not None:
+                host, port, headers = self._tunnel
+                conn.set_tunnel(host, port, headers)
+            self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
+        return conn
+
+    @functools.cached_property
+    def _tls_context(self) -> ssl.SSLContext:
+        # Certificates are checked against the system trust store.
+        return ssl.create_default_context()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request reconnects."""
+        with self._lock:
+            connections, self._connections = self._connections, []
+            self._local = threading.local()
+        for conn in connections:
+            conn.close()
 
     def generate(self, prompt: Prompt, cfg: DecodingConfig) -> list[GenOutput]:
         payload = {
@@ -420,28 +509,13 @@ class HttpBackend:
             "max_new_tokens": cfg.max_new_tokens,
             "stop": cfg.stop_sequence,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        try:
-            request = urllib.request.Request(
-                self.endpoint, json.dumps(payload).encode(), headers, method="POST"
-            )
-        except ValueError as exc:  # no URL scheme
-            raise BackendUnavailable(str(exc)) from exc
+        body = json.dumps(payload).encode()
         last_error: Exception | None = None
         for _ in range(self.max_retries + 1):
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    status, body = resp.status, resp.read()
-            except urllib.error.HTTPError as exc:
-                # urlopen raises for every 4xx/5xx status.
-                exc.close()
-                status, body = exc.code, b""
+                status, data = self._exchange(body)
             except (OSError, http.client.HTTPException) as exc:
-                # A timeout comes bare, or as the reason of a URLError.
-                reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
-                if isinstance(reason, TimeoutError):
+                if isinstance(exc, TimeoutError):
                     last_error = Timeout(str(exc))
                 else:
                     last_error = BackendUnavailable(str(exc))
@@ -453,9 +527,36 @@ class HttpBackend:
                 raise BackendUnavailable(f"backend rejected request: {status}")
             # Each retry replaces the whole result set, so a retried
             # request can never duplicate entries in the returned list.
-            return self._parse_response(body, cfg)
+            return self._parse_response(data, cfg)
         assert last_error is not None
         raise last_error
+
+    def _exchange(self, body: bytes) -> tuple[int, bytes]:
+        """POST ``body`` on this thread's connection; (status, body)."""
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            try:
+                response = self._send(conn, body)
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The server closed the idle connection before any response
+                # byte came: the request goes once more, on a fresh one.
+                conn.close()
+                response = self._send(conn, body)
+            # The whole body is read, whatever the status, so that the
+            # connection can carry the next request.
+            return response.status, response.read()
+        except BaseException:
+            conn.close()
+            raise
+
+    def _send(
+        self, conn: http.client.HTTPConnection, body: bytes
+    ) -> http.client.HTTPResponse:
+        conn.request("POST", self._path, body, self._headers)
+        return conn.getresponse()
 
     def _parse_response(self, body: bytes, cfg: DecodingConfig) -> list[GenOutput]:
         try:

@@ -14,6 +14,17 @@ override the default decoding of the method and of the slot n-best pass.
 A null value leaves its setting unset. Any other key, or a value that fails
 its flag's or field's type or choices, is an error. The target languages
 default to every language of the anchor file, sorted.
+
+``augment`` streams: tasks are built as the backend loop asks for them,
+at most a few per request slot ahead of the row being written, and each
+row goes in task order to a temp file beside --out that is renamed onto
+--out when the run ends. No more than --max-inflight requests are in
+flight. When a run fails part way (a backend failure, an interrupt, a
+pool row that cannot be parsed), the rows finished so far are kept in
+``<out>.partial`` and --out is not created. Errors in the settings (a pool
+too small, a language without an anchor pair or a name in the prompt
+templates, an unreadable file) stop the run before its first request and
+leave no ``.partial``.
 """
 
 from __future__ import annotations
@@ -23,10 +34,12 @@ import json
 import logging
 import random
 import sys
+from collections import Counter, deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as dc_replace
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -34,6 +47,7 @@ from . import backends, canonical, gate, metrics, mixing, projection, prompts, s
 from .backends import BackendError, DecodingConfig, MockBackend, MockRule
 from .datasets import (
     Example,
+    RecordWriter,
     RowMalformed,
     atomic_write_text,
     class_key,
@@ -42,7 +56,6 @@ from .datasets import (
     read_pizza_rows,
     read_records,
     write_jsonl,
-    write_records,
 )
 from .trees import (
     Dialect,
@@ -366,27 +379,54 @@ def _slot_anchor_pairs(
     return pairs or [(anchor_en.text, anchor_tgt.text)]
 
 
+# Jobs a generate loop reads ahead of the one being written, per request
+# slot: the queued ones keep every slot busy while the main thread gates,
+# and the window bounds the prompts held in memory. Against a 20 ms HTTP
+# stub, 1 per slot was no faster than submitting every request at once;
+# 2, 4 and 8 were alike and faster.
+_WINDOW_PER_SLOT = 4
+
+
 def _task_seed(seed: int, i: int) -> int:
     return seed * 1_000_003 + i
 
 
-def _generate(backend, requests, cfg: DecodingConfig, max_inflight: int):
-    """Yield each prompt's outputs in task order as they arrive, with at
-    most ``max_inflight`` requests running; a ``None`` prompt yields None."""
+def _generate(backend, jobs, cfg: DecodingConfig, max_inflight: int):
+    """Yield ``(job, outputs)`` for each ``(job, prompt)`` of ``jobs``, in
+    order; a ``None`` prompt gets None without a request.
+
+    At most ``max_inflight`` requests run at once, and ``jobs`` is read at
+    most ``_WINDOW_PER_SLOT * max_inflight`` jobs ahead of the one yielded.
+    """
 
     def call(prompt):
         return None if prompt is None else backend.generate(prompt, cfg)
 
     if max_inflight <= 1:
-        yield from map(call, requests)
+        for job, prompt in jobs:
+            yield job, call(prompt)
         return
-    with ThreadPoolExecutor(max_workers=max_inflight) as pool:
-        yield from pool.map(call, requests)
+    jobs = iter(jobs)
+    pool = ThreadPoolExecutor(max_workers=max_inflight)
+    try:
+        window = deque(
+            (job, pool.submit(call, prompt))
+            for job, prompt in islice(jobs, _WINDOW_PER_SLOT * max_inflight)
+        )
+        while window:
+            job, future = window.popleft()
+            outs = future.result()
+            for nxt, prompt in islice(jobs, 1):
+                window.append((nxt, pool.submit(call, prompt)))
+            yield job, outs
+    finally:
+        # A run stopped early sends none of the queued requests.
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_augment(args: argparse.Namespace) -> None:
-    """One pass for every method: build the tasks, then generate, gate or
-    fall back, and collect each task's row in task order."""
+    """One streaming pass for every method: each task is built, generated,
+    gated or falls back, and its row written, in task order."""
     _merge_config(args)
     pool = read_jsonl(args.dataset)
     if not pool:
@@ -399,35 +439,38 @@ def cmd_augment(args: argparse.Namespace) -> None:
         else prompts.PromptTemplates()
     )
     backend = _load_backend(args)
-    build = _pizza_tasks if args.method in ("rs", "gb") else _mtop_tasks
-    default_cfg, tasks, to_row = build(args, pool, templates, backend)
-    cfg = dc_replace(default_cfg, **args.decoding)
-    results = _generate(backend, [t[3] for t in tasks], cfg, args.max_inflight)
-    rows: list[dict] = []
-    events: list[gate.GateEvent] = []
     try:
-        for task, outs in zip(tasks, results):
-            row, event = to_row(*task, outs)
-            rows.append(row)
-            if event is not None:
-                events.append(event)
-    except BaseException:
-        # Whatever stops the run (a backend failure, an interrupt), the
-        # rows finished so far are kept.
+        build = _pizza_tasks if args.method in ("rs", "gb") else _mtop_tasks
+        default_cfg, tasks, to_row = build(args, pool, templates, backend)
+        cfg = dc_replace(default_cfg, **args.decoding)
+        jobs = ((task, task[3]) for task in tasks)
+        # The stats read no input id, so events are counted without it:
+        # memory then grows with the kinds of outcome, not with --k.
+        events: Counter[gate.GateEvent] = Counter()
         partial = str(args.out) + ".partial"
-        write_records(partial, rows)
-        log.error("flushed %d partial rows to %s", len(rows), partial)
-        raise
-    write_records(args.out, rows)
+        with RecordWriter(args.out, partial) as writer:
+            try:
+                for task, outs in _generate(backend, jobs, cfg, args.max_inflight):
+                    row, event = to_row(*task, outs)
+                    writer.write(row)
+                    if event is not None:
+                        events[dc_replace(event, input_id="")] += 1
+            except BaseException:
+                # Whatever stops the run (a backend failure, an interrupt),
+                # the rows finished so far are kept.
+                log.error("flushed %d partial rows to %s", writer.count, partial)
+                raise
+    finally:
+        backend.close()
     if events:
-        stats = gate.compile_stats(events)
+        stats = gate.compile_stats(list(events.elements()))
         _write_stats(args, stats.to_record(), stats.to_table())
-    log.info("wrote %d rows to %s", len(rows), args.out)
+    log.info("wrote %d rows to %s", writer.count, args.out)
 
 
 def _pizza_tasks(args, pool, templates, backend):
     """rs/gb: task i starts from pool example i mod len(pool); rows carry a
-    canonical form."""
+    canonical form. Tasks are built as they are read."""
     catalog = (
         canonical.SlotCatalog.load(args.catalog)
         if args.catalog
@@ -443,18 +486,23 @@ def _pizza_tasks(args, pool, templates, backend):
     positions: dict[str, list[int]] = {}
     for j, ex in enumerate(pool):
         positions.setdefault(ex.id if args.method == "rs" else ex.text, []).append(j)
-    tasks = []
-    for i in range(args.k):
-        original = pool[i % len(pool)]
-        rng = random.Random(_task_seed(args.seed, i))
-        if args.method == "rs":
-            others = _Without(pool, positions[original.id])
-            prompt = _build_rs_task(others, original, catalog, rng,
-                                    _task_seed(args.seed, i), templates)
-        else:
-            arity = min(5, len(pool))
-            prompt = prompts.build_gb_prompt(rng.sample(pool, arity), templates)
-        tasks.append((i, original, original.lang, prompt))
+    if args.method == "rs" and any(
+        len(pool) - len(positions[ex.id]) < 4 for ex in pool[: args.k]
+    ):
+        raise CliError("replace-slots needs at least 5 distinct dataset examples")
+
+    def tasks():
+        for i in range(args.k):
+            original = pool[i % len(pool)]
+            rng = random.Random(_task_seed(args.seed, i))
+            if args.method == "rs":
+                others = _Without(pool, positions[original.id])
+                prompt = _build_rs_task(others, original, catalog, rng,
+                                        _task_seed(args.seed, i), templates)
+            else:
+                arity = min(5, len(pool))
+                prompt = prompts.build_gb_prompt(rng.sample(pool, arity), templates)
+            yield i, original, original.lang, prompt
 
     def to_row(i, original, lang, prompt, outs):
         input_id = f"{args.method}-{i:05d}"
@@ -484,7 +532,7 @@ def _pizza_tasks(args, pool, templates, backend):
             )
         return _with_cf(emitted, cf_templates).to_dict(), event
 
-    return DecodingConfig.sampling(n=4), tasks, to_row
+    return DecodingConfig.sampling(n=4), tasks(), to_row
 
 
 class _Without(Sequence):
@@ -511,8 +559,6 @@ class _Without(Sequence):
 def _build_rs_task(others, original, catalog, rng, task_seed, prompt_templates):
     """The rs prompt for ``original`` with 4 context rows drawn from
     ``others``, or None when no slot of it has a catalog alternative."""
-    if len(others) < 4:
-        raise CliError("replace-slots needs at least 5 distinct dataset examples")
     context = rng.sample(others, 4)
     tree = parse_tree(original.parse, Dialect.PIZZA_PAREN)
     refs = list(leaf_slots(tree))
@@ -552,7 +598,9 @@ def _with_cf(ex: Example, cf_templates) -> Example:
 
 def _mtop_tasks(args, pool, templates, backend):
     """ts/tb/mt: task i renders pool example i // len(langs) in language
-    langs[i % len(langs)]; mt rows are bare translations with no gate."""
+    langs[i % len(langs)]; mt rows are bare translations with no gate.
+    The slot n-best is ready before the first task; tasks are built as
+    they are read."""
     anchors = _load_anchors(args.anchors)
     langs = args.langs or sorted(anchors)
     missing = [lang for lang in langs if lang not in anchors]
@@ -560,32 +608,35 @@ def _mtop_tasks(args, pool, templates, backend):
         raise CliError(
             f"no anchor pair configured for language(s): {', '.join(missing)}"
         )
+    for lang in langs:
+        prompts.require_cross_lingual(templates, lang)
     nbest = None
     if args.method != "mt":
         nbest = _load_or_build_nbest(args, backend, pool, langs, anchors, templates)
-    tasks = []
-    for i in range(args.k):
-        lang = langs[i % len(langs)]
-        ex = pool[(i // len(langs)) % len(pool)]
-        anchor_en, anchor_tgt = anchors[lang]
-        if args.method == "mt":
-            prompt = prompts.build_sent_mt_prompt(
-                (anchor_en.text, anchor_tgt.text), ex.text, lang, templates
-            )
-        elif args.method == "ts":
-            tree = parse_tree(ex.parse, Dialect.MTOP_BRACKET)
-            for ref in leaf_slots(tree):
-                top = nbest.top(ref.value_text, lang)
-                if top:
-                    tree = replace_slot(tree, ref, top.split())
-            prompt = prompts.build_ts_prompt(
-                anchor_en, anchor_tgt, ex, tree, lang, templates
-            )
-        else:
-            prompt = prompts.build_tb_prompt(
-                anchor_en, anchor_tgt, ex, lang, templates
-            )
-        tasks.append((i, ex, lang, prompt))
+
+    def tasks():
+        for i in range(args.k):
+            lang = langs[i % len(langs)]
+            ex = pool[(i // len(langs)) % len(pool)]
+            anchor_en, anchor_tgt = anchors[lang]
+            if args.method == "mt":
+                prompt = prompts.build_sent_mt_prompt(
+                    (anchor_en.text, anchor_tgt.text), ex.text, lang, templates
+                )
+            elif args.method == "ts":
+                tree = parse_tree(ex.parse, Dialect.MTOP_BRACKET)
+                for ref in leaf_slots(tree):
+                    top = nbest.top(ref.value_text, lang)
+                    if top:
+                        tree = replace_slot(tree, ref, top.split())
+                prompt = prompts.build_ts_prompt(
+                    anchor_en, anchor_tgt, ex, tree, lang, templates
+                )
+            else:
+                prompt = prompts.build_tb_prompt(
+                    anchor_en, anchor_tgt, ex, lang, templates
+                )
+            yield i, ex, lang, prompt
 
     def to_row(i, ex, lang, prompt, outs):
         if args.method == "mt":
@@ -599,7 +650,7 @@ def _mtop_tasks(args, pool, templates, backend):
         )
         return emitted.to_dict(), event
 
-    return DecodingConfig.greedy(), tasks, to_row
+    return DecodingConfig.greedy(), tasks(), to_row
 
 
 def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
@@ -612,19 +663,16 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
             for ref in leaf_slots(parse_tree(ex.parse, Dialect.MTOP_BRACKET))
         }
     )
-    keys, requests = [], []
-    for lang in langs:
-        pairs = _slot_anchor_pairs(*anchors[lang])
-        for value in values:
-            keys.append((lang, value))
-            requests.append(
-                prompts.build_slot_mt_prompt(pairs, value, lang, templates)
-            )
+    pairs = {lang: _slot_anchor_pairs(*anchors[lang]) for lang in langs}
+    jobs = (
+        ((lang, value),
+         prompts.build_slot_mt_prompt(pairs[lang], value, lang, templates))
+        for lang in langs
+        for value in values
+    )
     cfg = dc_replace(DecodingConfig.beam(4), **args.decoding)
     mapping: dict[str, dict[str, list[str]]] = {}
-    for (lang, value), outs in zip(
-        keys, _generate(backend, requests, cfg, args.max_inflight)
-    ):
+    for (lang, value), outs in _generate(backend, jobs, cfg, args.max_inflight):
         candidates = []
         for out in outs:
             try:

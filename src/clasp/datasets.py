@@ -79,8 +79,51 @@ def dump_record(record: dict[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
+class RecordWriter:
+    """Write JSON-lines records one at a time, as a context manager.
+
+    Records go to a temp file beside ``path``. A clean exit renames it onto
+    ``path``; an exception renames it to ``partial``, the records written so
+    far, when one is given, and deletes it otherwise. ``path`` itself is
+    never seen half-written. ``count`` is the number of records written.
+    """
+
+    def __init__(self, path: str | Path, partial: str | Path | None = None) -> None:
+        self.path = Path(path)
+        self.partial = partial
+        self.count = 0
+
+    def __enter__(self) -> "RecordWriter":
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd, self._tmp = tempfile.mkstemp(
+            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
+        )
+        self._fh = os.fdopen(fd, "w", encoding="utf-8")
+        return self
+
+    def write(self, record: dict[str, Any]) -> None:
+        self._fh.write(dump_record(record) + "\n")
+        self.count += 1
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self._fh.close()
+            if exc_type is None:
+                os.replace(self._tmp, self.path)
+                return
+        except BaseException:
+            os.unlink(self._tmp)
+            raise
+        if self.partial is not None:
+            os.replace(self._tmp, self.partial)
+        else:
+            os.unlink(self._tmp)
+
+
 def write_records(path: str | Path, records: Iterable[dict[str, Any]]) -> None:
-    atomic_write_text(path, "".join(dump_record(r) + "\n" for r in records))
+    with RecordWriter(path) as writer:
+        for record in records:
+            writer.write(record)
 
 
 def read_records(path: str | Path) -> list[dict[str, Any]]:

@@ -11,8 +11,10 @@ matches the input task list.
 
 Every check takes its slot spans from ``trees.bind_slot_spans`` (see
 ``trees``): VP2 binds exact case, so two slots with the value "a" need two
-"a"s; casing repair and the untagged check bind case-folded. A recovery
-counts only if its tree passes VP2.
+"a"s; the untagged check binds case-folded, and casing repair keeps the
+exact spans and binds only the missing slots, case-folded, over the free
+tokens. A recovery counts only if its tree passes VP2. ``gate_mtop`` binds
+a candidate once and hands that binding to both recovery passes.
 
 Failure modes are non-mutually exclusive: one candidate may carry several,
 so occurrence percentages can sum above 100.
@@ -171,22 +173,36 @@ class SlotNBestMap:
         return self._by_candidate.get(language, {}).get(current_value, ())
 
 
+# What ``trees.bind_slot_spans`` returns: each leaf slot with its span.
+Binding = list[tuple[SlotRef, tuple[int, int] | None]]
+
+
 def check_vp2(parse: ParseTree, text: str) -> list[SlotRef]:
     """Leaf slots that get no span of their own in ``text`` (exact case)."""
-    return [
-        ref for ref, span in bind_slot_spans(parse, text.split()) if span is None
-    ]
+    return _unbound(bind_slot_spans(parse, text.split()))
+
+
+def _unbound(binding: Binding) -> list[SlotRef]:
+    return [ref for ref, span in binding if span is None]
 
 
 def recover_slot_nbest(
-    parse: ParseTree, text: str, nbest: SlotNBestMap, language: str
+    parse: ParseTree,
+    text: str,
+    nbest: SlotNBestMap,
+    language: str,
+    binding: Binding | None = None,
 ) -> ParseTree | None:
     """Swap missing slot values for n-best alternatives found in the text.
 
     Each missing slot, depth-first, takes the first alternative (beam
     order) with which it binds; the tree counts only if every slot binds.
+    ``binding`` is the exact binding of ``parse`` over ``text``, if the
+    caller has it.
     """
-    missing = check_vp2(parse, text)
+    if binding is None:
+        binding = bind_slot_spans(parse, text.split())
+    missing = _unbound(binding)
     words = set(text.split())
     repaired, left = parse, missing
     for ref in missing:
@@ -205,16 +221,25 @@ def recover_slot_nbest(
     return repaired if missing and not left else None
 
 
-def recover_fix_casing(parse: ParseTree, text: str) -> ParseTree | None:
-    """Give each missing slot the tokens of its case-folded binding; the
-    repaired tree is returned only if every slot then binds exactly."""
-    missing = {ref.path for ref in check_vp2(parse, text)}
+def recover_fix_casing(
+    parse: ParseTree, text: str, binding: Binding | None = None
+) -> ParseTree | None:
+    """Give each missing slot the tokens it binds case-folded, over the
+    tokens the exactly bound slots leave free; the repaired tree is
+    returned only if every slot then binds exactly. ``binding`` is the
+    exact binding of ``parse`` over ``text``, if the caller has it."""
     tokens = text.split()
+    if binding is None:
+        binding = bind_slot_spans(parse, tokens)
+    if not _unbound(binding):
+        return None
     repaired = parse
-    for ref, span in bind_slot_spans(parse, tokens, fold=True):
-        if ref.path in missing and span is not None:
+    for (ref, exact), (_, span) in zip(
+        binding, bind_slot_spans(parse, tokens, fold=True, bound=binding)
+    ):
+        if exact is None and span is not None:
             repaired = replace_slot(repaired, ref, tokens[span[0] : span[1]])
-    return repaired if missing and not check_vp2(repaired, text) else None
+    return None if check_vp2(repaired, text) else repaired
 
 
 def _split_or_mode(
@@ -408,12 +433,15 @@ def gate_mtop(
         t.strip() for t in expected.context_texts
     }:
         modes.add(COPY_EXAMPLE)
-    if text is not None and tree is not None and check_vp2(tree, text):
-        repaired = recover_slot_nbest(tree, text, nbest, lang)
+    binding = []
+    if text is not None and tree is not None:
+        binding = bind_slot_spans(tree, text.split())
+    if _unbound(binding):
+        repaired = recover_slot_nbest(tree, text, nbest, lang, binding)
         if repaired is not None:
             tree, recovery = repaired, SLOT_NBEST
         else:
-            repaired = recover_fix_casing(tree, text)
+            repaired = recover_fix_casing(tree, text, binding)
             if repaired is not None:
                 tree, recovery = repaired, FIX_CASING
             else:

@@ -256,7 +256,8 @@ def build_gb_prompt(
     )
 
 
-def _require_cross_lingual(t: PromptTemplates, language: str) -> str:
+def require_cross_lingual(t: PromptTemplates, language: str) -> str:
+    """The name of ``language``, a non-English language ``t`` knows."""
     name = t.language_name(language)  # raises LanguageUnsupported when unknown
     if name == t.language_name("en"):
         raise LanguageUnsupported("cross-lingual methods need a non-English target")
@@ -274,7 +275,7 @@ def build_ts_prompt(
     """Cross-lingual prompt: anchor pair, the English source, then the
     slot-translated parse with an open target-language cue."""
     t = templates or PromptTemplates()
-    _require_cross_lingual(t, language)
+    require_cross_lingual(t, language)
     translated = serialize(slot_translated_parse)
     lines: list[str] = []
     lines += _sp_block(t, anchor_en.parse, anchor_en.text, "en")
@@ -306,7 +307,7 @@ def build_tb_prompt(
 ) -> Prompt:
     """Cross-lingual prompt asking for both the parse and the text."""
     t = templates or PromptTemplates()
-    _require_cross_lingual(t, language)
+    require_cross_lingual(t, language)
     signature = structure_signature(parse(en_source.parse, Dialect.MTOP_BRACKET))
     lines: list[str] = []
     lines += _tb_block(t, anchor_en.parse, anchor_en.text, "en")
@@ -336,7 +337,7 @@ def build_slot_mt_prompt(
 ) -> Prompt:
     """Line-per-pair prompt translating one slot value."""
     t = templates or PromptTemplates()
-    _require_cross_lingual(t, language)
+    require_cross_lingual(t, language)
     if not slot_value.strip():
         raise EmptyValue("cannot translate an empty slot value")
     if not anchor_slot_pairs:
@@ -367,7 +368,7 @@ def build_sent_mt_prompt(
 ) -> Prompt:
     """One-shot sentence-translation prompt; outputs must end with ';'."""
     t = templates or PromptTemplates()
-    _require_cross_lingual(t, language)
+    require_cross_lingual(t, language)
     if not text.strip():
         raise EmptyValue("cannot translate empty text")
     src, tgt = anchor_sent_pair

@@ -24,8 +24,9 @@ their value, so no two slots share a token and two slots with the value
 slots ``b`` then ``a b`` over "a b b" leave ``a b`` unbound, although ``b``
 could take the last token. A search grows factorially with repeated
 values; a greedy miss only rejects a text, it never accepts one that no
-assignment fits. Exact case is VP2 (``gate.check_vp2``); casing repair and
-the untagged-slot check bind case-folded.
+assignment fits. Exact case is VP2 (``gate.check_vp2``); the untagged-slot
+check binds case-folded, and casing repair binds only the slots that VP2
+leaves unbound, case-folded, over the tokens the bound ones leave free.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 
 class Dialect(str, Enum):
@@ -219,46 +220,59 @@ def _parse_bracket(s: str, pieces: list[str]) -> Node:
 
 def serialize(tree: ParseTree) -> str:
     """Render a tree as a single-space-joined string; inverse of parse."""
-    return " ".join(_atoms(tree.root, tree.dialect))
+    return serialize_node(tree.root, tree.dialect)
 
 
 def serialize_node(node: Node, dialect: Dialect) -> str:
-    return " ".join(_atoms(node, dialect))
-
-
-def _atoms(node: Node, dialect: Dialect) -> Iterator[str]:
     if isinstance(node, Token):
-        yield node.text
-        return
+        return node.text
+    atoms: list[str] = []
     if dialect is Dialect.PIZZA_PAREN:
-        yield "(" + node.label
-        close = ")"
+        _append_atoms(node, "(", ")", atoms)
     else:
-        yield "[" + node.label
-        close = "]"
+        _append_atoms(node, "[", "]", atoms)
+    return " ".join(atoms)
+
+
+def _append_atoms(
+    node: Intent | Slot, opener: str, close: str, atoms: list[str]
+) -> None:
+    atoms.append(opener + node.label)
     for child in node.children:
-        yield from _atoms(child, dialect)
-    yield close
+        if isinstance(child, Token):
+            atoms.append(child.text)
+        else:
+            _append_atoms(child, opener, close, atoms)
+    atoms.append(close)
 
 
 def decouple(tree: ParseTree) -> ParseTree:
     """Drop unlabeled carrier tokens that sit directly under Intent nodes.
 
     Slot subtrees keep their original sibling order and token children.
-    Idempotent.
+    Only the intents that lose a token, and their ancestors, are rebuilt;
+    every other subtree, and a tree with nothing to drop, is returned as
+    it is. Idempotent.
     """
-    return ParseTree(_decouple(tree.root), tree.dialect)
+    root = _decouple(tree.root)
+    return tree if root is tree.root else ParseTree(root, tree.dialect)
 
 
-def _decouple(node: Node) -> Node:
-    if isinstance(node, Token):
-        return node
-    if isinstance(node, Intent):
-        kids = tuple(
-            _decouple(c) for c in node.children if not isinstance(c, Token)
-        )
-        return Intent(node.label, kids)
-    return Slot(node.label, tuple(_decouple(c) for c in node.children))
+def _decouple(node: Intent | Slot) -> Intent | Slot:
+    is_intent = isinstance(node, Intent)
+    kids: list[Node] = []
+    changed = False
+    for child in node.children:
+        if isinstance(child, Token):
+            if is_intent:
+                changed = True
+            else:
+                kids.append(child)
+        else:
+            new = _decouple(child)
+            changed = changed or new is not child
+            kids.append(new)
+    return type(node)(node.label, tuple(kids)) if changed else node
 
 
 def leaf_slots(tree: ParseTree) -> list[SlotRef]:
@@ -359,18 +373,32 @@ def _sort_key(node: Node, dialect: Dialect) -> tuple[int, str, str]:
 
 
 def bind_slot_spans(
-    tree: ParseTree, tokens: Sequence[str], *, fold: bool = False
+    tree: ParseTree,
+    tokens: Sequence[str],
+    *,
+    fold: bool = False,
+    bound: Sequence[tuple[SlotRef, tuple[int, int] | None]] | None = None,
 ) -> list[tuple[SlotRef, tuple[int, int] | None]]:
     """Bind each leaf slot to its own contiguous span of ``tokens``.
 
     The only rule for which tokens realize a slot (see the module
     docstring). A slot whose value is empty or has no free occurrence gets
     ``None`` and claims no tokens. ``fold`` compares after ``str.casefold``.
+    ``bound``, an earlier binding of the same tree over the same tokens,
+    keeps its spans: only its unbound slots are bound, over the tokens
+    that its spans leave free.
     """
     hay = tuple([t.casefold() for t in tokens] if fold else tokens)
     free = [True] * len(hay)
+    if bound is not None:
+        for _, span in bound:
+            if span is not None:
+                free[span[0] : span[1]] = [False] * (span[1] - span[0])
     out: list[tuple[SlotRef, tuple[int, int] | None]] = []
-    for ref in tree._leaf_slots:
+    for n, ref in enumerate(tree._leaf_slots):
+        if bound is not None and bound[n][1] is not None:
+            out.append(bound[n])
+            continue
         value = tuple([t.casefold() for t in ref.value]) if fold else ref.value
         k = len(value)
         span: tuple[int, int] | None = None

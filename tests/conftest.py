@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -25,6 +28,72 @@ def catalog() -> SlotCatalog:
 @pytest.fixture(scope="session")
 def cf_templates() -> CfTemplateSet:
     return CfTemplateSet.default()
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 generation endpoint, proxy stand-in and CONNECT target.
+
+    Each request is logged in ``server.seen`` as (client address, method,
+    path, headers, payload). Responses follow ``server.script``, a list of
+    (status, close) popped one per POST, then 200 without closing; close
+    is "header" (send ``Connection: close``) or "silent" (hang up after
+    the response without saying so). A 200 carries ``n`` outputs with the
+    text ``server.text``. A CONNECT is refused with 502.
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        srv = self.server
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with srv.lock:
+            srv.seen.append(
+                (self.client_address, "POST", self.path, dict(self.headers), payload)
+            )
+            status, close = srv.script.pop(0) if srv.script else (200, None)
+        outputs = [{"text": srv.text, "score": 0.5}] * int(payload.get("n", 1))
+        body = json.dumps({"outputs": outputs}).encode() if status == 200 else b"{}"
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        if close == "header":
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+        if close == "silent":
+            self.close_connection = True
+
+    def do_CONNECT(self):
+        with self.server.lock:
+            self.server.seen.append(
+                (self.client_address, "CONNECT", self.path, dict(self.headers), None)
+            )
+        self.send_response(502)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keepalive_server():
+    """A keep-alive ``_KeepAliveHandler`` server and its /generate URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server.daemon_threads = True
+    server.lock = threading.Lock()
+    server.seen, server.script, server.text = [], [], "out;"
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
+    thread.start()
+    yield server, f"http://127.0.0.1:{server.server_port}/generate"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def random_value(rng: random.Random, max_tokens: int = 2) -> tuple[str, ...]:

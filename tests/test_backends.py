@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
@@ -222,6 +223,7 @@ def http_server():
     _Handler.responses = []
     yield server, f"http://127.0.0.1:{server.server_port}/generate"
     server.shutdown()
+    server.server_close()
 
 
 def _ok_body(n: int) -> bytes:
@@ -377,3 +379,136 @@ def test_cli_import_loads_no_third_party_http_client():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _connections(server) -> set:
+    """Client addresses, one per connection, that sent a POST."""
+    return {addr for addr, method, *_ in server.seen if method == "POST"}
+
+
+class TestKeepAlive:
+    def test_requests_share_one_connection(self, keepalive_server):
+        server, url = keepalive_server
+        with closing(HttpBackend(endpoint=url, token="sekrit")) as backend:
+            for _ in range(5):
+                assert backend.generate(rs_prompt(), DecodingConfig.greedy()) == [
+                    GenOutput("out;", 0.5)
+                ]
+        assert len(server.seen) == 5
+        assert len(_connections(server)) == 1
+        for _, _, path, headers, payload in server.seen:
+            assert path == "/generate"
+            assert headers["Authorization"] == "Bearer sekrit"
+            assert payload["prompt"].startswith("[CLM] Semantic Parse:")
+
+    @pytest.mark.parametrize("close", ["header", "silent"])
+    def test_reconnects_after_the_server_closes(self, keepalive_server, close):
+        # A silent hang-up surfaces on the next request, which goes once
+        # more on a fresh connection without using up a retry.
+        server, url = keepalive_server
+        server.script = [(200, None), (200, close), (200, None), (200, close)]
+        with closing(HttpBackend(endpoint=url, max_retries=0)) as backend:
+            for _ in range(5):
+                backend.generate(rs_prompt(), DecodingConfig.greedy())
+        assert len(server.seen) == 5
+        assert len(_connections(server)) == 3
+
+    def test_server_error_is_retried_on_the_kept_connection(self, keepalive_server):
+        server, url = keepalive_server
+        server.script = [(200, None), (503, None), (500, None)]
+        with closing(HttpBackend(endpoint=url, max_retries=2)) as backend:
+            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig.greedy())
+        assert len(server.seen) == 4
+        assert len(_connections(server)) == 1
+
+    def test_client_error_keeps_the_connection(self, keepalive_server):
+        server, url = keepalive_server
+        server.script = [(404, None)]
+        with closing(HttpBackend(endpoint=url, max_retries=2)) as backend:
+            with pytest.raises(BackendUnavailable, match="404"):
+                backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig.greedy())
+        assert len(server.seen) == 2
+        assert len(_connections(server)) == 1
+
+    def test_each_thread_has_its_own_connection(self, keepalive_server):
+        # More threads than cores and a short switch interval, so that a
+        # connection lost between threads would show as a missing entry.
+        server, url = keepalive_server
+        backend = HttpBackend(endpoint=url)
+        barrier = threading.Barrier(8)
+        done = []
+
+        def worker():
+            barrier.wait(timeout=10)
+            for _ in range(4):
+                backend.generate(rs_prompt(), DecodingConfig.greedy())
+            done.append(1)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(done) == 8
+        assert len(backend._connections) == 8
+        backend.close()
+        assert len(server.seen) == 32
+        assert len(_connections(server)) == 8
+        # A closed backend reconnects on its next request.
+        backend.generate(rs_prompt(), DecodingConfig.greedy())
+        backend.close()
+        assert len(_connections(server)) == 9
+
+    def test_not_an_http_url_is_unavailable(self):
+        with pytest.raises(BackendUnavailable):
+            HttpBackend(endpoint="localhost:8080/generate")
+
+
+class TestProxy:
+    @pytest.fixture(autouse=True)
+    def _clean_proxy_env(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+
+    def test_http_endpoint_is_asked_by_absolute_url(self, keepalive_server, monkeypatch):
+        proxy, proxy_url = keepalive_server
+        monkeypatch.setenv(
+            "http_proxy", f"http://us%40r:pw@127.0.0.1:{proxy.server_port}"
+        )
+        endpoint = "http://backend.invalid:8000/generate?model=x"
+        with closing(HttpBackend(endpoint=endpoint, token="t")) as backend:
+            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig.greedy())
+        assert [s[2] for s in proxy.seen] == [endpoint, endpoint]
+        _, _, _, headers, _ = proxy.seen[0]
+        assert headers["Host"] == "backend.invalid:8000"
+        assert headers["Authorization"] == "Bearer t"
+        assert headers["Proxy-Authorization"] == "Basic dXNAcjpwdw=="  # us@r:pw
+        assert len(_connections(proxy)) == 1
+
+    def test_no_proxy_bypasses_the_proxy(self, keepalive_server, monkeypatch):
+        server, url = keepalive_server
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            dead = sock.getsockname()[1]
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{dead}")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        with closing(HttpBackend(endpoint=url)) as backend:
+            backend.generate(rs_prompt(), DecodingConfig.greedy())
+        assert [s[2] for s in server.seen] == ["/generate"]
+
+    def test_https_endpoint_goes_through_a_tunnel(self, keepalive_server, monkeypatch):
+        proxy, _ = keepalive_server
+        monkeypatch.setenv("https_proxy", f"127.0.0.1:{proxy.server_port}")
+        backend = HttpBackend(endpoint="https://backend.invalid/generate", max_retries=0)
+        with closing(backend), pytest.raises(BackendUnavailable, match="502"):
+            backend.generate(rs_prompt(), DecodingConfig.greedy())
+        assert [(s[1], s[2]) for s in proxy.seen] == [("CONNECT", "backend.invalid:443")]

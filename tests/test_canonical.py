@@ -123,6 +123,14 @@ class TestFromCanonicalForm:
             cf = to_canonical_form(tree, cf_templates)
             assert from_canonical_form(cf, cf_templates) == tree
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_property(self, catalog, cf_templates, seed):
+        tree = random_pizza_tree(random.Random(seed), catalog)
+        cf = to_canonical_form(tree, cf_templates)
+        assert from_canonical_form(cf, cf_templates) == tree
+        assert to_canonical_form(from_canonical_form(cf, cf_templates),
+                                 cf_templates) == cf
+
     def test_uncovered_text(self, cf_templates):
         with pytest.raises(TemplateMismatch):
             from_canonical_form("order me nothing", cf_templates)

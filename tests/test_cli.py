@@ -7,18 +7,20 @@ the pinned digests cover the whole generate -> gate -> write path.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from clasp import cli, trees
+from clasp import cli, gate, prompts, trees
 from clasp.backends import BackendUnavailable, MockBackend
-from clasp.datasets import Example, read_jsonl, read_records
+from clasp.datasets import Example, RecordWriter, read_jsonl, read_records
 from clasp.prompts import build_gb_prompt
 
 PIZZA_ROWS = [
@@ -412,6 +414,107 @@ def test_partial_holds_rows_finished_before_backend_failure(
     assert partial == read_records(full)[:2]
 
 
+def test_partial_is_the_same_with_requests_in_flight(data, tmp_path, monkeypatch):
+    full = tmp_path / "full.jsonl"
+    assert run(*augment_argv(data, "gb", full, "--k", "12", "--max-inflight", "4")) == 0
+    original = MockBackend.generate
+    prompts_seen = []
+
+    def recording(self, prompt, cfg):
+        prompts_seen.append(prompt.text)
+        return original(self, prompt, cfg)
+
+    monkeypatch.setattr(MockBackend, "generate", recording)
+    assert run(*augment_argv(data, "gb", tmp_path / "ref.jsonl", "--k", "12",
+                             "--max-inflight", "1")) == 0
+    fatal = prompts_seen[5]
+
+    def failing(self, prompt, cfg):
+        if prompt.text == fatal:
+            raise BackendUnavailable("injected failure")
+        return original(self, prompt, cfg)
+
+    monkeypatch.setattr(MockBackend, "generate", failing)
+    out = tmp_path / "out.jsonl"
+    assert run(*augment_argv(data, "gb", out, "--k", "12", "--max-inflight", "4")) == 3
+    assert not out.exists()
+    assert read_records(str(out) + ".partial") == read_records(full)[:5]
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith("out")] == [
+        "out.jsonl.partial"
+    ]
+
+
+@pytest.mark.parametrize("inflight", [1, 3])
+def test_tasks_are_built_within_the_window(data, tmp_path, monkeypatch, inflight):
+    built, ahead = [], []
+    build = prompts.build_gb_prompt
+    write = RecordWriter.write
+
+    def building(*args, **kwargs):
+        built.append(1)
+        return build(*args, **kwargs)
+
+    def writing(self, record):
+        ahead.append(len(built) - self.count)
+        write(self, record)
+
+    monkeypatch.setattr(prompts, "build_gb_prompt", building)
+    monkeypatch.setattr(RecordWriter, "write", writing)
+    out = tmp_path / "out.jsonl"
+    assert run(*augment_argv(data, "gb", out, "--k", "40",
+                             "--max-inflight", str(inflight))) == 0
+    window = 1 if inflight == 1 else cli._WINDOW_PER_SLOT * inflight + 1
+    assert len(ahead) == len(built) == 40
+    assert max(ahead) == window
+
+
+def test_early_errors_leave_no_partial(data, tmp_path, caplog):
+    out = tmp_path / "out.jsonl"
+    tiny = tmp_path / "tiny.jsonl"
+    tiny.write_text((data / "pool.jsonl").read_text().splitlines()[0] + "\n")
+    argv = augment_argv(data, "rs", out, "--k", "3")
+    argv[argv.index("--dataset") + 1] = tiny
+    assert run(*argv) == 1
+    assert "at least 5 distinct" in caplog.text
+    assert run(*augment_argv(data, "ts", out, "--k", "3", "--langs", "xx")) == 1
+    assert "no anchor pair" in caplog.text
+    names = write_json(tmp_path / "names.json",
+                       {"language_names": {"en": "English", "de": "German"}})
+    assert run(*augment_argv(data, "mt", out, "--k", "3", "--langs", "de,fr",
+                             "--prompt-templates", names)) == 1
+    assert "no language name configured for 'fr'" in caplog.text
+    assert sorted(tmp_path.iterdir()) == [names, tiny]
+
+
+def _http_gb_argv(data, out, inflight):
+    return ["augment", "--method", "gb", "--dataset", data / "pool.jsonl",
+            "--seed", "7", "--backend", "http", "--k", "30",
+            "--max-inflight", str(inflight), "--out", out]
+
+
+def test_http_run_uses_one_connection_per_request_slot(
+    data, tmp_path, monkeypatch, keepalive_server
+):
+    server, url = keepalive_server
+    monkeypatch.setenv("CLASP_BACKEND_ENDPOINT", url)
+    out = tmp_path / "out.jsonl"
+    assert run(*_http_gb_argv(data, out, 3)) == 0
+    assert len(read_records(out)) == 30
+    assert len(server.seen) == 30
+    assert 1 <= len({addr for addr, *_ in server.seen}) <= 3
+
+
+def test_http_run_leaves_no_socket_open(data, tmp_path, monkeypatch, keepalive_server):
+    server, url = keepalive_server
+    monkeypatch.setenv("CLASP_BACKEND_ENDPOINT", url)
+    server.script = [(200, None), (503, None), (200, "header"), (200, "silent")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run(*_http_gb_argv(data, tmp_path / "out.jsonl", 2)) == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 # Real parses (memo misses) of one serial run on the fixtures; a call site
 # that goes around the memo, or a smaller memo, parses more. The parse
 # calls these runs make are 198 (rs) and 72 (ts).
@@ -436,6 +539,22 @@ def test_trees_are_parsed_about_once(data, tmp_path, monkeypatch, method):
     out = tmp_path / "out.jsonl"
     assert run(*augment_argv(data, method, out, *REAL_PARSES[method])) == 0
     assert len(parsed) <= MAX_REAL_PARSES[method]
+
+
+def test_gate_binds_each_ts_candidate_once(data, tmp_path, monkeypatch):
+    # 18 gate_mtop calls: one exact binding each, one per n-best trial, and
+    # for a casing repair one folded binding plus the check of the result.
+    bind = gate.bind_slot_spans
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("fold", False))
+        return bind(*args, **kwargs)
+
+    monkeypatch.setattr(gate, "bind_slot_spans", counting)
+    out = tmp_path / "out.jsonl"
+    assert run(*augment_argv(data, "ts", out, *REAL_PARSES["ts"])) == 0
+    assert (len(calls), sum(calls)) == (36, 6)
 
 
 # ------------------------------------------------------------ downstream stages

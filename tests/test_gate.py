@@ -384,6 +384,26 @@ class TestRecovery:
             assert repaired is not None
             assert check_vp2(repaired, text) == []
 
+    def test_fix_casing_keeps_the_exactly_bound_spans(self):
+        # X binds the exact "foo"; folded over the whole text it would take
+        # "FOO", the only token Y can have.
+        tree = parse("[IN:A [SL:X foo ] [SL:Y Foo ] ]", MTOP)
+        repaired = recover_fix_casing(tree, "FOO x foo")
+        assert serialize(repaired) == "[IN:A [SL:X foo ] [SL:Y FOO ] ]"
+        assert check_vp2(repaired, "FOO x foo") == []
+
+    def test_recoveries_take_the_callers_binding(self):
+        tree = parse(CASING_PARSE, MTOP)
+        binding = bind_slot_spans(tree, CASING_TEXT.split())
+        assert recover_fix_casing(tree, CASING_TEXT, binding) == recover_fix_casing(
+            tree, CASING_TEXT
+        )
+        tree = parse(NBEST_PARSE, MTOP)
+        binding = bind_slot_spans(tree, NBEST_TEXT.split())
+        assert serialize(
+            recover_slot_nbest(tree, NBEST_TEXT, NBEST, "es", binding)
+        ) == NBEST_RECOVERED
+
     def test_unrecoverable_stays_missing(self):
         repaired = recover_fix_casing(
             parse("[IN:A [SL:X zebra ] ]", MTOP), "nothing here"

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from clasp.sentinels import (
     UnknownSentinel,
@@ -14,7 +15,7 @@ from clasp.sentinels import (
 )
 from clasp.trees import Dialect, parse, serialize
 
-from conftest import random_encodable_example
+from conftest import WORDS, random_encodable_example
 
 MTOP = Dialect.MTOP_BRACKET
 
@@ -116,6 +117,15 @@ class TestDecode:
             text, tree = random_encodable_example(rng)
             enc = encode_sentinels(text, tree)
             assert decode_sentinels(enc) == tree
+
+    @given(seed=st.integers(0, 2**32 - 1), vocabulary=st.integers(2, len(WORDS)))
+    def test_round_trip_property(self, seed, vocabulary):
+        # A small vocabulary makes repeated values, in slots and in the
+        # text, common.
+        text, tree = random_encodable_example(random.Random(seed), WORDS[:vocabulary])
+        enc = encode_sentinels(text, tree)
+        assert decode_sentinels(enc) == tree
+        assert enc.sentinel_text.split()[1::2] == text.split()
 
     def test_unknown_sentinel(self):
         enc = encode_sentinels("a b c", parse("[IN:A [SL:X b ] ]", MTOP))

@@ -129,6 +129,17 @@ class TestDecouple:
             once = decouple(tree)
             assert decouple(once) == once
 
+    def test_unchanged_subtrees_are_shared(self):
+        tree = parse(DECOUPLE_OUT, PIZZA)
+        assert decouple(tree) is tree
+        carried = parse("(ORDER (PIZZAORDER (NUMBER a ) ) please (DRINKORDER "
+                        "(NUMBER a ) of (DRINKTYPE coke ) ) )", PIZZA)
+        pizza, drink = carried.root.children[0], carried.root.children[2]
+        out = decouple(carried)
+        assert out.root.children[0] is pizza
+        assert out.root.children[1] is not drink
+        assert out.root.children[1].children[1] is drink.children[2]
+
 
 def _with_carriers(tree: ParseTree, rng: random.Random) -> ParseTree:
     def inject(node):
@@ -301,6 +312,16 @@ class TestSpanHelpers:
         tree = parse("[IN:A [SL:X b ] [SL:Y b ] ]", MTOP)
         spans = bind_slot_spans(tree, "b a b".split())
         assert [span for _, span in spans] == [(0, 1), (2, 3)]
+
+    def test_bind_keeps_an_earlier_binding(self):
+        tree = parse("[IN:A [SL:X foo ] [SL:Y Foo ] ]", MTOP)
+        tokens = "FOO x foo".split()
+        exact = bind_slot_spans(tree, tokens)
+        assert [span for _, span in exact] == [(2, 3), None]
+        folded = bind_slot_spans(tree, tokens, fold=True)
+        assert [span for _, span in folded] == [(0, 1), (2, 3)]
+        kept = bind_slot_spans(tree, tokens, fold=True, bound=exact)
+        assert [span for _, span in kept] == [(2, 3), (0, 1)]
 
     def test_bind_unmatchable(self):
         # A value with no occurrence and an empty value both stay unbound.
