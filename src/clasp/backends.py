@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .prompts import METHOD_DIALECTS, Method, Prompt, continuation_for
+from .prompts import METHOD_DIALECTS, PAIR_METHODS, Method, Prompt, continuation_for
 from .trees import (
     Dialect,
     ParseTree,
@@ -68,9 +68,6 @@ MOCK_CORRUPTIONS = frozenset(
         "unknown_entity",
     }
 )
-
-_PAIR_METHODS = (Method.GENERATE_BOTH, Method.TRANSLATE_BOTH)
-
 
 class BackendError(Exception):
     pass
@@ -176,7 +173,11 @@ class MockRule:
 
 def load_mock_rules(path: str | Path) -> list[MockRule]:
     with open(path, encoding="utf-8") as fh:
-        return [MockRule.from_dict(d) for d in json.load(fh)]
+        data = json.load(fh)
+    try:
+        return [MockRule.from_dict(d) for d in data]
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed mock rule file {path}: {exc}") from exc
 
 
 _FILLERS = ("please get me", "kindly send over", "we would enjoy", "now preparing")
@@ -272,7 +273,14 @@ def _cover_text(parse_text: str, method: Method, i: int) -> str:
     except Exception:
         refs = []
     values = " ".join(ref.value_text for ref in refs)
-    filler = _FILLERS[i % len(_FILLERS)]
+    # A filler sharing a word with a slot would take that slot's span from
+    # the binder, and a corruption would edit the filler, not the slot: the
+    # first filler from ``i`` on that shares none is used, if one does.
+    words = set(values.casefold().split())
+    fillers = [_FILLERS[(i + j) % len(_FILLERS)] for j in range(len(_FILLERS))]
+    filler = next(
+        (f for f in fillers if words.isdisjoint(f.casefold().split())), fillers[0]
+    )
     return f"{filler} {values} thanks" if values else f"{filler} thanks"
 
 
@@ -309,7 +317,7 @@ def _apply_corruption(
             new_value = tuple(_flip_case(ref.value_text).split())
         else:
             new_value = ("unobtainium",)
-            if method in _PAIR_METHODS:
+            if method in PAIR_METHODS:
                 raw = _swap_parse_part(
                     prompt, raw, serialize(replace_slot(tree, ref, new_value))
                 )
@@ -336,7 +344,7 @@ def _apply_corruption(
 def _first_slot(prompt: Prompt, raw: str) -> tuple[ParseTree, SlotRef] | None:
     """The parse this continuation must realize and its first leaf slot."""
     method = prompt.method
-    if method in _PAIR_METHODS:
+    if method in PAIR_METHODS:
         parse_text, _, _ = raw.partition(prompt.templates.arrow)
     else:
         parse_text = prompt.expected.target_parse or ""
@@ -364,7 +372,7 @@ def _edit_text_part(prompt: Prompt, raw: str, edit) -> str:
     had_term = body.endswith(t.terminator)
     if had_term:
         body = body[: -len(t.terminator)]
-    if prompt.method in _PAIR_METHODS:
+    if prompt.method in PAIR_METHODS:
         left, sep, right = body.partition(t.arrow)
         if sep:
             colon = right.find(":")

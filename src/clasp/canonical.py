@@ -219,7 +219,11 @@ class CfTemplateSet:
     @classmethod
     def load(cls, path: str | Path) -> "CfTemplateSet":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_mapping(json.load(fh))
+            data = json.load(fh)
+        try:
+            return cls.from_mapping(data)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise TemplateError(f"malformed CF template file {path}: {exc}") from exc
 
     @classmethod
     def default(cls) -> "CfTemplateSet":

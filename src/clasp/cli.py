@@ -53,8 +53,8 @@ from .datasets import (
     class_key,
     read_jsonl,
     read_mtop_rows,
+    read_objects,
     read_pizza_rows,
-    read_records,
     write_jsonl,
 )
 from .trees import (
@@ -358,12 +358,15 @@ def _load_anchors(path: str | None) -> dict[str, tuple[Example, Example]]:
             encoding="utf-8"
         )
     anchors = {}
-    for lang, pair in json.loads(text).items():
-        en, tgt = pair["en"], pair["tgt"]
-        anchors[lang] = (
-            Example(f"anchor-{lang}-en", "en", en["text"], en["parse"], "anchor"),
-            Example(f"anchor-{lang}", lang, tgt["text"], tgt["parse"], "anchor"),
-        )
+    try:
+        for lang, pair in json.loads(text).items():
+            en, tgt = pair["en"], pair["tgt"]
+            anchors[lang] = (
+                Example(f"anchor-{lang}-en", "en", en["text"], en["parse"], "anchor"),
+                Example(f"anchor-{lang}", lang, tgt["text"], tgt["parse"], "anchor"),
+            )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise CliError(f"malformed anchor file {path}: {exc!r}") from exc
     return anchors
 
 
@@ -707,10 +710,10 @@ def _write_stats(args, record: dict, table: str) -> None:
 
 def cmd_project_mt(args: argparse.Namespace) -> None:
     src = {ex.id: ex for ex in read_jsonl(args.dataset)}
-    mt_rows = read_records(args.mt)
+    mt_rows = read_objects(args.mt, "id", "language", "text")
     if not mt_rows:
         raise MissingInput(f"MT output file {args.mt} is empty")
-    align_rows = read_records(args.align)
+    align_rows = read_objects(args.align, "id", "pairs")
     if not align_rows:
         raise MissingInput(f"alignment file {args.align} is empty")
     aligned: dict[tuple[str, str | None], list] = {}
@@ -742,9 +745,13 @@ def cmd_project_mt(args: argparse.Namespace) -> None:
                 f"no alignment for id {row['id']!r} language {lang!r}"
             )
         try:
-            verdict = projection.project_parse(
-                ex, text, projection.WordAlignment.from_pairs(pairs)
-            )
+            alignment = projection.WordAlignment.from_pairs(pairs)
+        except (TypeError, ValueError) as exc:
+            raise RowMalformed(
+                f"{args.align}: bad pairs for id {row['id']!r}: {exc}"
+            ) from exc
+        try:
+            verdict = projection.project_parse(ex, text, alignment)
         except UnmatchableSlot:
             unbound += 1
             continue
@@ -796,8 +803,8 @@ def cmd_mix(args: argparse.Namespace) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> None:
-    hyp_rows = {str(r["id"]): r for r in read_records(args.hyp)}
-    ref_rows = {str(r["id"]): r for r in read_records(args.ref)}
+    hyp_rows = {str(r["id"]): r for r in read_objects(args.hyp, "id", "parse")}
+    ref_rows = {str(r["id"]): r for r in read_objects(args.ref, "id", "parse")}
     if set(hyp_rows) != set(ref_rows):
         only_hyp = sorted(set(hyp_rows) - set(ref_rows))[:3]
         only_ref = sorted(set(ref_rows) - set(hyp_rows))[:3]

@@ -140,12 +140,24 @@ def read_records(path: str | Path) -> list[dict[str, Any]]:
     return out
 
 
+def read_objects(path: str | Path, *fields: str) -> list[dict[str, Any]]:
+    """The records of ``path``, each a JSON object holding every field."""
+    rows = read_records(path)
+    for n, row in enumerate(rows, start=1):
+        if not isinstance(row, dict):
+            raise RowMalformed(f"{path}:{n}: expected a JSON object")
+        for field in fields:
+            if field not in row:
+                raise RowMalformed(f"{path}:{n}: record lacks field {field!r}")
+    return rows
+
+
 def write_jsonl(path: str | Path, examples: Iterable[Example]) -> None:
     write_records(path, (ex.to_dict() for ex in examples))
 
 
 def read_jsonl(path: str | Path) -> list[Example]:
-    return [Example.from_dict(d) for d in read_records(path)]
+    return [Example.from_dict(d) for d in read_objects(path)]
 
 
 def read_pizza_rows(path: str | Path) -> list[dict[str, str]]:
@@ -154,9 +166,7 @@ def read_pizza_rows(path: str | Path) -> list[dict[str, str]]:
     Returns dicts keyed by the uppercased key suffix (SRC, TOP, EXR, CF...).
     """
     rows = []
-    for n, obj in enumerate(read_records(path), start=1):
-        if not isinstance(obj, dict):
-            raise RowMalformed(f"{path}:{n}: expected a JSON object")
+    for n, obj in enumerate(read_objects(path), start=1):
         row = {key.rsplit(".", 1)[-1].upper(): val for key, val in obj.items()}
         if "SRC" not in row or "TOP" not in row:
             raise RowMalformed(f"{path}:{n}: row lacks SRC/TOP fields")

@@ -2,19 +2,31 @@
 
 Two validation principles drive everything: the parse must be well formed
 (VP1), and every leaf-slot value in the parse must appear contiguously in
-the text (VP2). Candidates failing heuristic checks are discarded; for the
-cross-lingual methods two recovery passes (slot n-best substitution and
-casing repair) can rescue a missing-slot candidate before it is dropped.
-When no candidate of a prompt survives, a fallback example is duplicated
-from the prompt so the per-class distribution of the emitted dataset
-matches the input task list.
+the text (VP2). ``gate_rs``, ``gate_gb`` and ``gate_mtop`` (ts, tb) run one
+candidate loop, ``_gate``, which checks each candidate in this order:
+
+1. invalid separators: the output does not split;
+2. invalid parse (gb, tb; rs and ts are given theirs): the generated parse
+   is not well formed; mismatch parse (tb): its structure is not the
+   source's;
+3. copy example: the text is one of the prompt's context texts;
+4. missing slot: a slot does not bind (VP2) even after, for ts and tb,
+   slot n-best substitution and then casing repair;
+5. untagged slot (rs, gb): the text names a catalog value no slot tags;
+   unknown entity (gb): a slot value is not in the catalog;
+6. duplicate output: the same raw output came earlier in the batch.
+
+A recovery clears no other mode. Of the candidates with no mode the
+lowest score wins, the earliest on a tie; when none survives, a fallback
+example is duplicated from the prompt so the per-class distribution of
+the emitted dataset matches the input task list.
 
 Every check takes its slot spans from ``trees.bind_slot_spans`` (see
 ``trees``): VP2 binds exact case, so two slots with the value "a" need two
 "a"s; the untagged check binds case-folded, and casing repair keeps the
 exact spans and binds only the missing slots, case-folded, over the free
-tokens. A recovery counts only if its tree passes VP2. ``gate_mtop`` binds
-a candidate once and hands that binding to both recovery passes.
+tokens. A recovery counts only if its tree passes VP2, and both passes
+take the loop's one exact binding.
 
 Failure modes are non-mutually exclusive: one candidate may carry several,
 so occurrence percentages can sum above 100.
@@ -33,6 +45,8 @@ from .backends import GenOutput
 from .canonical import SlotCatalog, contains_catalog_word
 from .datasets import Example, class_key
 from .prompts import (
+    METHOD_DIALECTS,
+    PAIR_METHODS,
     InvalidSeparators,
     Method,
     PromptExpectation,
@@ -41,7 +55,6 @@ from .prompts import (
 )
 from .tables import EmptyEvents, format_table, pct
 from .trees import (
-    Dialect,
     ParseTree,
     SlotRef,
     TreeError,
@@ -145,7 +158,11 @@ class SlotNBestMap:
     @classmethod
     def load(cls, path: str | Path) -> "SlotNBestMap":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_mapping(json.load(fh))
+            data = json.load(fh)
+        try:
+            return cls.from_mapping(data)
+        except (AttributeError, TypeError) as exc:
+            raise GateError(f"malformed slot n-best file {path}: {exc}") from exc
 
     def to_mapping(self) -> dict[str, dict[str, list[str]]]:
         return {
@@ -242,15 +259,6 @@ def recover_fix_casing(
     return None if check_vp2(repaired, text) else repaired
 
 
-def _split_or_mode(
-    method: Method, raw: str, templates: PromptTemplates | None
-):
-    try:
-        return split_generation(method, raw, templates), None
-    except InvalidSeparators:
-        return None, INVALID_SEPARATORS
-
-
 def _untagged(
     text: str, parse: ParseTree, catalog: SlotCatalog
 ) -> bool:
@@ -262,11 +270,8 @@ def _untagged(
     span, unless its value is one of the catalog's function words ("can
     you ...", "thanks a lot").
     """
-    bound = [
-        span
-        for _, span in bind_slot_spans(parse, text.split(), fold=True)
-        if span is not None
-    ]
+    binding = bind_slot_spans(parse, text.split(), fold=True)
+    bound = [span for _, span in binding if span is not None]
     return any(
         m.value.lower() not in catalog.function_words
         and not any(a <= m.span[0] and m.span[1] <= b for a, b in bound)
@@ -285,15 +290,9 @@ def gate_rs(
     templates: PromptTemplates | None = None,
 ) -> tuple[GateVerdict, GateEvent]:
     """Gate one replace-slots candidate batch and pick the best survivor."""
-    return _gate_pizza(
-        Method.REPLACE_SLOTS,
-        candidates,
-        prompt_texts,
-        catalog,
-        expected_parse=expected_parse,
-        input_id=input_id,
-        language=language,
-        templates=templates,
+    return _gate(
+        Method.REPLACE_SLOTS, candidates, prompt_texts, expected_parse,
+        catalog=catalog, input_id=input_id, language=language, templates=templates,
     )
 
 
@@ -307,89 +306,10 @@ def gate_gb(
     templates: PromptTemplates | None = None,
 ) -> tuple[GateVerdict, GateEvent]:
     """Gate one generate-both batch; the parse itself is also validated."""
-    return _gate_pizza(
-        Method.GENERATE_BOTH,
-        candidates,
-        prompt_texts,
-        catalog,
-        expected_parse=None,
-        input_id=input_id,
-        language=language,
-        templates=templates,
+    return _gate(
+        Method.GENERATE_BOTH, candidates, prompt_texts, None,
+        catalog=catalog, input_id=input_id, language=language, templates=templates,
     )
-
-
-def _gate_pizza(
-    method: Method,
-    candidates: Sequence[GenOutput],
-    prompt_texts: Sequence[str],
-    catalog: SlotCatalog,
-    *,
-    expected_parse: ParseTree | None,
-    input_id: str,
-    language: str,
-    templates: PromptTemplates | None = None,
-) -> tuple[GateVerdict, GateEvent]:
-    prompt_set = {t.strip() for t in prompt_texts}
-    seen_raw: set[str] = set()
-    all_modes: list[frozenset[str]] = []
-    survivors: list[tuple[int, GenOutput, str, ParseTree]] = []
-    for i, out in enumerate(candidates):
-        modes: set[str] = set()
-        cand, sep_mode = _split_or_mode(method, out.text, templates)
-        text = cand.text if cand else None
-        tree = expected_parse
-        if sep_mode:
-            modes.add(sep_mode)
-        elif method is Method.GENERATE_BOTH:
-            try:
-                tree = parse_tree(cand.parse_text or "", Dialect.PIZZA_PAREN)
-            except TreeError:
-                tree = None
-                modes.add(INVALID_PARSE)
-        if text is not None and tree is not None:
-            if check_vp2(tree, text):
-                modes.add(MISSING_SLOT)
-            if _untagged(text, tree, catalog):
-                modes.add(UNTAGGED_SLOT)
-            if method is Method.GENERATE_BOTH and any(
-                not catalog.has_value(ref.slot_label, ref.value_text)
-                for ref in leaf_slots(tree)
-            ):
-                modes.add(UNKNOWN_ENTITY)
-        if text is not None and text.strip() in prompt_set:
-            modes.add(COPY_EXAMPLE)
-        raw_key = out.text.strip()
-        if raw_key in seen_raw:
-            modes.add(DUPLICATE_OUTPUT)
-        seen_raw.add(raw_key)
-        all_modes.append(frozenset(modes))
-        if not modes and text is not None and tree is not None:
-            survivors.append((i, out, text, tree))
-
-    if survivors:
-        i, out, text, tree = min(survivors, key=lambda s: (s[1].score, s[0]))
-        final = Example(
-            id=input_id,
-            lang=language,
-            text=text,
-            parse=serialize(tree),
-            source=f"clasp-{method.value}",
-        )
-        verdict = GateVerdict(status="clean", final=final)
-        success = CLEAN
-    else:
-        union = frozenset().union(*all_modes) if all_modes else frozenset()
-        verdict = GateVerdict(status="failed", failure_modes=union)
-        success = None
-    event = GateEvent(
-        method=method.value,
-        language=language,
-        input_id=input_id,
-        candidate_modes=tuple(all_modes),
-        success_mode=success,
-    )
-    return verdict, event
 
 
 def gate_mtop(
@@ -411,62 +331,97 @@ def gate_mtop(
     method = Method(method)
     if method not in (Method.TRANSLATE_SLOTS, Method.TRANSLATE_BOTH):
         raise GateError(f"gate_mtop handles ts/tb, not {method.value}")
-    lang = language or expected.language
-    modes: set[str] = set()
-    recovery: str | None = None
-    tree: ParseTree | None = None
-    cand, sep_mode = _split_or_mode(method, candidate.text, templates)
-    text = cand.text if cand else None
-    if sep_mode:
-        modes.add(sep_mode)
-    elif method is Method.TRANSLATE_SLOTS:
-        tree = parse_tree(expected.target_parse or "", Dialect.MTOP_BRACKET)
-    else:
+    given = None
+    if method is Method.TRANSLATE_SLOTS:
+        given = parse_tree(expected.target_parse or "", METHOD_DIALECTS[method])
+    return _gate(
+        method, (candidate,), expected.context_texts, given,
+        signature=expected.source_signature, nbest=nbest, input_id=input_id,
+        language=language or expected.language, templates=templates,
+    )
+
+
+def _gate(
+    method: Method,
+    candidates: Sequence[GenOutput],
+    context_texts: Sequence[str],
+    given: ParseTree | None,
+    *,
+    signature: str | None = None,
+    catalog: SlotCatalog | None = None,
+    nbest: SlotNBestMap | None = None,
+    input_id: str,
+    language: str,
+    templates: PromptTemplates | None,
+) -> tuple[GateVerdict, GateEvent]:
+    """The loop of the module docstring. ``given`` is the rs/ts parse; an
+    ``nbest`` map turns recovery on (ts/tb), a ``catalog`` its checks."""
+    copies = {t.strip() for t in context_texts}
+    seen_raw: set[str] = set()
+    all_modes: list[frozenset[str]] = []
+    survivors: list[tuple[float, int, str, ParseTree, str | None]] = []
+    for i, out in enumerate(candidates):
+        modes: set[str] = set()
+        text, tree, recovery = None, given, None
         try:
-            tree = parse_tree(cand.parse_text or "", Dialect.MTOP_BRACKET)
-            if structure_signature(tree) != expected.source_signature:
-                modes.add(MISMATCH_PARSE)
-        except TreeError:
-            tree = None
-            modes.add(INVALID_PARSE)
-    if text is not None and text.strip() in {
-        t.strip() for t in expected.context_texts
-    }:
-        modes.add(COPY_EXAMPLE)
-    binding = []
-    if text is not None and tree is not None:
-        binding = bind_slot_spans(tree, text.split())
-    if _unbound(binding):
-        repaired = recover_slot_nbest(tree, text, nbest, lang, binding)
-        if repaired is not None:
-            tree, recovery = repaired, SLOT_NBEST
+            cand = split_generation(method, out.text, templates)
+        except InvalidSeparators:
+            modes.add(INVALID_SEPARATORS)
         else:
-            repaired = recover_fix_casing(tree, text, binding)
-            if repaired is not None:
-                tree, recovery = repaired, FIX_CASING
-            else:
-                modes.add(MISSING_SLOT)
-    if modes:
-        verdict = GateVerdict(status="failed", failure_modes=frozenset(modes))
-        success = None
-    else:
+            text = cand.text
+            if method in PAIR_METHODS:
+                try:
+                    tree = parse_tree(cand.parse_text or "", METHOD_DIALECTS[method])
+                except TreeError:
+                    tree = None
+                    modes.add(INVALID_PARSE)
+            if tree is not None and method is Method.TRANSLATE_BOTH:
+                if structure_signature(tree) != signature:
+                    modes.add(MISMATCH_PARSE)
+            if text.strip() in copies:
+                modes.add(COPY_EXAMPLE)
+        if text is not None and tree is not None:
+            binding = bind_slot_spans(tree, text.split())
+            if _unbound(binding):
+                if nbest is None:
+                    modes.add(MISSING_SLOT)
+                elif repaired := recover_slot_nbest(
+                    tree, text, nbest, language, binding
+                ):
+                    tree, recovery = repaired, SLOT_NBEST
+                elif repaired := recover_fix_casing(tree, text, binding):
+                    tree, recovery = repaired, FIX_CASING
+                else:
+                    modes.add(MISSING_SLOT)
+            if catalog is not None:
+                if _untagged(text, tree, catalog):
+                    modes.add(UNTAGGED_SLOT)
+                if given is None and any(
+                    not catalog.has_value(ref.slot_label, ref.value_text)
+                    for ref in leaf_slots(tree)
+                ):
+                    modes.add(UNKNOWN_ENTITY)
+        raw_key = out.text.strip()
+        if raw_key in seen_raw:
+            modes.add(DUPLICATE_OUTPUT)
+        seen_raw.add(raw_key)
+        all_modes.append(frozenset(modes))
+        if not modes:
+            survivors.append((out.score, i, text, tree, recovery))
+
+    if survivors:
+        # The lowest score wins, the earliest candidate on a tie.
+        _, _, text, tree, recovery = min(survivors, key=lambda s: s[:2])
         final = Example(
-            id=input_id,
-            lang=lang,
-            text=text or "",
-            parse=serialize(tree) if tree else "",
-            source=f"clasp-{method.value}",
+            input_id, language, text, serialize(tree), f"clasp-{method.value}"
         )
         status = "recovered" if recovery else "clean"
-        verdict = GateVerdict(status=status, recovery=recovery, final=final)
+        verdict = GateVerdict(status, recovery=recovery, final=final)
         success = recovery or CLEAN
-    event = GateEvent(
-        method=method.value,
-        language=lang,
-        input_id=input_id,
-        candidate_modes=(frozenset(modes),),
-        success_mode=success,
-    )
+    else:
+        verdict = GateVerdict("failed", frozenset().union(*all_modes))
+        success = None
+    event = GateEvent(method.value, language, input_id, tuple(all_modes), success)
     return verdict, event
 
 
@@ -587,40 +542,34 @@ def _stats_row(
     method: str, language: str, events: Sequence[GateEvent]
 ) -> GateStatsRow:
     inputs = len(events)
-    outputs = sum(len(ev.candidate_modes) for ev in events)
-    ok_inputs = sum(1 for ev in events if ev.success_mode is not None)
-    ok_outputs = sum(
-        sum(1 for modes in ev.candidate_modes if not modes) for ev in events
-    )
-    success_modes = {
-        mode: round(
-            100.0 * sum(1 for ev in events if ev.success_mode == mode) / inputs, 1
-        )
-        for mode in SUCCESS_MODES
-    }
+    candidates = [modes for ev in events for modes in ev.candidate_modes]
+    outputs = len(candidates)
     impossible = _IMPOSSIBLE.get(method, set())
-    failure_modes: dict[str, float | None] = {}
-    for mode in _failure_columns(method):
-        if mode in impossible:
-            failure_modes[mode] = None
-            continue
-        count = sum(
-            sum(1 for modes in ev.candidate_modes if mode in modes)
-            for ev in events
-        )
-        failure_modes[mode] = round(100.0 * count / outputs, 1) if outputs else 0.0
     return GateStatsRow(
         method=method,
         language=language,
         inputs=inputs,
         outputs=outputs,
-        success_rate_inputs=round(100.0 * ok_inputs / inputs, 1),
-        success_rate_outputs=round(100.0 * ok_outputs / outputs, 1)
-        if outputs
-        else 0.0,
-        success_modes=success_modes,
-        failure_modes=failure_modes,
+        success_rate_inputs=_rate(
+            sum(ev.success_mode is not None for ev in events), inputs
+        ),
+        success_rate_outputs=_rate(sum(not modes for modes in candidates), outputs),
+        success_modes={
+            mode: _rate(sum(ev.success_mode == mode for ev in events), inputs)
+            for mode in SUCCESS_MODES
+        },
+        failure_modes={
+            mode: None
+            if mode in impossible
+            else _rate(sum(mode in modes for modes in candidates), outputs)
+            for mode in _failure_columns(method)
+        },
     )
+
+
+def _rate(count: int, total: int) -> float:
+    """``count`` as a percentage of ``total``, to one decimal; 0 of none."""
+    return round(100.0 * count / total, 1) if total else 0.0
 
 
 def _avg_row(method: str, rows: Sequence[GateStatsRow]) -> GateStatsRow:

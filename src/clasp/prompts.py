@@ -63,6 +63,10 @@ class Method(str, Enum):
     SENT_MT = "sent-mt"
 
 
+# The methods whose continuation carries a parse before the arrow; every
+# other method continues with text alone.
+PAIR_METHODS = frozenset({Method.GENERATE_BOTH, Method.TRANSLATE_BOTH})
+
 METHOD_DIALECTS = {
     Method.REPLACE_SLOTS: Dialect.PIZZA_PAREN,
     Method.GENERATE_BOTH: Dialect.PIZZA_PAREN,
@@ -390,9 +394,6 @@ def build_sent_mt_prompt(
     )
 
 
-_TEXT_ONLY = (Method.REPLACE_SLOTS, Method.TRANSLATE_SLOTS, Method.SLOT_MT, Method.SENT_MT)
-
-
 def split_generation(
     method: Method | str, raw_output: str, templates: PromptTemplates | None = None
 ) -> SplitCandidate:
@@ -407,7 +408,7 @@ def split_generation(
     if raw.count(t.terminator) != 1 or not raw.endswith(t.terminator):
         raise InvalidSeparators(f"expected exactly one trailing {t.terminator!r}")
     body = raw[: -len(t.terminator)].strip()
-    if method in _TEXT_ONLY:
+    if method not in PAIR_METHODS:
         if t.arrow in body:
             raise InvalidSeparators(f"unexpected {t.arrow!r} in text-only output")
         return SplitCandidate(text=body)
@@ -439,7 +440,7 @@ def continuation_for(
     """Render a well-formed model continuation (inverse of split_generation)."""
     t = templates or PromptTemplates()
     method = Method(method)
-    if method in _TEXT_ONLY:
+    if method not in PAIR_METHODS:
         return f"{text}{t.terminator}"
     if parse_text is None:
         raise ValueError(f"{method.value} continuations need a parse")

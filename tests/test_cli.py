@@ -637,6 +637,65 @@ def test_report_rejects_malformed_record(tmp_path, record):
     assert run("report", "--in", path) == 1
 
 
+def write_jsonl(path: Path, rows) -> Path:
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return path
+
+
+def assert_one_line_error(caplog, code: int, path: Path) -> None:
+    assert code == 1
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert str(path) in record.getMessage()
+    assert record.exc_info is None
+
+
+# (argv given the data fixture, the malformed file and tmp_path; its rows)
+MALFORMED_RECORD_FILES = {
+    "project-mt-align-without-pairs": (
+        lambda d, bad, tmp: [
+            "project-mt", "--dataset", d / "mtop.jsonl",
+            "--mt", write_jsonl(tmp / "mt.jsonl", [
+                {"id": "en-0", "language": "de", "text": "david anrufen ;"}]),
+            "--align", bad, "--out", tmp / "proj.jsonl"],
+        [{"id": "en-0", "language": "de"}],
+    ),
+    "score-hyp-without-parse": (
+        lambda d, bad, tmp: ["score", "--hyp", bad, "--ref", d / "mtop.jsonl",
+                             "--metric", "uem"],
+        [{"id": MTOP_ROWS[0][0]}]
+        + [{"id": i, "parse": parse} for i, _, parse in MTOP_ROWS[1:]],
+    ),
+    "mix-real-list-line": (
+        lambda d, bad, tmp: ["mix", "--real", bad, "--updates", "10", "--batch", "2",
+                             "--seed", "1", "--out", tmp / "manifest.jsonl"],
+        [["en-0", "en", "call david", "[IN:CREATE_CALL ]"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORD_FILES))
+def test_malformed_record_file_is_a_one_line_error(data, tmp_path, caplog, case):
+    argv, rows = MALFORMED_RECORD_FILES[case]
+    bad = write_jsonl(tmp_path / "bad.jsonl", rows)
+    assert_one_line_error(caplog, run(*argv(data, bad, tmp_path)), bad)
+
+
+@pytest.mark.parametrize("flag, method, content", [
+    ("--cf-templates", "rs", {"pizza_wrd": "pie"}),
+    ("--mock-rules", "rs", [1]),
+    ("--anchors", "ts",
+     {"de": {"en": {"text": "call bob", "parse": "[IN:CREATE_CALL [SL:CONTACT bob ] ]"}}}),
+    ("--nbest-in", "ts", [1]),
+], ids=["cf-templates-unknown-key", "mock-rules-not-objects", "anchors-without-tgt",
+        "nbest-not-a-map"])
+def test_malformed_setting_file_is_a_one_line_error(
+    data, tmp_path, caplog, flag, method, content
+):
+    bad = write_json(tmp_path / "bad.json", content)
+    code = run(*augment_argv(data, method, tmp_path / "out.jsonl", "--k", "2", flag, bad))
+    assert_one_line_error(caplog, code, bad)
+
+
 # The rs and gb context pools against the list comprehensions they replace.
 
 _ROW_IDS = ("p0", "p1", "p2", "p3")

@@ -278,6 +278,18 @@ class TestGateRs:
         verdict, event = self.gate((text,), catalog)
         assert {MISSING_SLOT, UNTAGGED_SLOT} <= event.candidate_modes[0]
 
+    def test_casing_miss_is_not_recovered(self, catalog):
+        # rs and gb get no recovery pass: "Five" does not realize "five".
+        verdict, event = self.gate(
+            ("Five small spinach and bacon pizzas with a pepsi",), catalog
+        )
+        assert verdict.status == "failed"
+        assert event.candidate_modes == (frozenset({MISSING_SLOT}),)
+
+    def test_bad_separators_are_the_only_mode(self, catalog):
+        verdict, event = self.gate(("a => b => c",), catalog)
+        assert event.candidate_modes == (frozenset({INVALID_SEPARATORS}),)
+
 
 GB_PROMPT_TEXTS = ("i want two olive pineapple and mushroom pies",)
 
@@ -499,6 +511,27 @@ class TestGateMtop:
         assert verdict.status == "failed"
         assert MISSING_SLOT in verdict.failure_modes
 
+    def test_ts_recovered_copy_is_a_copy(self):
+        # The n-best pass repairs the missing slot, so only the copy fails it.
+        expected = PromptExpectation(
+            language="es", target_parse=NBEST_PARSE, context_texts=(NBEST_TEXT,)
+        )
+        verdict, event = gate_mtop(
+            "ts", GenOutput(f"{NBEST_TEXT};", 0.2), expected, NBEST
+        )
+        assert verdict.status == "failed"
+        assert event.candidate_modes == (frozenset({COPY_EXAMPLE}),)
+
+    def test_tb_recovered_mismatch_is_a_mismatch(self):
+        expected = PromptExpectation(
+            language="de",
+            source_signature=structure_signature(parse("[IN:GET_ALARM ]", MTOP)),
+        )
+        raw = f"{CASING_PARSE}\n=> Translation in German: {CASING_TEXT};"
+        verdict, event = gate_mtop("tb", GenOutput(raw, 0.2), expected, NBEST)
+        assert verdict.status == "failed"
+        assert event.candidate_modes == (frozenset({MISMATCH_PARSE}),)
+
 
 class TestFallback:
     def test_rs_failure_reemits_original(self):
@@ -694,6 +727,24 @@ class TestMockCorruptionsTriggerIntendedModes:
         verdict, event = gate_mtop("tb", outs[0], prompt.expected, SlotNBestMap())
         assert verdict.status == "failed"
         assert MISMATCH_PARSE in verdict.failure_modes
+
+    @pytest.mark.parametrize(
+        "flag,status", [("drop_slot_word", "failed"), ("flip_casing", "recovered")]
+    )
+    def test_tb_corruption_edits_a_slot_the_filler_could_realize(self, flag, status):
+        # "me" is a slot value here and a word of the filler "please get me";
+        # the corruption must hit the slot, so the candidate cannot gate clean.
+        source = Example(
+            "r", "en", "remind me about the dentist",
+            "[IN:CREATE_REMINDER [SL:PERSON_REMINDED me ] [SL:TODO the dentist ] ]",
+            "dev",
+        )
+        prompt = build_tb_prompt(TS_ANCHOR_EN, TS_ANCHOR_FR, source, "fr")
+        out = MockBackend([MockRule(corruptions=(flag,))]).generate(
+            prompt, DecodingConfig.greedy()
+        )[0]
+        verdict, _ = gate_mtop("tb", out, prompt.expected, SlotNBestMap())
+        assert verdict.status == status
 
     def test_ts_flip_casing_recovered(self):
         prompt = build_ts_prompt(
