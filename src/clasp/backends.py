@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .prompts import METHOD_DIALECTS, PAIR_METHODS, Method, Prompt, continuation_for
+from .prompts import METHODS, Method, Prompt, continuation_for
 from .trees import (
     Dialect,
     ParseTree,
@@ -129,6 +129,16 @@ class GenOutput:
     score: float  # mean per-token NLL; lower is better
 
 
+# The type of each field of a mock rule file, and of the items of a list.
+_RULE_FIELDS = {
+    "pattern": str, "responses": list, "scores": list, "corruptions": list,
+    "substitutions": list, "inject_word": str, "corrupt_count": int,
+}
+_RULE_LIST_ITEMS = {
+    "responses": str, "scores": (int, float), "corruptions": str, "substitutions": list,
+}
+
+
 @dataclass(frozen=True)
 class MockRule:
     """One mock behavior: which prompts it matches and how to respond.
@@ -158,14 +168,23 @@ class MockRule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MockRule":
+        """Build from one object of a rule file, checking each field's type."""
+        for key, kind in _RULE_FIELDS.items():
+            value, item = d.get(key), _RULE_LIST_ITEMS.get(key)
+            if value is not None and not (
+                isinstance(value, kind)
+                and (item is None or all(isinstance(x, item) for x in value))
+            ):
+                raise ValueError(f"mock rule {key!r} has the wrong type: {value!r}")
+        substitutions = tuple((old, new) for old, new in d.get("substitutions") or ())
+        if not all(isinstance(s, str) for pair in substitutions for s in pair):
+            raise ValueError("mock rule 'substitutions' must be pairs of strings")
         return cls(
             pattern=d.get("pattern", ""),
             responses=tuple(d["responses"]) if d.get("responses") else None,
             scores=tuple(d["scores"]) if d.get("scores") else None,
             corruptions=tuple(d.get("corruptions", ())),
-            substitutions=tuple(
-                (old, new) for old, new in d.get("substitutions", ())
-            ),
+            substitutions=substitutions,
             inject_word=d.get("inject_word", "pepperoni"),
             corrupt_count=d.get("corrupt_count"),
         )
@@ -233,41 +252,31 @@ def _default_score(i: int) -> float:
 def _synthesize(prompt: Prompt, i: int) -> str:
     exp = prompt.expected
     method = prompt.method
-    t = prompt.templates
-    if method in (Method.REPLACE_SLOTS, Method.TRANSLATE_SLOTS):
-        text = _cover_text(exp.target_parse or "", method, i)
-        return continuation_for(method, text=text, templates=t)
-    if method is Method.GENERATE_BOTH:
-        k = i % len(exp.context_parses) if exp.context_parses else 0
-        parse_text = exp.context_parses[k] if exp.context_parses else ""
-        text = _cover_text(parse_text, method, i)
-        return continuation_for(
-            method, text=text, parse_text=parse_text, language=exp.language,
-            templates=t,
-        )
-    if method is Method.TRANSLATE_BOTH:
-        parse_text = exp.source_parse or ""
-        text = _cover_text(parse_text, method, i)
-        return continuation_for(
-            method, text=text, parse_text=parse_text, language=exp.language,
-            templates=t,
-        )
+    spec = METHODS[method]
+    source, parse_text = exp.source_text or "", None
     if method is Method.SLOT_MT:
-        value = exp.source_text or ""
-        text = value if i == 0 else f"{value} alt{i}"
-        return continuation_for(method, text=text, templates=t)
-    # Sentence translation: reverse the token order so the output is a
-    # deterministic non-copy of the source.
-    tokens = (exp.source_text or "").split()
-    text = " ".join(reversed(tokens))
-    if i > 0:
-        text = f"{text} v{i}"
-    return continuation_for(Method.SENT_MT, text=text, templates=t)
+        text = source if i == 0 else f"{source} alt{i}"
+    elif spec.dialect is None:
+        # Sentence translation: reverse the token order so the output is a
+        # deterministic non-copy of the source.
+        text = " ".join(reversed(source.split())) + (f" v{i}" if i else "")
+    else:
+        if not spec.pair:
+            parse_text = exp.target_parse or ""  # the given parse
+        elif method is Method.GENERATE_BOTH:
+            k = i % len(exp.context_parses) if exp.context_parses else 0
+            parse_text = exp.context_parses[k] if exp.context_parses else ""
+        else:
+            parse_text = exp.source_parse or ""
+        text = _cover_text(parse_text, spec.dialect, i)
+    return continuation_for(
+        method, text=text, parse_text=parse_text, language=exp.language,
+        templates=prompt.templates,
+    )
 
 
-def _cover_text(parse_text: str, method: Method, i: int) -> str:
+def _cover_text(parse_text: str, dialect: Dialect, i: int) -> str:
     """Text containing every leaf-slot value of the parse, in order."""
-    dialect = METHOD_DIALECTS.get(method, Dialect.MTOP_BRACKET)
     try:
         refs = leaf_slots(parse_tree(parse_text, dialect))
     except Exception:
@@ -317,7 +326,7 @@ def _apply_corruption(
             new_value = tuple(_flip_case(ref.value_text).split())
         else:
             new_value = ("unobtainium",)
-            if method in PAIR_METHODS:
+            if METHODS[method].pair:
                 raw = _swap_parse_part(
                     prompt, raw, serialize(replace_slot(tree, ref, new_value))
                 )
@@ -331,10 +340,9 @@ def _apply_corruption(
         copied = exp.context_texts[0] if exp.context_texts else ""
         return _edit_text_part(prompt, raw, lambda s: copied)
     if flag == "invalid_parse":
-        broken = (
-            "(Broken (Number" if method is Method.GENERATE_BOTH else "[IN:BROKEN [SL:X"
-        )
-        return _swap_parse_part(prompt, raw, broken)
+        broken = {Dialect.PIZZA_PAREN: "(Broken (Number",
+                  Dialect.MTOP_BRACKET: "[IN:BROKEN [SL:X"}.get(METHODS[method].dialect)
+        return raw if broken is None else _swap_parse_part(prompt, raw, broken)
     if flag == "mismatch_parse":
         other = exp.context_parses[0] if exp.context_parses else ""
         return _swap_parse_part(prompt, raw, other)
@@ -343,14 +351,16 @@ def _apply_corruption(
 
 def _first_slot(prompt: Prompt, raw: str) -> tuple[ParseTree, SlotRef] | None:
     """The parse this continuation must realize and its first leaf slot."""
-    method = prompt.method
-    if method in PAIR_METHODS:
+    spec = METHODS[prompt.method]
+    if spec.dialect is None:
+        return None
+    if spec.pair:
         parse_text, _, _ = raw.partition(prompt.templates.arrow)
     else:
         parse_text = prompt.expected.target_parse or ""
     try:
-        tree = parse_tree(parse_text.strip(), METHOD_DIALECTS[method])
-    except (KeyError, TreeError):
+        tree = parse_tree(parse_text.strip(), spec.dialect)
+    except TreeError:
         return None
     refs = leaf_slots(tree)
     return (tree, refs[0]) if refs else None
@@ -372,7 +382,7 @@ def _edit_text_part(prompt: Prompt, raw: str, edit) -> str:
     had_term = body.endswith(t.terminator)
     if had_term:
         body = body[: -len(t.terminator)]
-    if prompt.method in PAIR_METHODS:
+    if METHODS[prompt.method].pair:
         left, sep, right = body.partition(t.arrow)
         if sep:
             colon = right.find(":")

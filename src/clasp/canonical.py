@@ -76,6 +76,8 @@ class SlotCatalog:
     def from_mapping(cls, mapping: Mapping[str, Sequence[str]]) -> "SlotCatalog":
         entries = {}
         for label, values in mapping.items():
+            if not isinstance(values, (list, tuple)):
+                raise CatalogError(f"{label!r} must be a list, got {values!r}")
             if label == FUNCTION_WORDS_KEY:
                 continue
             vals = tuple(str(v) for v in values)
@@ -94,7 +96,11 @@ class SlotCatalog:
     @classmethod
     def load(cls, path: str | Path) -> "SlotCatalog":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_mapping(json.load(fh))
+            data = json.load(fh)
+        try:
+            return cls.from_mapping(data)
+        except (AttributeError, TypeError, CatalogError) as exc:
+            raise CatalogError(f"malformed slot catalog file {path}: {exc}") from exc
 
     @classmethod
     def default(cls) -> "SlotCatalog":
@@ -206,14 +212,24 @@ class CfTemplateSet:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "CfTemplateSet":
-        kwargs = dict(data)
-        if "number_words" in kwargs:
-            kwargs["number_words"] = tuple(sorted(kwargs["number_words"].items()))
-        if "labels" in kwargs:
-            kwargs["labels"] = tuple(sorted(kwargs["labels"].items()))
-        for key in ("size_values", "quantity_values"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        """Build from the JSON shape: objects for ``number_words`` and
+        ``labels``, lists for the value lists, strings elsewhere."""
+        kwargs = {}
+        for key, value in dict(data).items():
+            if key in ("number_words", "labels"):
+                if not isinstance(value, dict):
+                    raise TemplateError(f"CF template {key!r} must be an object")
+                value = tuple(sorted(value.items()))
+                strings = [x for pair in value for x in pair]
+            elif key in ("size_values", "quantity_values"):
+                if not isinstance(value, list):
+                    raise TemplateError(f"CF template {key!r} must be a list")
+                value = strings = tuple(value)
+            else:
+                strings = [value]
+            if not all(isinstance(x, str) for x in strings):
+                raise TemplateError(f"CF template {key!r} must hold strings")
+            kwargs[key] = value
         return cls(**kwargs)
 
     @classmethod

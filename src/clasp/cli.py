@@ -73,7 +73,8 @@ log = logging.getLogger("clasp")
 # The augment settings that a --config file may set too, with the type and
 # the choices of each flag; config values must pass the same checks.
 _AUGMENT_FLAGS = {
-    "dataset": (str, None), "method": (str, ("rs", "gb", "ts", "tb", "mt")),
+    "dataset": (str, None),
+    "method": (str, tuple(m.value for m, s in prompts.METHODS.items() if s.family)),
     "k": (int, None), "seed": (int, None), "backend": (str, ("mock", "http")),
     "mock_rules": (str, None), "catalog": (str, None), "anchors": (str, None),
     "langs": (str, None), "nbest_in": (str, None), "nbest_out": (str, None),
@@ -441,11 +442,12 @@ def cmd_augment(args: argparse.Namespace) -> None:
         if args.prompt_templates
         else prompts.PromptTemplates()
     )
+    spec = prompts.METHODS[prompts.Method(args.method)]
+    cfg = dc_replace(DecodingConfig(*spec.decoding), **args.decoding)
     backend = _load_backend(args)
     try:
-        build = _pizza_tasks if args.method in ("rs", "gb") else _mtop_tasks
-        default_cfg, tasks, to_row = build(args, pool, templates, backend)
-        cfg = dc_replace(default_cfg, **args.decoding)
+        build = _pizza_tasks if spec.family == "pizza" else _mtop_tasks
+        tasks, to_row = build(args, pool, templates, backend)
         jobs = ((task, task[3]) for task in tasks)
         # The stats read no input id, so events are counted without it:
         # memory then grows with the kinds of outcome, not with --k.
@@ -535,7 +537,7 @@ def _pizza_tasks(args, pool, templates, backend):
             )
         return _with_cf(emitted, cf_templates).to_dict(), event
 
-    return DecodingConfig.sampling(n=4), tasks(), to_row
+    return tasks(), to_row
 
 
 class _Without(Sequence):
@@ -653,7 +655,7 @@ def _mtop_tasks(args, pool, templates, backend):
         )
         return emitted.to_dict(), event
 
-    return DecodingConfig.greedy(), tasks(), to_row
+    return tasks(), to_row
 
 
 def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
@@ -673,7 +675,8 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
         for lang in langs
         for value in values
     )
-    cfg = dc_replace(DecodingConfig.beam(4), **args.decoding)
+    spec = prompts.METHODS[prompts.Method.SLOT_MT]
+    cfg = dc_replace(DecodingConfig(*spec.decoding), **args.decoding)
     mapping: dict[str, dict[str, list[str]]] = {}
     for (lang, value), outs in _generate(backend, jobs, cfg, args.max_inflight):
         candidates = []
@@ -850,7 +853,7 @@ def cmd_report(args: argparse.Namespace) -> None:
     elif kind in _REPORTS:
         try:
             table = _REPORTS[kind].from_record(record).to_table()
-        except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CliError(f"malformed {kind} record in {args.infile}: {exc!r}") from exc
     else:
         raise CliError(f"unknown record kind {kind!r} in {args.infile}")

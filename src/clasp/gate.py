@@ -45,8 +45,7 @@ from .backends import GenOutput
 from .canonical import SlotCatalog, contains_catalog_word
 from .datasets import Example, class_key
 from .prompts import (
-    METHOD_DIALECTS,
-    PAIR_METHODS,
+    METHODS,
     InvalidSeparators,
     Method,
     PromptExpectation,
@@ -79,30 +78,19 @@ CLEAN = "clean"
 SLOT_NBEST = "slot_nbest"
 FIX_CASING = "fix_casing"
 
-PIZZA_FAILURE_COLUMNS = (
-    MISSING_SLOT,
-    UNTAGGED_SLOT,
-    INVALID_SEPARATORS,
-    COPY_EXAMPLE,
-    DUPLICATE_OUTPUT,
-    INVALID_PARSE,
-    UNKNOWN_ENTITY,
-)
-MTOP_FAILURE_COLUMNS = (
-    MISSING_SLOT,
-    COPY_EXAMPLE,
-    INVALID_SEPARATORS,
-    INVALID_PARSE,
-    MISMATCH_PARSE,
-)
+# The failure-mode columns of each family's stats table, in table order.
+FAILURE_COLUMNS = {
+    "pizza": (MISSING_SLOT, UNTAGGED_SLOT, INVALID_SEPARATORS, COPY_EXAMPLE,
+              DUPLICATE_OUTPUT, INVALID_PARSE, UNKNOWN_ENTITY),
+    "mtop": (MISSING_SLOT, COPY_EXAMPLE, INVALID_SEPARATORS, INVALID_PARSE,
+             MISMATCH_PARSE),
+}
 SUCCESS_MODES = (CLEAN, SLOT_NBEST, FIX_CASING)
 
-# Structurally impossible columns, rendered as dashes: replace-slots never
-# generates a parse, translate-slots receives its parse ready-made.
-_IMPOSSIBLE = {
-    "rs": {INVALID_PARSE, UNKNOWN_ENTITY},
-    "ts": {INVALID_PARSE, MISMATCH_PARSE},
-}
+# A method whose continuation carries no parse is given its parse, so no
+# generated parse can be invalid, mismatch the source or name an unknown
+# entity; these columns render as dashes for it.
+_GENERATED_PARSE_MODES = frozenset({INVALID_PARSE, MISMATCH_PARSE, UNKNOWN_ENTITY})
 
 
 class GateError(ValueError):
@@ -150,6 +138,13 @@ class SlotNBestMap:
         lists: dict[str, dict[str, tuple[str, ...]]] = {}
         for lang, values in mapping.items():
             for en_value, candidates in values.items():
+                if not isinstance(candidates, (list, tuple)) or not all(
+                    isinstance(c, str) for c in candidates
+                ):
+                    raise GateError(
+                        f"n-best of {en_value!r} in {lang!r} must be a list of "
+                        f"strings, got {candidates!r}"
+                    )
                 deduped = tuple(dict.fromkeys(candidates))
                 if deduped:
                     lists.setdefault(lang, {})[en_value] = deduped
@@ -161,7 +156,7 @@ class SlotNBestMap:
             data = json.load(fh)
         try:
             return cls.from_mapping(data)
-        except (AttributeError, TypeError) as exc:
+        except (AttributeError, TypeError, GateError) as exc:
             raise GateError(f"malformed slot n-best file {path}: {exc}") from exc
 
     def to_mapping(self) -> dict[str, dict[str, list[str]]]:
@@ -329,14 +324,15 @@ def gate_mtop(
     on a missing slot: n-best substitution first, then casing repair.
     """
     method = Method(method)
-    if method not in (Method.TRANSLATE_SLOTS, Method.TRANSLATE_BOTH):
+    spec = METHODS[method]
+    if spec.family != "mtop" or spec.dialect is None:
         raise GateError(f"gate_mtop handles ts/tb, not {method.value}")
-    given = None
-    if method is Method.TRANSLATE_SLOTS:
-        given = parse_tree(expected.target_parse or "", METHOD_DIALECTS[method])
+    given, signature = None, expected.source_signature
+    if not spec.pair:
+        given, signature = parse_tree(expected.target_parse or "", spec.dialect), None
     return _gate(
         method, (candidate,), expected.context_texts, given,
-        signature=expected.source_signature, nbest=nbest, input_id=input_id,
+        signature=signature, nbest=nbest, input_id=input_id,
         language=language or expected.language, templates=templates,
     )
 
@@ -354,8 +350,10 @@ def _gate(
     language: str,
     templates: PromptTemplates | None,
 ) -> tuple[GateVerdict, GateEvent]:
-    """The loop of the module docstring. ``given`` is the rs/ts parse; an
-    ``nbest`` map turns recovery on (ts/tb), a ``catalog`` its checks."""
+    """The loop of the module docstring. ``given`` is the rs/ts parse; a
+    ``signature`` turns the mismatch check on (tb), an ``nbest`` map
+    recovery (ts/tb), a ``catalog`` its checks."""
+    spec = METHODS[method]
     copies = {t.strip() for t in context_texts}
     seen_raw: set[str] = set()
     all_modes: list[frozenset[str]] = []
@@ -369,13 +367,13 @@ def _gate(
             modes.add(INVALID_SEPARATORS)
         else:
             text = cand.text
-            if method in PAIR_METHODS:
+            if spec.pair:
                 try:
-                    tree = parse_tree(cand.parse_text or "", METHOD_DIALECTS[method])
+                    tree = parse_tree(cand.parse_text or "", spec.dialect)
                 except TreeError:
                     tree = None
                     modes.add(INVALID_PARSE)
-            if tree is not None and method is Method.TRANSLATE_BOTH:
+            if tree is not None and signature is not None:
                 if structure_signature(tree) != signature:
                     modes.add(MISMATCH_PARSE)
             if text.strip() in copies:
@@ -477,37 +475,35 @@ class GateStats:
         return cls(tuple(GateStatsRow(**r) for r in record["rows"]))
 
     def to_table(self) -> str:
-        pizza = [r for r in self.rows if r.method in ("rs", "gb")]
-        mtop = [r for r in self.rows if r.method in ("ts", "tb")]
+        """One table per family, pizza first."""
+        families = [_family(r.method) for r in self.rows]
         parts = []
-        if pizza:
-            headers = ["method", "SR inputs", "SR outputs"] + [
-                _title(m) for m in PIZZA_FAILURE_COLUMNS
-            ]
-            rows = [
-                [r.method, pct(r.success_rate_inputs), pct(r.success_rate_outputs)]
-                + [pct(r.failure_modes.get(m)) for m in PIZZA_FAILURE_COLUMNS]
-                for r in pizza
-            ]
-            parts.append(format_table(headers, rows))
-        if mtop:
-            headers = (
-                ["method", "lang", "success rate"]
-                + [_title(m) for m in SUCCESS_MODES]
-                + [_title(m) for m in MTOP_FAILURE_COLUMNS]
-            )
-            rows = [
-                [r.method, r.language, pct(r.success_rate_inputs)]
-                + [pct(r.success_modes.get(m)) for m in SUCCESS_MODES]
-                + [pct(r.failure_modes.get(m)) for m in MTOP_FAILURE_COLUMNS]
-                for r in mtop
-            ]
-            parts.append(format_table(headers, rows))
+        for family, columns in FAILURE_COLUMNS.items():
+            rows = [r for r, f in zip(self.rows, families) if f == family]
+            if not rows:
+                continue
+            if family == "pizza":
+                headers = ["method", "SR inputs", "SR outputs"]
+                cells = [[r.method, pct(r.success_rate_inputs),
+                          pct(r.success_rate_outputs)] for r in rows]
+            else:
+                headers = ["method", "lang", "success rate", *SUCCESS_MODES]
+                cells = [[r.method, r.language, pct(r.success_rate_inputs)]
+                         + [pct(r.success_modes.get(m)) for m in SUCCESS_MODES]
+                         for r in rows]
+            parts.append(format_table(
+                [h.replace("_", " ") for h in [*headers, *columns]],
+                [c + [pct(r.failure_modes.get(m)) for m in columns]
+                 for c, r in zip(cells, rows)],
+            ))
         return "\n".join(parts)
 
 
-def _title(mode: str) -> str:
-    return mode.replace("_", " ")
+def _family(method: str) -> str:
+    family = METHODS[Method(method)].family
+    if family is None:
+        raise ValueError(f"method {method!r} has no stats table")
+    return family
 
 
 def compile_stats(events: Sequence[GateEvent]) -> GateStats:
@@ -534,17 +530,13 @@ def compile_stats(events: Sequence[GateEvent]) -> GateStats:
     return GateStats(tuple(rows))
 
 
-def _failure_columns(method: str) -> tuple[str, ...]:
-    return PIZZA_FAILURE_COLUMNS if method in ("rs", "gb") else MTOP_FAILURE_COLUMNS
-
-
 def _stats_row(
     method: str, language: str, events: Sequence[GateEvent]
 ) -> GateStatsRow:
     inputs = len(events)
     candidates = [modes for ev in events for modes in ev.candidate_modes]
     outputs = len(candidates)
-    impossible = _IMPOSSIBLE.get(method, set())
+    impossible = () if METHODS[Method(method)].pair else _GENERATED_PARSE_MODES
     return GateStatsRow(
         method=method,
         language=language,
@@ -562,7 +554,7 @@ def _stats_row(
             mode: None
             if mode in impossible
             else _rate(sum(mode in modes for modes in candidates), outputs)
-            for mode in _failure_columns(method)
+            for mode in FAILURE_COLUMNS[_family(method)]
         },
     )
 
@@ -585,5 +577,5 @@ def _avg_row(method: str, rows: Sequence[GateStatsRow]) -> GateStatsRow:
             mode: round(sum(r.success_modes.get(mode, 0.0) for r in rows) / k, 1)
             for mode in SUCCESS_MODES
         },
-        failure_modes={mode: None for mode in _failure_columns(method)},
+        failure_modes={mode: None for mode in FAILURE_COLUMNS[_family(method)]},
     )

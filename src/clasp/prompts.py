@@ -14,7 +14,8 @@ is expected to continue. Example verbalizations per augmentation method:
         Semantic Parse for <Language>: <parse>
         => Translation in <Language>: <text>;
 
-Cue wording is overridable via a JSON template file.
+Cue wording is overridable via a JSON template file. ``METHODS`` is the
+one table of what every layer knows about a method.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .datasets import Example
@@ -60,19 +62,27 @@ class Method(str, Enum):
     GENERATE_BOTH = "gb"
     TRANSLATE_BOTH = "tb"
     SLOT_MT = "slot-mt"
-    SENT_MT = "sent-mt"
+    SENT_MT = "mt"
 
 
-# The methods whose continuation carries a parse before the arrow; every
-# other method continues with text alone.
-PAIR_METHODS = frozenset({Method.GENERATE_BOTH, Method.TRANSLATE_BOTH})
+@dataclass(frozen=True)
+class MethodSpec:
+    dialect: Dialect | None  # of the method's parses; None when text-only
+    pair: bool  # the continuation carries a parse before the arrow
+    # "pizza" or "mtop": the dataset and the stats table; None for a method
+    # that ``augment`` does not offer
+    family: str | None
+    decoding: tuple[str, int]  # the default backends.DecodingConfig(mode, n)
 
-METHOD_DIALECTS = {
-    Method.REPLACE_SLOTS: Dialect.PIZZA_PAREN,
-    Method.GENERATE_BOTH: Dialect.PIZZA_PAREN,
-    Method.TRANSLATE_SLOTS: Dialect.MTOP_BRACKET,
-    Method.TRANSLATE_BOTH: Dialect.MTOP_BRACKET,
-}
+
+METHODS: Mapping[Method, MethodSpec] = MappingProxyType({
+    Method.REPLACE_SLOTS: MethodSpec(Dialect.PIZZA_PAREN, False, "pizza", ("sampling", 4)),
+    Method.GENERATE_BOTH: MethodSpec(Dialect.PIZZA_PAREN, True, "pizza", ("sampling", 4)),
+    Method.TRANSLATE_SLOTS: MethodSpec(Dialect.MTOP_BRACKET, False, "mtop", ("greedy", 1)),
+    Method.TRANSLATE_BOTH: MethodSpec(Dialect.MTOP_BRACKET, True, "mtop", ("greedy", 1)),
+    Method.SENT_MT: MethodSpec(None, False, "mtop", ("greedy", 1)),
+    Method.SLOT_MT: MethodSpec(None, False, None, ("beam", 4)),
+})
 
 
 @dataclass(frozen=True)
@@ -113,15 +123,21 @@ class PromptTemplates:
     @classmethod
     def load(cls, path: str | Path) -> "PromptTemplates":
         with open(path, encoding="utf-8") as fh:
-            data = dict(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"prompt template file {path} must hold a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown prompt template key {unknown[0]!r} in {path}")
+        strings = [v for k, v in data.items() if k != "language_names"]
         if "language_names" in data:
             names = data["language_names"]
             if not isinstance(names, dict):
                 raise ValueError(f"'language_names' must be an object in {path}")
             data["language_names"] = tuple(sorted(names.items()))
+            strings += names.values()
+        if not all(isinstance(v, str) for v in strings):
+            raise ValueError(f"prompt template values must be strings in {path}")
         return cls(**data)
 
 
@@ -408,7 +424,7 @@ def split_generation(
     if raw.count(t.terminator) != 1 or not raw.endswith(t.terminator):
         raise InvalidSeparators(f"expected exactly one trailing {t.terminator!r}")
     body = raw[: -len(t.terminator)].strip()
-    if method not in PAIR_METHODS:
+    if not METHODS[method].pair:
         if t.arrow in body:
             raise InvalidSeparators(f"unexpected {t.arrow!r} in text-only output")
         return SplitCandidate(text=body)
@@ -440,7 +456,7 @@ def continuation_for(
     """Render a well-formed model continuation (inverse of split_generation)."""
     t = templates or PromptTemplates()
     method = Method(method)
-    if method not in PAIR_METHODS:
+    if not METHODS[method].pair:
         return f"{text}{t.terminator}"
     if parse_text is None:
         raise ValueError(f"{method.value} continuations need a parse")

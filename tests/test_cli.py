@@ -631,10 +631,14 @@ def test_score_reports_exact_match(data, tmp_path, capsys):
     {"kind": "gate_stats"},
     ["not", "a", "record"],
     {"kind": "nonsense"},
+    {"kind": "gate_stats", "rows": [{
+        "method": "xx", "language": "en", "inputs": 1, "outputs": 1,
+        "success_rate_inputs": 100.0, "success_rate_outputs": 100.0,
+        "success_modes": {}, "failure_modes": {}}]},
 ])
-def test_report_rejects_malformed_record(tmp_path, record):
+def test_report_rejects_malformed_record(tmp_path, caplog, record):
     path = write_json(tmp_path / "bad.json", record)
-    assert run("report", "--in", path) == 1
+    assert_one_line_error(caplog, run("report", "--in", path), path)
 
 
 def write_jsonl(path: Path, rows) -> Path:
@@ -686,8 +690,17 @@ def test_malformed_record_file_is_a_one_line_error(data, tmp_path, caplog, case)
     ("--anchors", "ts",
      {"de": {"en": {"text": "call bob", "parse": "[IN:CREATE_CALL [SL:CONTACT bob ] ]"}}}),
     ("--nbest-in", "ts", [1]),
+    ("--nbest-in", "ts", {"de": {"call": "anrufen"}}),
+    ("--catalog", "rs", {"TOPPING": "ham"}),
+    ("--mock-rules", "rs", [{"responses": "hi;"}]),
+    ("--mock-rules", "rs", [{"responses": [1]}]),
+    ("--cf-templates", "rs", {"order_prefix": 1}),
+    ("--catalog", "rs", [1, 2]),
+    ("--prompt-templates", "rs", [1]),
 ], ids=["cf-templates-unknown-key", "mock-rules-not-objects", "anchors-without-tgt",
-        "nbest-not-a-map"])
+        "nbest-not-a-map", "nbest-string-not-a-list", "catalog-string-not-a-list",
+        "mock-rules-string-responses", "mock-rules-number-response",
+        "cf-templates-number-value", "catalog-not-a-map", "prompt-templates-not-a-map"])
 def test_malformed_setting_file_is_a_one_line_error(
     data, tmp_path, caplog, flag, method, content
 ):

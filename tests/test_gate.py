@@ -583,7 +583,7 @@ class TestCompileStats:
         assert row.success_rate_inputs == 100.0
         assert row.success_rate_outputs == 100.0
 
-    def test_mtop_語avg_row_and_dashes(self):
+    def test_mtop_avg_row_and_dashes(self):
         events = []
         for lang, n_ok in (("de", 3), ("fr", 1)):
             for i in range(4):
@@ -629,7 +629,7 @@ class TestCompileStats:
             "copy example",
             "duplicate output",
             "invalid parse",
-            "unk" if False else "unknown entity",
+            "unknown entity",
         ):
             assert title in table
         assert "mismatch parse" in table
