@@ -38,7 +38,6 @@ import threading
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .prompts import METHODS, Method, Prompt, continuation_for
@@ -110,18 +109,6 @@ class DecodingConfig:
     def num_outputs(self) -> int:
         return 1 if self.mode == "greedy" else self.n
 
-    @classmethod
-    def sampling(cls, n: int = 4, **kwargs) -> "DecodingConfig":
-        return cls(mode="sampling", n=n, **kwargs)
-
-    @classmethod
-    def greedy(cls, **kwargs) -> "DecodingConfig":
-        return cls(mode="greedy", n=1, **kwargs)
-
-    @classmethod
-    def beam(cls, n: int = 4, **kwargs) -> "DecodingConfig":
-        return cls(mode="beam", n=n, **kwargs)
-
 
 @dataclass(frozen=True)
 class GenOutput:
@@ -162,6 +149,10 @@ class MockRule:
         unknown = set(self.corruptions) - MOCK_CORRUPTIONS
         if unknown:
             raise ValueError(f"unknown corruption flags: {sorted(unknown)}")
+        try:
+            re.compile(self.pattern)
+        except re.error as exc:
+            raise ValueError(f"mock rule pattern {self.pattern!r}: {exc}") from exc
 
     def matches(self, prompt_text: str) -> bool:
         return not self.pattern or re.search(self.pattern, prompt_text) is not None
@@ -190,13 +181,9 @@ class MockRule:
         )
 
 
-def load_mock_rules(path: str | Path) -> list[MockRule]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        return [MockRule.from_dict(d) for d in data]
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed mock rule file {path}: {exc}") from exc
+def mock_rules(data: list) -> list[MockRule]:
+    """The rules of a mock rule file: a JSON list of rule objects."""
+    return [MockRule.from_dict(d) for d in data]
 
 
 _FILLERS = ("please get me", "kindly send over", "we would enjoy", "now preparing")
@@ -412,10 +399,15 @@ def _strip_terminators(raw: str, terminator: str) -> str:
 
 
 def _flip_case(value: str) -> str:
-    # An empty value stays empty; its slot binds nowhere, so nothing is edited.
-    head = value[:1]
-    flipped = head.lower() if head.isupper() else head.upper()
-    return flipped + value[1:]
+    """``value`` with the case of its first cased character flipped ("10 am"
+    becomes "10 Am"). A value with no cased character (digits only, or a
+    script without case such as Devanagari) stays as it is, and so does an
+    empty one, whose slot binds nowhere."""
+    for i, char in enumerate(value):
+        if char.lower() != char.upper():
+            flipped = char.lower() if char.isupper() else char.upper()
+            return value[:i] + flipped + value[i + 1:]
+    return value
 
 
 class HttpBackend:

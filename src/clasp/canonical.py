@@ -7,21 +7,19 @@ the same templates parse canonical-form text back into the tree, which is
 what makes round-trip testing possible.
 
 The exact phrasing for negation, quantities and container types is a
-repo convention (see the shipped ``cf_templates.json``); slot values are
+repo convention (see the shipped CF template file); slot values are
 assumed not to contain the joiner tokens ("," / "and") or the frame
 keywords ("pizza", "with", "no", "of", "style").
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from importlib import resources
-from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
+from .datasets import packaged, read_json
 from .trees import Dialect, Intent, Node, ParseTree, Slot, Token, serialize_node
 
 
@@ -76,17 +74,20 @@ class SlotCatalog:
     def from_mapping(cls, mapping: Mapping[str, Sequence[str]]) -> "SlotCatalog":
         entries = {}
         for label, values in mapping.items():
-            if not isinstance(values, (list, tuple)):
-                raise CatalogError(f"{label!r} must be a list, got {values!r}")
+            if not isinstance(values, (list, tuple)) or not all(
+                isinstance(v, str) for v in values
+            ):
+                raise CatalogError(
+                    f"{label!r} must be a list of strings, got {values!r}"
+                )
             if label == FUNCTION_WORDS_KEY:
                 continue
-            vals = tuple(str(v) for v in values)
-            if any(not v.strip() for v in vals):
+            if any(not v.strip() for v in values):
                 raise CatalogError(f"empty value under slot {label!r}")
-            entries[label] = vals
+            entries[label] = tuple(values)
         known = {v.lower() for vals in entries.values() for v in vals}
         function_words = frozenset(
-            str(w).lower() for w in mapping.get(FUNCTION_WORDS_KEY, ())
+            w.lower() for w in mapping.get(FUNCTION_WORDS_KEY, ())
         )
         unknown = sorted(function_words - known)
         if unknown:
@@ -94,17 +95,10 @@ class SlotCatalog:
         return cls(entries, function_words)
 
     @classmethod
-    def load(cls, path: str | Path) -> "SlotCatalog":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            return cls.from_mapping(data)
-        except (AttributeError, TypeError, CatalogError) as exc:
-            raise CatalogError(f"malformed slot catalog file {path}: {exc}") from exc
-
-    @classmethod
+    @lru_cache(maxsize=1)
     def default(cls) -> "SlotCatalog":
-        return _default_catalog()
+        """The shipped pizza catalog, read on first use."""
+        return read_json(packaged("pizza_catalog.json"), cls.from_mapping)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.entries)
@@ -142,12 +136,6 @@ class SlotCatalog:
         for label, vals in self.entries.items():
             for v in vals:
                 yield label, v
-
-
-@lru_cache(maxsize=1)
-def _default_catalog() -> SlotCatalog:
-    text = resources.files("clasp.data").joinpath("pizza_catalog.json").read_text()
-    return SlotCatalog.from_mapping(json.loads(text))
 
 
 class CatalogMatch(NamedTuple):
@@ -233,17 +221,10 @@ class CfTemplateSet:
         return cls(**kwargs)
 
     @classmethod
-    def load(cls, path: str | Path) -> "CfTemplateSet":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            return cls.from_mapping(data)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise TemplateError(f"malformed CF template file {path}: {exc}") from exc
-
-    @classmethod
+    @lru_cache(maxsize=1)
     def default(cls) -> "CfTemplateSet":
-        return _default_templates()
+        """The shipped CF templates, read on first use."""
+        return read_json(packaged("cf_templates.json"), cls.from_mapping)
 
     def canonical_label(self, name: str) -> str:
         for key, label in self.labels:
@@ -262,12 +243,6 @@ class CfTemplateSet:
             if rendered.lower() == out:
                 return word
         return rendered
-
-
-@lru_cache(maxsize=1)
-def _default_templates() -> CfTemplateSet:
-    text = resources.files("clasp.data").joinpath("cf_templates.json").read_text()
-    return CfTemplateSet.from_mapping(json.loads(text))
 
 
 def _label(node: Node) -> str:

@@ -25,6 +25,12 @@ pool row that cannot be parsed), the rows finished so far are kept in
 too small, a language without an anchor pair or a name in the prompt
 templates, an unreadable file) stop the run before its first request and
 leave no ``.partial``.
+
+Every JSON file a command reads (the setting files of ``augment``, its
+--config, and the record given to ``report --in``) is read by
+``datasets.read_json``: a file that is not JSON, or whose value fails the
+checks of its flag, ends the command with a single error line that names
+the file.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from collections import Counter, deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as dc_replace
-from importlib import resources
 from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
@@ -51,6 +56,8 @@ from .datasets import (
     RowMalformed,
     atomic_write_text,
     class_key,
+    packaged,
+    read_json,
     read_jsonl,
     read_mtop_rows,
     read_objects,
@@ -209,12 +216,14 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------- preprocess
 
 
+def _cf_templates(path: str | None) -> canonical.CfTemplateSet:
+    if path:
+        return read_json(path, canonical.CfTemplateSet.from_mapping)
+    return canonical.CfTemplateSet.default()
+
+
 def cmd_preprocess_pizza(args: argparse.Namespace) -> None:
-    templates = (
-        canonical.CfTemplateSet.load(args.cf_templates)
-        if args.cf_templates
-        else canonical.CfTemplateSet.default()
-    )
+    templates = _cf_templates(args.cf_templates)
     rows = read_pizza_rows(args.infile)
     out: list[Example] = []
     uncovered = 0
@@ -299,35 +308,38 @@ def _check_config_value(key: str, value, kind: type, choices=None) -> None:
     typed = isinstance(value, (int, float) if kind is float else kind)
     if isinstance(value, bool) or not typed or (choices and value not in choices):
         wanted = f"one of {', '.join(choices)}" if choices else kind.__name__
-        raise CliError(f"config key {key!r} must be {wanted}, got {value!r}")
+        raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill every augment setting no flag gave from --config, then from the
-    built-in defaults, so the rest of the command reads only ``args``."""
-    config = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise CliError(f"config file {args.config} must hold a JSON object")
+def _augment_config(config) -> dict:
+    """The object of a --config file, each value checked as its flag is."""
+    if not isinstance(config, dict):
+        raise ValueError("a config file must hold a JSON object")
     for key, value in config.items():
         if key != "decoding" and key not in _AUGMENT_FLAGS:
-            raise CliError(f"unknown config key {key!r} in {args.config}")
+            raise ValueError(f"unknown config key {key!r}")
         if value is None:
             continue  # null leaves the setting unset
         if key == "decoding":
             _check_config_value(key, value, dict)
             for field, item in value.items():
                 if field not in _DECODING_FIELDS:
-                    raise CliError(f"unknown decoding key {field!r} in {args.config}")
+                    raise ValueError(f"unknown decoding key {field!r}")
                 _check_config_value(f"decoding.{field}", item, _DECODING_FIELDS[field])
         elif key == "langs" and isinstance(value, list):
             for lang in value:
                 _check_config_value("langs", lang, str)
         else:
             _check_config_value(key, value, *_AUGMENT_FLAGS[key])
-        if getattr(args, key) is None:
+    return config
+
+
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill every augment setting no flag gave from --config, then from the
+    built-in defaults, so the rest of the command reads only ``args``."""
+    config = read_json(args.config, _augment_config) if args.config else {}
+    for key, value in config.items():
+        if value is not None and getattr(args, key) is None:
             setattr(args, key, value)
     for key, value in _AUGMENT_DEFAULTS.items():
         if getattr(args, key) is None:
@@ -342,7 +354,7 @@ def _merge_config(args: argparse.Namespace) -> None:
 def _load_backend(args: argparse.Namespace):
     if args.backend == "mock":
         rules = (
-            backends.load_mock_rules(args.mock_rules)
+            read_json(args.mock_rules, backends.mock_rules)
             if args.mock_rules
             else [MockRule()]
         )
@@ -350,24 +362,18 @@ def _load_backend(args: argparse.Namespace):
     return backends.HttpBackend()
 
 
-def _load_anchors(path: str | None) -> dict[str, tuple[Example, Example]]:
-    """{language: (English anchor, target anchor)}; the shipped pairs by default."""
-    if path:
-        text = Path(path).read_text(encoding="utf-8")
-    else:
-        text = resources.files("clasp.data").joinpath("mtop_anchors.json").read_text(
-            encoding="utf-8"
-        )
+def _anchor_pairs(mapping) -> dict[str, tuple[Example, Example]]:
+    """{language: (English anchor, target anchor)} of an anchor file."""
     anchors = {}
-    try:
-        for lang, pair in json.loads(text).items():
-            en, tgt = pair["en"], pair["tgt"]
-            anchors[lang] = (
-                Example(f"anchor-{lang}-en", "en", en["text"], en["parse"], "anchor"),
-                Example(f"anchor-{lang}", lang, tgt["text"], tgt["parse"], "anchor"),
-            )
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise CliError(f"malformed anchor file {path}: {exc!r}") from exc
+    for lang, pair in mapping.items():
+        en, tgt = pair["en"], pair["tgt"]
+        anchors[lang] = (
+            Example(f"anchor-{lang}-en", "en", en["text"], en["parse"], "anchor"),
+            Example(f"anchor-{lang}", lang, tgt["text"], tgt["parse"], "anchor"),
+        )
+        texts = [s for ex in anchors[lang] for s in (ex.text, ex.parse)]
+        if not all(isinstance(s, str) for s in texts):
+            raise ValueError(f"the anchor pair of {lang!r} must hold strings")
     return anchors
 
 
@@ -438,7 +444,7 @@ def cmd_augment(args: argparse.Namespace) -> None:
     if args.k <= 0:
         raise CliError("--k must be positive")
     templates = (
-        prompts.PromptTemplates.load(args.prompt_templates)
+        read_json(args.prompt_templates, prompts.PromptTemplates.from_mapping)
         if args.prompt_templates
         else prompts.PromptTemplates()
     )
@@ -477,15 +483,11 @@ def _pizza_tasks(args, pool, templates, backend):
     """rs/gb: task i starts from pool example i mod len(pool); rows carry a
     canonical form. Tasks are built as they are read."""
     catalog = (
-        canonical.SlotCatalog.load(args.catalog)
+        read_json(args.catalog, canonical.SlotCatalog.from_mapping)
         if args.catalog
         else canonical.SlotCatalog.default()
     )
-    cf_templates = (
-        canonical.CfTemplateSet.load(args.cf_templates)
-        if args.cf_templates
-        else canonical.CfTemplateSet.default()
-    )
+    cf_templates = _cf_templates(args.cf_templates)
     # Pool positions by id (rs: the original's rows leave the context
     # pool) or by text (gb: the fallback draws from the context rows).
     positions: dict[str, list[int]] = {}
@@ -606,7 +608,8 @@ def _mtop_tasks(args, pool, templates, backend):
     langs[i % len(langs)]; mt rows are bare translations with no gate.
     The slot n-best is ready before the first task; tasks are built as
     they are read."""
-    anchors = _load_anchors(args.anchors)
+    # The shipped pairs by default.
+    anchors = read_json(args.anchors or packaged("mtop_anchors.json"), _anchor_pairs)
     langs = args.langs or sorted(anchors)
     missing = [lang for lang in langs if lang not in anchors]
     if missing:
@@ -660,7 +663,7 @@ def _mtop_tasks(args, pool, templates, backend):
 
 def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
     if args.nbest_in:
-        return gate.SlotNBestMap.load(args.nbest_in)
+        return read_json(args.nbest_in, gate.SlotNBestMap.from_mapping)
     values = sorted(
         {
             ref.value_text
@@ -844,19 +847,21 @@ def cmd_score(args: argparse.Namespace) -> None:
 # -------------------------------------------------------------------- report
 
 
-def cmd_report(args: argparse.Namespace) -> None:
-    with open(args.infile, encoding="utf-8") as fh:
-        record = json.load(fh)
+def _report_table(record) -> str:
+    """The text table of a stats record; a mix plan is shown as JSON."""
     kind = record.get("kind") if isinstance(record, dict) else None
     if kind == "mix_plan":
-        table = json.dumps(record, indent=2) + "\n"
-    elif kind in _REPORTS:
-        try:
-            table = _REPORTS[kind].from_record(record).to_table()
-        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"malformed {kind} record in {args.infile}: {exc!r}") from exc
-    else:
-        raise CliError(f"unknown record kind {kind!r} in {args.infile}")
+        return json.dumps(record, indent=2) + "\n"
+    if kind not in _REPORTS:
+        raise ValueError(f"unknown record kind {kind!r}")
+    try:
+        return _REPORTS[kind].from_record(record).to_table()
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed {kind} record: {exc!r}") from exc
+
+
+def cmd_report(args: argparse.Namespace) -> None:
+    table = read_json(args.infile, _report_table)
     if args.out:
         atomic_write_text(args.out, table)
     sys.stdout.write(table)

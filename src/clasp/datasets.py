@@ -6,12 +6,43 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, TypeVar
+
+T = TypeVar("T")
 
 
 class RowMalformed(ValueError):
     pass
+
+
+class FileMalformed(ValueError):
+    """A JSON file that does not decode, or whose value is not the one wanted."""
+
+
+def read_json(path: str | Path, build: Callable[[Any], T]) -> T:
+    """``build`` applied to the JSON value held by the file at ``path``.
+
+    Every setting, config and stats-record file is read here. A decode
+    error, and an ``AttributeError``, ``KeyError``, ``TypeError`` or
+    ``ValueError`` that ``build`` raises, become one ``FileMalformed`` whose
+    message names the file; an ``OSError`` passes through.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # A ValueError carries its own message; the name of any other
+        # exception says what went wrong ("KeyError('tgt')").
+        detail = exc if isinstance(exc, ValueError) else repr(exc)
+        raise FileMalformed(f"{path}: {detail}") from exc
+
+
+def packaged(name: str) -> Path:
+    """The data file ``name`` shipped in ``clasp.data``. Resolved on call,
+    so that importing a module imports no data package."""
+    return resources.files("clasp.data").joinpath(name)
 
 
 @dataclass(frozen=True)

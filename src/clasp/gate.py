@@ -34,11 +34,9 @@ so occurrence percentages can sum above 100.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backends import GenOutput
@@ -149,15 +147,6 @@ class SlotNBestMap:
                 if deduped:
                     lists.setdefault(lang, {})[en_value] = deduped
         return cls(lists)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SlotNBestMap":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            return cls.from_mapping(data)
-        except (AttributeError, TypeError, GateError) as exc:
-            raise GateError(f"malformed slot n-best file {path}: {exc}") from exc
 
     def to_mapping(self) -> dict[str, dict[str, list[str]]]:
         return {

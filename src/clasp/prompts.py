@@ -20,11 +20,9 @@ one table of what every layer knows about a method.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -121,24 +119,25 @@ class PromptTemplates:
         return self.lang_parse_cue.format(language=self.language_name(code))
 
     @classmethod
-    def load(cls, path: str | Path) -> "PromptTemplates":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+    def from_mapping(cls, data: Mapping) -> "PromptTemplates":
+        """Build from the JSON shape: an object for ``language_names``,
+        strings elsewhere; a key left out keeps its default."""
         if not isinstance(data, dict):
-            raise ValueError(f"prompt template file {path} must hold a JSON object")
+            raise ValueError("prompt templates must be a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
-            raise ValueError(f"unknown prompt template key {unknown[0]!r} in {path}")
+            raise ValueError(f"unknown prompt template key {unknown[0]!r}")
+        kwargs = dict(data)
         strings = [v for k, v in data.items() if k != "language_names"]
         if "language_names" in data:
             names = data["language_names"]
             if not isinstance(names, dict):
-                raise ValueError(f"'language_names' must be an object in {path}")
-            data["language_names"] = tuple(sorted(names.items()))
+                raise ValueError("'language_names' must be an object")
+            kwargs["language_names"] = tuple(sorted(names.items()))
             strings += names.values()
         if not all(isinstance(v, str) for v in strings):
-            raise ValueError(f"prompt template values must be strings in {path}")
-        return cls(**data)
+            raise ValueError("prompt template values must be strings")
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from clasp.backends import (
     MockBackend,
     MockRule,
     Timeout,
+    _flip_case,
 )
 from clasp.datasets import Example
 from clasp.prompts import (
@@ -53,28 +54,28 @@ def rs_prompt():
 
 class TestDecodingConfig:
     def test_paper_sampling_defaults(self):
-        cfg = DecodingConfig.sampling(n=4)
+        cfg = DecodingConfig("sampling", 4)
         assert (cfg.top_k, cfg.top_p, cfg.temperature) == (50, 0.9, 0.9)
         assert cfg.num_outputs == 4
 
     def test_greedy_single_output(self):
-        assert DecodingConfig.greedy().num_outputs == 1
+        assert DecodingConfig("greedy").num_outputs == 1
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             DecodingConfig(mode="magic")
         with pytest.raises(ValueError):
-            DecodingConfig.sampling(n=0)
+            DecodingConfig("sampling", 0)
         with pytest.raises(ValueError):
-            DecodingConfig.sampling(top_p=0.0)
+            DecodingConfig("sampling", 4, top_p=0.0)
         with pytest.raises(ValueError):
-            DecodingConfig.sampling(temperature=-1)
+            DecodingConfig("sampling", 4, temperature=-1)
 
 
 class TestMockBackend:
     def test_sampling_returns_n_stable_outputs(self):
         backend = MockBackend([MockRule()], seed=3)
-        cfg = DecodingConfig.sampling(n=4)
+        cfg = DecodingConfig("sampling", 4)
         first = backend.generate(rs_prompt(), cfg)
         second = backend.generate(rs_prompt(), cfg)
         assert len(first) == 4
@@ -82,25 +83,25 @@ class TestMockBackend:
 
     def test_greedy_returns_one(self):
         backend = MockBackend([MockRule()])
-        outs = backend.generate(rs_prompt(), DecodingConfig.greedy())
+        outs = backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert len(outs) == 1
 
     def test_beam_outputs_distinct_and_sorted(self):
         backend = MockBackend([MockRule()])
         prompt = build_slot_mt_prompt([("all", "todo")], "all", "es")
-        outs = backend.generate(prompt, DecodingConfig.beam(4))
+        outs = backend.generate(prompt, DecodingConfig("beam", 4))
         assert len(outs) == 4
         assert len({o.text for o in outs}) == 4
         assert [o.score for o in outs] == sorted(o.score for o in outs)
 
     def test_no_rules_echo_empty(self):
         backend = MockBackend([])
-        outs = backend.generate(rs_prompt(), DecodingConfig.sampling(n=2))
+        outs = backend.generate(rs_prompt(), DecodingConfig("sampling", 2))
         assert [o.text for o in outs] == ["", ""]
 
     def test_synthesized_rs_output_is_valid(self):
         backend = MockBackend([MockRule()])
-        outs = backend.generate(rs_prompt(), DecodingConfig.sampling(n=4))
+        outs = backend.generate(rs_prompt(), DecodingConfig("sampling", 4))
         expected = parse(RS_EDITED, Dialect.PIZZA_PAREN)
         for out in outs:
             text = split_generation(Method.REPLACE_SLOTS, out.text).text
@@ -114,7 +115,7 @@ class TestMockBackend:
             MockRule(responses=("generic;",)),
         ]
         backend = MockBackend(rules)
-        outs = backend.generate(rs_prompt(), DecodingConfig.greedy())
+        outs = backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert outs[0].text == "special;"
 
     def test_unknown_corruption_rejected(self):
@@ -123,7 +124,7 @@ class TestMockBackend:
 
     def test_drop_slot_word_removes_value(self):
         backend = MockBackend([MockRule(corruptions=("drop_slot_word",))])
-        outs = backend.generate(rs_prompt(), DecodingConfig.greedy())
+        outs = backend.generate(rs_prompt(), DecodingConfig("greedy"))
         text = split_generation(Method.REPLACE_SLOTS, outs[0].text).text
         assert "five" not in text.split()
 
@@ -131,7 +132,7 @@ class TestMockBackend:
         # The first slot of these context parses is Number=a, a letter that
         # also occurs inside labels and the translation cue.
         prompt = build_gb_prompt(GB_CONTEXT[:3])
-        cfg = DecodingConfig.sampling(n=3)
+        cfg = DecodingConfig("sampling", 3)
         clean = MockBackend([MockRule()]).generate(prompt, cfg)
         corrupt = MockBackend(
             [MockRule(corruptions=("unknown_entity",))]
@@ -164,28 +165,37 @@ class TestMockBackend:
             parse("[IN:SEND_MESSAGE [SL:X ] [SL:Y pain ] ]", Dialect.MTOP_BRACKET),
             "fr",
         )
-        cfg = DecodingConfig.greedy()
+        cfg = DecodingConfig("greedy")
         clean = MockBackend([MockRule()]).generate(prompt, cfg)
         corrupt = MockBackend([MockRule(corruptions=(corruption,))]).generate(
             prompt, cfg
         )
         assert corrupt == clean
 
+    @pytest.mark.parametrize("value, flipped", [
+        ("Ham", "ham"), ("ham", "Ham"), ("10 am", "10 Am"), ("(3) PM", "(3) pM"),
+        ("\u0926\u094b \u092c\u091c\u0947", "\u0926\u094b \u092c\u091c\u0947"),
+        ("10 30", "10 30"), ("", ""),
+    ], ids=["upper", "lower", "digit-first", "digit-then-upper", "devanagari",
+            "digits", "empty"])
+    def test_flip_casing_flips_the_first_cased_character(self, value, flipped):
+        assert _flip_case(value) == flipped
+
     def test_no_semicolon_corruption(self):
         backend = MockBackend([MockRule(corruptions=("no_semicolon",))])
-        outs = backend.generate(rs_prompt(), DecodingConfig.greedy())
+        outs = backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert not outs[0].text.endswith(";")
 
     def test_duplicate_corruption_copies_first(self):
         backend = MockBackend([MockRule(corruptions=("duplicate_output",))])
-        outs = backend.generate(rs_prompt(), DecodingConfig.sampling(n=3))
+        outs = backend.generate(rs_prompt(), DecodingConfig("sampling", 3))
         assert outs[0].text == outs[1].text == outs[2].text
 
     def test_corrupt_count_limits_scope(self):
         backend = MockBackend(
             [MockRule(corruptions=("no_semicolon",), corrupt_count=1)]
         )
-        outs = backend.generate(rs_prompt(), DecodingConfig.sampling(n=3))
+        outs = backend.generate(rs_prompt(), DecodingConfig("sampling", 3))
         assert not outs[0].text.endswith(";")
         assert outs[1].text.endswith(";")
         assert outs[2].text.endswith(";")
@@ -236,7 +246,7 @@ class TestHttpBackend:
         _, url = http_server
         _Handler.responses = [(200, _ok_body(4))]
         backend = HttpBackend(endpoint=url, token="sekrit")
-        cfg = DecodingConfig.sampling(n=4, max_new_tokens=64)
+        cfg = DecodingConfig("sampling", 4, max_new_tokens=64)
         outs = backend.generate(rs_prompt(), cfg)
         assert [o.text for o in outs] == ["out0;", "out1;", "out2;", "out3;"]
         (request,) = _Handler.requests_seen
@@ -254,7 +264,7 @@ class TestHttpBackend:
         _, url = http_server
         _Handler.responses = [(500, b"boom"), (200, _ok_body(2))]
         backend = HttpBackend(endpoint=url)
-        outs = backend.generate(rs_prompt(), DecodingConfig.sampling(n=2))
+        outs = backend.generate(rs_prompt(), DecodingConfig("sampling", 2))
         assert len(outs) == 2
         assert len(_Handler.requests_seen) == 2
 
@@ -263,28 +273,28 @@ class TestHttpBackend:
         _Handler.responses = [(500, b""), (500, b""), (500, b"")]
         backend = HttpBackend(endpoint=url, max_retries=2)
         with pytest.raises(BackendUnavailable):
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
 
     def test_malformed_response(self, http_server):
         _, url = http_server
         _Handler.responses = [(200, b"{\"nope\": 1}")]
         backend = HttpBackend(endpoint=url)
         with pytest.raises(BackendMalformedResponse):
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
 
     def test_wrong_output_count_is_malformed(self, http_server):
         _, url = http_server
         _Handler.responses = [(200, _ok_body(1))]
         backend = HttpBackend(endpoint=url)
         with pytest.raises(BackendMalformedResponse):
-            backend.generate(rs_prompt(), DecodingConfig.sampling(n=4))
+            backend.generate(rs_prompt(), DecodingConfig("sampling", 4))
 
     def test_client_error_not_retried(self, http_server):
         _, url = http_server
         _Handler.responses = [(403, b"")]
         backend = HttpBackend(endpoint=url, max_retries=2)
         with pytest.raises(BackendUnavailable):
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert len(_Handler.requests_seen) == 1
 
     def test_missing_endpoint(self, monkeypatch):
@@ -296,7 +306,7 @@ class TestHttpBackend:
         _, url = http_server
         monkeypatch.setenv("CLASP_BACKEND_ENDPOINT", url)
         _Handler.responses = [(200, _ok_body(1))]
-        outs = HttpBackend().generate(rs_prompt(), DecodingConfig.greedy())
+        outs = HttpBackend().generate(rs_prompt(), DecodingConfig("greedy"))
         assert outs == [GenOutput("out0;", pytest.approx(0.1))]
 
 
@@ -341,7 +351,7 @@ class TestHttpErrorPaths:
         server.delay = 1.0
         backend = HttpBackend(endpoint=url, timeout=0.2, max_retries=2)
         with pytest.raises(Timeout):
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert len(server.hits) == 3
 
     def test_closed_port_is_unavailable(self):
@@ -350,13 +360,13 @@ class TestHttpErrorPaths:
             port = sock.getsockname()[1]
         backend = HttpBackend(endpoint=f"http://127.0.0.1:{port}/", max_retries=1)
         with pytest.raises(BackendUnavailable):
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
 
     def test_non_json_body_is_malformed(self, error_server):
         server, url = error_server
         server.body = b"<html>not json</html>"
         with pytest.raises(BackendMalformedResponse):
-            HttpBackend(endpoint=url).generate(rs_prompt(), DecodingConfig.greedy())
+            HttpBackend(endpoint=url).generate(rs_prompt(), DecodingConfig("greedy"))
         assert len(server.hits) == 1
 
     def test_no_content_is_rejected_without_retry(self, error_server):
@@ -364,7 +374,7 @@ class TestHttpErrorPaths:
         server.status = 204
         backend = HttpBackend(endpoint=url, max_retries=2)
         with pytest.raises(BackendUnavailable, match="204"):
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert len(server.hits) == 1
 
 
@@ -391,7 +401,7 @@ class TestKeepAlive:
         server, url = keepalive_server
         with closing(HttpBackend(endpoint=url, token="sekrit")) as backend:
             for _ in range(5):
-                assert backend.generate(rs_prompt(), DecodingConfig.greedy()) == [
+                assert backend.generate(rs_prompt(), DecodingConfig("greedy")) == [
                     GenOutput("out;", 0.5)
                 ]
         assert len(server.seen) == 5
@@ -409,7 +419,7 @@ class TestKeepAlive:
         server.script = [(200, None), (200, close), (200, None), (200, close)]
         with closing(HttpBackend(endpoint=url, max_retries=0)) as backend:
             for _ in range(5):
-                backend.generate(rs_prompt(), DecodingConfig.greedy())
+                backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert len(server.seen) == 5
         assert len(_connections(server)) == 3
 
@@ -417,8 +427,8 @@ class TestKeepAlive:
         server, url = keepalive_server
         server.script = [(200, None), (503, None), (500, None)]
         with closing(HttpBackend(endpoint=url, max_retries=2)) as backend:
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert len(server.seen) == 4
         assert len(_connections(server)) == 1
 
@@ -427,8 +437,8 @@ class TestKeepAlive:
         server.script = [(404, None)]
         with closing(HttpBackend(endpoint=url, max_retries=2)) as backend:
             with pytest.raises(BackendUnavailable, match="404"):
-                backend.generate(rs_prompt(), DecodingConfig.greedy())
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
+                backend.generate(rs_prompt(), DecodingConfig("greedy"))
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert len(server.seen) == 2
         assert len(_connections(server)) == 1
 
@@ -443,7 +453,7 @@ class TestKeepAlive:
         def worker():
             barrier.wait(timeout=10)
             for _ in range(4):
-                backend.generate(rs_prompt(), DecodingConfig.greedy())
+                backend.generate(rs_prompt(), DecodingConfig("greedy"))
             done.append(1)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
@@ -462,7 +472,7 @@ class TestKeepAlive:
         assert len(server.seen) == 32
         assert len(_connections(server)) == 8
         # A closed backend reconnects on its next request.
-        backend.generate(rs_prompt(), DecodingConfig.greedy())
+        backend.generate(rs_prompt(), DecodingConfig("greedy"))
         backend.close()
         assert len(_connections(server)) == 9
 
@@ -485,8 +495,8 @@ class TestProxy:
         )
         endpoint = "http://backend.invalid:8000/generate?model=x"
         with closing(HttpBackend(endpoint=endpoint, token="t")) as backend:
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert [s[2] for s in proxy.seen] == [endpoint, endpoint]
         _, _, _, headers, _ = proxy.seen[0]
         assert headers["Host"] == "backend.invalid:8000"
@@ -502,7 +512,7 @@ class TestProxy:
         monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{dead}")
         monkeypatch.setenv("no_proxy", "127.0.0.1")
         with closing(HttpBackend(endpoint=url)) as backend:
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert [s[2] for s in server.seen] == ["/generate"]
 
     def test_https_endpoint_goes_through_a_tunnel(self, keepalive_server, monkeypatch):
@@ -510,5 +520,5 @@ class TestProxy:
         monkeypatch.setenv("https_proxy", f"127.0.0.1:{proxy.server_port}")
         backend = HttpBackend(endpoint="https://backend.invalid/generate", max_retries=0)
         with closing(backend), pytest.raises(BackendUnavailable, match="502"):
-            backend.generate(rs_prompt(), DecodingConfig.greedy())
+            backend.generate(rs_prompt(), DecodingConfig("greedy"))
         assert [(s[1], s[2]) for s in proxy.seen] == [("CONNECT", "backend.invalid:443")]

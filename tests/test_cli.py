@@ -135,8 +135,13 @@ def run(*argv: str) -> int:
     return cli.main([str(a) for a in argv])
 
 
+class Raw(str):
+    """File content that ``write_json`` writes as it is."""
+
+
 def write_json(path: Path, obj) -> Path:
-    path.write_text(json.dumps(obj, indent=1), encoding="utf-8")
+    text = obj if isinstance(obj, Raw) else json.dumps(obj, indent=1)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -635,6 +640,7 @@ def test_score_reports_exact_match(data, tmp_path, capsys):
         "method": "xx", "language": "en", "inputs": 1, "outputs": 1,
         "success_rate_inputs": 100.0, "success_rate_outputs": 100.0,
         "success_modes": {}, "failure_modes": {}}]},
+    Raw("{bad"),
 ])
 def test_report_rejects_malformed_record(tmp_path, caplog, record):
     path = write_json(tmp_path / "bad.json", record)
@@ -684,6 +690,13 @@ def test_malformed_record_file_is_a_one_line_error(data, tmp_path, caplog, case)
     assert_one_line_error(caplog, run(*argv(data, bad, tmp_path)), bad)
 
 
+# Each flag that names a JSON setting file, with a method that reads it.
+NOT_JSON_FLAGS = (
+    ("--catalog", "rs"), ("--cf-templates", "rs"), ("--prompt-templates", "rs"),
+    ("--mock-rules", "rs"), ("--anchors", "ts"), ("--nbest-in", "ts"), ("--config", "rs"),
+)
+
+
 @pytest.mark.parametrize("flag, method, content", [
     ("--cf-templates", "rs", {"pizza_wrd": "pie"}),
     ("--mock-rules", "rs", [1]),
@@ -697,10 +710,18 @@ def test_malformed_record_file_is_a_one_line_error(data, tmp_path, caplog, case)
     ("--cf-templates", "rs", {"order_prefix": 1}),
     ("--catalog", "rs", [1, 2]),
     ("--prompt-templates", "rs", [1]),
+    ("--catalog", "rs", {"Number": [None, 2]}),
+    ("--mock-rules", "rs", [{"pattern": "("}]),
+    ("--anchors", "ts",
+     {"de": {"en": {"text": "call bob", "parse": "[IN:CREATE_CALL [SL:CONTACT bob ] ]"},
+             "tgt": {"text": "bob anrufen", "parse": ["IN:CREATE_CALL"]}}}),
+    *((flag, method, Raw("{bad")) for flag, method in NOT_JSON_FLAGS),
 ], ids=["cf-templates-unknown-key", "mock-rules-not-objects", "anchors-without-tgt",
         "nbest-not-a-map", "nbest-string-not-a-list", "catalog-string-not-a-list",
         "mock-rules-string-responses", "mock-rules-number-response",
-        "cf-templates-number-value", "catalog-not-a-map", "prompt-templates-not-a-map"])
+        "cf-templates-number-value", "catalog-not-a-map", "prompt-templates-not-a-map",
+        "catalog-non-string-values", "mock-rules-bad-pattern", "anchors-parse-not-a-string",
+        *(f"{flag[2:]}-not-json" for flag, _ in NOT_JSON_FLAGS)])
 def test_malformed_setting_file_is_a_one_line_error(
     data, tmp_path, caplog, flag, method, content
 ):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from clasp.backends import DecodingConfig, GenOutput, MockBackend, MockRule
-from clasp.datasets import Example
+from clasp.datasets import Example, read_json
 from clasp.gate import (
     CLEAN,
     COPY_EXAMPLE,
@@ -672,7 +672,7 @@ class TestMockCorruptionsTriggerIntendedModes:
     def test_rs_corruptions(self, catalog, flag, mode):
         prompt = self._rs_prompt()
         backend = MockBackend([MockRule(corruptions=(flag,))])
-        outs = backend.generate(prompt, DecodingConfig.sampling(n=4))
+        outs = backend.generate(prompt, DecodingConfig("sampling", 4))
         verdict, event = gate_rs(
             outs,
             parse(prompt.expected.target_parse, PIZZA),
@@ -685,7 +685,7 @@ class TestMockCorruptionsTriggerIntendedModes:
     def test_rs_duplicate_corruption(self, catalog):
         prompt = self._rs_prompt()
         backend = MockBackend([MockRule(corruptions=("duplicate_output",))])
-        outs = backend.generate(prompt, DecodingConfig.sampling(n=4))
+        outs = backend.generate(prompt, DecodingConfig("sampling", 4))
         verdict, event = gate_rs(
             outs,
             parse(prompt.expected.target_parse, PIZZA),
@@ -711,7 +711,7 @@ class TestMockCorruptionsTriggerIntendedModes:
 
         prompt = build_gb_prompt(GB_CONTEXT)
         backend = MockBackend([MockRule(corruptions=(flag,))])
-        outs = backend.generate(prompt, DecodingConfig.sampling(n=4))
+        outs = backend.generate(prompt, DecodingConfig("sampling", 4))
         verdict, event = gate_gb(
             outs, prompt.expected.context_texts, catalog
         )
@@ -723,7 +723,7 @@ class TestMockCorruptionsTriggerIntendedModes:
             TS_ANCHOR_EN, TS_ANCHOR_FR, Example("r", "en", "RSVP no to this event", "[IN:SET_RSVP_NO ]", "dev"), "fr"
         )
         backend = MockBackend([MockRule(corruptions=("mismatch_parse",))])
-        outs = backend.generate(prompt, DecodingConfig.greedy())
+        outs = backend.generate(prompt, DecodingConfig("greedy"))
         verdict, event = gate_mtop("tb", outs[0], prompt.expected, SlotNBestMap())
         assert verdict.status == "failed"
         assert MISMATCH_PARSE in verdict.failure_modes
@@ -741,10 +741,25 @@ class TestMockCorruptionsTriggerIntendedModes:
         )
         prompt = build_tb_prompt(TS_ANCHOR_EN, TS_ANCHOR_FR, source, "fr")
         out = MockBackend([MockRule(corruptions=(flag,))]).generate(
-            prompt, DecodingConfig.greedy()
+            prompt, DecodingConfig("greedy")
         )[0]
         verdict, _ = gate_mtop("tb", out, prompt.expected, SlotNBestMap())
         assert verdict.status == status
+
+    def test_tb_flip_casing_skips_an_uncased_first_character(self):
+        # The value starts with a digit, which has no case: the flip must
+        # reach the "a", or the candidate would gate clean.
+        source = Example(
+            "r", "en", "set an alarm for 10 am",
+            "[IN:CREATE_ALARM [SL:DATE_TIME 10 am ] ]", "dev",
+        )
+        prompt = build_tb_prompt(TS_ANCHOR_EN, TS_ANCHOR_FR, source, "fr")
+        out = MockBackend([MockRule(corruptions=("flip_casing",))]).generate(
+            prompt, DecodingConfig("greedy")
+        )[0]
+        verdict, _ = gate_mtop("tb", out, prompt.expected, SlotNBestMap())
+        assert verdict.status == "recovered"
+        assert verdict.recovery == FIX_CASING
 
     def test_ts_flip_casing_recovered(self):
         prompt = build_ts_prompt(
@@ -755,7 +770,7 @@ class TestMockCorruptionsTriggerIntendedModes:
             "fr",
         )
         backend = MockBackend([MockRule(corruptions=("flip_casing",))])
-        outs = backend.generate(prompt, DecodingConfig.greedy())
+        outs = backend.generate(prompt, DecodingConfig("greedy"))
         verdict, event = gate_mtop("ts", outs[0], prompt.expected, SlotNBestMap())
         assert verdict.status == "recovered"
         assert verdict.recovery == FIX_CASING
@@ -772,7 +787,7 @@ class TestMockCorruptionsTriggerIntendedModes:
             [MockRule(substitutions=((("mon"), ("ma")),))]
         )
         nbest = SlotNBestMap.from_mapping({"fr": {"my": ["mon", "ma"]}})
-        outs = backend.generate(prompt, DecodingConfig.greedy())
+        outs = backend.generate(prompt, DecodingConfig("greedy"))
         verdict, event = gate_mtop("ts", outs[0], prompt.expected, nbest)
         assert verdict.status == "recovered"
         assert verdict.recovery == SLOT_NBEST
@@ -784,7 +799,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         templates = PromptTemplates(translation_cue="Text in {language}:")
         prompt = build_gb_prompt(GB_CONTEXT, templates)
         outs = MockBackend([MockRule()]).generate(
-            prompt, DecodingConfig.sampling(n=4)
+            prompt, DecodingConfig("sampling", 4)
         )
         assert all("=> Text in English: " in out.text for out in outs)
         verdict, event = gate_gb(
@@ -798,7 +813,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         prompt = build_tb_prompt(
             TS_ANCHOR_EN, TS_ANCHOR_FR, TS_SOURCE, "fr", templates
         )
-        out = MockBackend([MockRule()]).generate(prompt, DecodingConfig.greedy())[0]
+        out = MockBackend([MockRule()]).generate(prompt, DecodingConfig("greedy"))[0]
         assert "=> Text in French: " in out.text
         verdict, event = gate_mtop(
             "tb", out, prompt.expected, SlotNBestMap(), templates=templates
@@ -816,7 +831,7 @@ class TestMockCorruptionsTriggerIntendedModes:
 
         prompt = build_gb_prompt(GB_CONTEXT, templates)
         outs = MockBackend([MockRule(corruptions=(flag,))]).generate(
-            prompt, DecodingConfig.sampling(n=4)
+            prompt, DecodingConfig("sampling", 4)
         )
         verdict, event = gate_gb(
             outs, prompt.expected.context_texts, catalog, templates=templates
@@ -832,7 +847,7 @@ class TestMockCorruptionsTriggerIntendedModes:
             TS_ANCHOR_EN, TS_ANCHOR_FR, TS_SOURCE, "fr", templates
         )
         backend = MockBackend([MockRule(corruptions=(flag,))])
-        out = backend.generate(prompt, DecodingConfig.greedy())[0]
+        out = backend.generate(prompt, DecodingConfig("greedy"))[0]
         verdict, event = gate_mtop(
             "tb", out, prompt.expected, SlotNBestMap(), templates=templates
         )
@@ -923,5 +938,5 @@ class TestSlotNBestIndex:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "nbest.json"
             path.write_text(text, encoding="utf-8")
-            loaded = SlotNBestMap.load(path)
+            loaded = read_json(path, SlotNBestMap.from_mapping)
         assert json.dumps(loaded.to_mapping(), ensure_ascii=False, indent=2) == text
