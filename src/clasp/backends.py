@@ -159,7 +159,13 @@ class MockRule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MockRule":
-        """Build from one object of a rule file, checking each field's type."""
+        """Build from one object of a rule file, checking each key and each
+        field's type."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a mock rule must be a JSON object, got {d!r}")
+        for key in d:
+            if key not in _RULE_FIELDS:
+                raise ValueError(f"unknown mock rule key {key!r}")
         for key, kind in _RULE_FIELDS.items():
             value, item = d.get(key), _RULE_LIST_ITEMS.get(key)
             if value is not None and not (

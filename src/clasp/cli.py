@@ -26,6 +26,13 @@ too small, a language without an anchor pair or a name in the prompt
 templates, an unreadable file) stop the run before its first request and
 leave no ``.partial``.
 
+Row files stream (see ``datasets``): preprocess-pizza and preprocess-mtop
+turn each input line into its output row before reading the next, and
+project-mt, mix and the augment loop write a row at a time. A command
+holds a whole file only where it must: augment holds its pool, mix the
+real plus the synthetic rows, project-mt the source rows, the MT records
+and the alignments, and score the hyp and ref rows by id.
+
 Every JSON file a command reads (the setting files of ``augment``, its
 --config, and the record given to ``report --in``) is read by
 ``datasets.read_json``: a file that is not JSON, or whose value fails the
@@ -56,12 +63,13 @@ from .datasets import (
     RowMalformed,
     atomic_write_text,
     class_key,
+    iter_mtop_rows,
+    iter_pizza_rows,
+    iter_records,
     packaged,
     read_json,
     read_jsonl,
-    read_mtop_rows,
-    read_objects,
-    read_pizza_rows,
+    read_records,
     write_jsonl,
 )
 from .trees import (
@@ -224,26 +232,26 @@ def _cf_templates(path: str | None) -> canonical.CfTemplateSet:
 
 def cmd_preprocess_pizza(args: argparse.Namespace) -> None:
     templates = _cf_templates(args.cf_templates)
-    rows = read_pizza_rows(args.infile)
-    out: list[Example] = []
     uncovered = 0
-    for i, row in enumerate(rows):
-        tree = decouple(parse_tree(row["TOP"], Dialect.PIZZA_PAREN))
-        parse_str = serialize(tree)
-        if args.mode == "fixed-cf":
-            try:
-                cf = canonical.to_canonical_form(tree, templates)
-            except canonical.TemplateError:
-                uncovered += 1
-                continue
-        else:
-            if "CF" not in row:
-                raise RowMalformed(
-                    f"row {i}: original mode needs a CF field in the input rows"
-                )
-            cf = row["CF"]
-        out.append(
-            Example(
+
+    def examples():
+        nonlocal uncovered
+        for i, row in enumerate(iter_pizza_rows(args.infile)):
+            tree = decouple(parse_tree(row["TOP"], Dialect.PIZZA_PAREN))
+            parse_str = serialize(tree)
+            if args.mode == "fixed-cf":
+                try:
+                    cf = canonical.to_canonical_form(tree, templates)
+                except canonical.TemplateError:
+                    uncovered += 1
+                    continue
+            else:
+                if "CF" not in row:
+                    raise RowMalformed(
+                        f"row {i}: original mode needs a CF field in the input rows"
+                    )
+                cf = row["CF"]
+            yield Example(
                 id=f"pizza-{i:06d}",
                 lang="en",
                 text=" ".join(row["SRC"].split()),
@@ -251,49 +259,51 @@ def cmd_preprocess_pizza(args: argparse.Namespace) -> None:
                 source=args.source_tag,
                 cf=cf,
             )
-        )
-    write_jsonl(args.out, out)
+
+    written = write_jsonl(args.out, examples())
     if uncovered:
         log.info("skipped %d rows not covered by the CF templates", uncovered)
-    log.info("wrote %d examples to %s", len(out), args.out)
+    log.info("wrote %d examples to %s", written, args.out)
 
 
 def cmd_preprocess_mtop(args: argparse.Namespace) -> None:
-    rows = read_mtop_rows(args.infile)
-    out: list[Example] = []
     unencodable = 0
-    for row in rows:
-        text = sentinels.space_join_tokens(row["tokens"])
-        parse_str = " ".join(row["decoupled_parse"].split())
-        ex = Example(
-            id=row["id"],
-            lang=row["lang"],
-            text=text,
-            parse=parse_str,
-            source=args.source_tag,
-        )
-        if args.sentinels:
-            try:
-                enc = sentinels.encode_sentinels(
-                    text, parse_tree(parse_str, Dialect.MTOP_BRACKET)
-                )
-            except UnmatchableSlot:
-                unencodable += 1
-                if args.on_unencodable == "keep":
-                    out.append(ex)
-                continue
-            ex = dc_replace(
-                ex, text=enc.sentinel_text, parse=serialize(enc.sentinel_parse)
+
+    def examples():
+        nonlocal unencodable
+        for row in iter_mtop_rows(args.infile):
+            text = sentinels.space_join_tokens(row["tokens"])
+            parse_str = " ".join(row["decoupled_parse"].split())
+            ex = Example(
+                id=row["id"],
+                lang=row["lang"],
+                text=text,
+                parse=parse_str,
+                source=args.source_tag,
             )
-        out.append(ex)
-    write_jsonl(args.out, out)
+            if args.sentinels:
+                try:
+                    enc = sentinels.encode_sentinels(
+                        text, parse_tree(parse_str, Dialect.MTOP_BRACKET)
+                    )
+                except UnmatchableSlot:
+                    unencodable += 1
+                    if args.on_unencodable == "keep":
+                        yield ex
+                    continue
+                ex = dc_replace(
+                    ex, text=enc.sentinel_text, parse=serialize(enc.sentinel_parse)
+                )
+            yield ex
+
+    written = write_jsonl(args.out, examples())
     if unencodable:
         log.info(
             "%d rows could not be sentinel-encoded (%s)",
             unencodable,
             args.on_unencodable,
         )
-    log.info("wrote %d examples to %s", len(out), args.out)
+    log.info("wrote %d examples to %s", written, args.out)
 
 
 # ------------------------------------------------------------------- augment
@@ -363,7 +373,8 @@ def _load_backend(args: argparse.Namespace):
 
 
 def _anchor_pairs(mapping) -> dict[str, tuple[Example, Example]]:
-    """{language: (English anchor, target anchor)} of an anchor file."""
+    """{language: (English anchor, target anchor)} of an anchor file; both
+    parses of each pair must parse as MTOP brackets."""
     anchors = {}
     for lang, pair in mapping.items():
         en, tgt = pair["en"], pair["tgt"]
@@ -374,6 +385,11 @@ def _anchor_pairs(mapping) -> dict[str, tuple[Example, Example]]:
         texts = [s for ex in anchors[lang] for s in (ex.text, ex.parse)]
         if not all(isinstance(s, str) for s in texts):
             raise ValueError(f"the anchor pair of {lang!r} must hold strings")
+        for ex in anchors[lang]:
+            try:
+                parse_tree(ex.parse, Dialect.MTOP_BRACKET)
+            except TreeError as exc:
+                raise ValueError(f"the {ex.lang} anchor parse of {lang!r}: {exc}") from exc
     return anchors
 
 
@@ -716,68 +732,69 @@ def _write_stats(args, record: dict, table: str) -> None:
 
 def cmd_project_mt(args: argparse.Namespace) -> None:
     src = {ex.id: ex for ex in read_jsonl(args.dataset)}
-    mt_rows = read_objects(args.mt, "id", "language", "text")
+    mt_rows = read_records(args.mt, "id", "language", "text")
     if not mt_rows:
         raise MissingInput(f"MT output file {args.mt} is empty")
-    align_rows = read_objects(args.align, "id", "pairs")
-    if not align_rows:
+    aligned: dict[tuple[str, str | None], list] = {
+        (str(row["id"]), row.get("language")): row["pairs"]
+        for row in iter_records(args.align, "id", "pairs")
+    }
+    if not aligned:
         raise MissingInput(f"alignment file {args.align} is empty")
-    aligned: dict[tuple[str, str | None], list] = {}
-    for row in align_rows:
-        aligned[(str(row["id"]), row.get("language"))] = row["pairs"]
     verdicts: list[tuple[str, projection.ProjectionVerdict]] = []
-    out: list[Example] = []
     unbound = 0
-    for row in mt_rows:
-        ex = src.get(str(row["id"]))
-        if ex is None:
-            raise IdMismatch(f"MT output id {row['id']!r} not in {args.dataset}")
-        lang = str(row["language"])
-        raw = str(row["text"])
-        if args.check_sentence_marker and projection.check_sentence_marker(raw):
-            verdicts.append(
-                (lang, projection.ProjectionVerdict(
-                    frozenset({projection.CONTAINS_SENTENCE})))
+
+    def projected():
+        nonlocal unbound
+        for row in mt_rows:
+            ex = src.get(str(row["id"]))
+            if ex is None:
+                raise IdMismatch(f"MT output id {row['id']!r} not in {args.dataset}")
+            lang = str(row["language"])
+            raw = str(row["text"])
+            if args.check_sentence_marker and projection.check_sentence_marker(raw):
+                verdicts.append(
+                    (lang, projection.ProjectionVerdict(
+                        frozenset({projection.CONTAINS_SENTENCE})))
+                )
+                continue
+            text = raw.strip()
+            if text.endswith(";"):
+                text = text[:-1].strip()
+            pairs = aligned.get((str(row["id"]), lang)) or aligned.get(
+                (str(row["id"]), None)
             )
-            continue
-        text = raw.strip()
-        if text.endswith(";"):
-            text = text[:-1].strip()
-        pairs = aligned.get((str(row["id"]), lang)) or aligned.get(
-            (str(row["id"]), None)
-        )
-        if pairs is None:
-            raise MissingInput(
-                f"no alignment for id {row['id']!r} language {lang!r}"
-            )
-        try:
-            alignment = projection.WordAlignment.from_pairs(pairs)
-        except (TypeError, ValueError) as exc:
-            raise RowMalformed(
-                f"{args.align}: bad pairs for id {row['id']!r}: {exc}"
-            ) from exc
-        try:
-            verdict = projection.project_parse(ex, text, alignment)
-        except UnmatchableSlot:
-            unbound += 1
-            continue
-        verdicts.append((lang, verdict))
-        if verdict.parse is not None:
-            out.append(
-                Example(
+            if pairs is None:
+                raise MissingInput(
+                    f"no alignment for id {row['id']!r} language {lang!r}"
+                )
+            try:
+                alignment = projection.WordAlignment.from_pairs(pairs)
+            except (TypeError, ValueError) as exc:
+                raise RowMalformed(
+                    f"{args.align}: bad pairs for id {row['id']!r}: {exc}"
+                ) from exc
+            try:
+                verdict = projection.project_parse(ex, text, alignment)
+            except UnmatchableSlot:
+                unbound += 1
+                continue
+            verdicts.append((lang, verdict))
+            if verdict.parse is not None:
+                yield Example(
                     id=ex.id,
                     lang=lang,
                     text=text,
                     parse=serialize(verdict.parse),
                     source=args.source_tag,
                 )
-            )
-    write_jsonl(args.out, out)
+
+    written = write_jsonl(args.out, projected())
     stats = projection.mt_stats(verdicts)
     _write_stats(args, stats.to_record(), stats.to_table())
     if unbound:
         log.info("skipped %d rows whose source slots were not contiguous", unbound)
-    log.info("wrote %d projected examples to %s", len(out), args.out)
+    log.info("wrote %d projected examples to %s", written, args.out)
 
 
 # ----------------------------------------------------------------------- mix
@@ -809,8 +826,8 @@ def cmd_mix(args: argparse.Namespace) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> None:
-    hyp_rows = {str(r["id"]): r for r in read_objects(args.hyp, "id", "parse")}
-    ref_rows = {str(r["id"]): r for r in read_objects(args.ref, "id", "parse")}
+    hyp_rows = {str(r["id"]): r for r in iter_records(args.hyp, "id", "parse")}
+    ref_rows = {str(r["id"]): r for r in iter_records(args.ref, "id", "parse")}
     if set(hyp_rows) != set(ref_rows):
         only_hyp = sorted(set(hyp_rows) - set(ref_rows))[:3]
         only_ref = sorted(set(ref_rows) - set(hyp_rows))[:3]

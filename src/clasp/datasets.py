@@ -1,4 +1,15 @@
-"""Dataset records and the file formats shared across pipeline commands."""
+"""Dataset records and the file formats shared across pipeline commands.
+
+Row files stream. ``iter_records`` is the one JSON-lines reader: it reads
+a line at a time and decodes, checks and builds each row before the next,
+so no list of decoded records ever sits beside the rows built from them;
+``iter_pizza_rows`` and ``iter_mtop_rows`` read the native inputs the same
+way. ``RecordWriter`` and ``write_records`` write a row at a time. What a
+command holds whole is therefore only what it must keep: the list that
+``read_jsonl`` returns (the augment pool, which rs and gb sample by index;
+the real and synthetic sets of ``mix``; the source rows of ``project-mt``)
+and the id maps of ``score``.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +19,7 @@ import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -83,6 +94,9 @@ class Example:
             raise RowMalformed(f"missing field {exc} in record {d!r}") from exc
 
 
+_EXAMPLE_FIELDS = ("id", "lang", "text", "parse")
+
+
 def class_key(parse: str) -> str:
     """Top-level intent label of a serialized parse."""
     head = parse.split(None, 1)
@@ -104,10 +118,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def dump_record(record: dict[str, Any]) -> str:
-    return json.dumps(record, ensure_ascii=False)
 
 
 class RecordWriter:
@@ -133,7 +143,7 @@ class RecordWriter:
         return self
 
     def write(self, record: dict[str, Any]) -> None:
-        self._fh.write(dump_record(record) + "\n")
+        self._fh.write(json.dumps(record, ensure_ascii=False) + "\n")
         self.count += 1
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -151,58 +161,85 @@ class RecordWriter:
             os.unlink(self._tmp)
 
 
-def write_records(path: str | Path, records: Iterable[dict[str, Any]]) -> None:
+def write_records(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
+    """Write ``records`` to ``path`` one at a time; the number written."""
     with RecordWriter(path) as writer:
         for record in records:
             writer.write(record)
+    return writer.count
 
 
-def read_records(path: str | Path) -> list[dict[str, Any]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise RowMalformed(f"{path}:{n}: invalid JSON record") from exc
-    return out
+def iter_records(
+    path: str | Path, *fields: str, build: Callable[[dict[str, Any]], T] | None = None
+) -> Iterator[T]:
+    """Yield each JSON-lines record of ``path``, or ``build`` of it, in one pass.
 
-
-def read_objects(path: str | Path, *fields: str) -> list[dict[str, Any]]:
-    """The records of ``path``, each a JSON object holding every field."""
-    rows = read_records(path)
-    for n, row in enumerate(rows, start=1):
-        if not isinstance(row, dict):
+    The file is read a line at a time, so a read holds one decoded record
+    beside the rows already built. Blank lines are skipped but counted.
+    Each other line must hold one JSON object with every one of ``fields``;
+    a line that does not, or a ``ValueError`` from ``build``, ends the read
+    with a ``RowMalformed`` naming ``<path>:<line>``.
+    """
+    for n, line in _numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RowMalformed(f"{path}:{n}: invalid JSON record") from exc
+        if not isinstance(record, dict):
             raise RowMalformed(f"{path}:{n}: expected a JSON object")
         for field in fields:
-            if field not in row:
+            if field not in record:
                 raise RowMalformed(f"{path}:{n}: record lacks field {field!r}")
-    return rows
+        if build is not None:
+            try:
+                record = build(record)
+            except ValueError as exc:
+                raise RowMalformed(f"{path}:{n}: {exc}") from exc
+        yield record
 
 
-def write_jsonl(path: str | Path, examples: Iterable[Example]) -> None:
-    write_records(path, (ex.to_dict() for ex in examples))
+def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(number, line)`` of each line of the UTF-8 text file ``path``, read
+    a line at a time. Iterating the file splits only at LF, CRLF and CR,
+    never at the other characters ``str.splitlines`` breaks at. A
+    byte that is not UTF-8 ends the read with a ``RowMalformed`` naming the
+    file (the decoder reads ahead, so the line is not known)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise RowMalformed(f"{path}: {exc}") from exc
+
+
+def read_records(path: str | Path, *fields: str) -> list[dict[str, Any]]:
+    """The records of ``path``, each a JSON object holding every field."""
+    return list(iter_records(path, *fields))
+
+
+def write_jsonl(path: str | Path, examples: Iterable[Example]) -> int:
+    return write_records(path, (ex.to_dict() for ex in examples))
 
 
 def read_jsonl(path: str | Path) -> list[Example]:
-    return [Example.from_dict(d) for d in read_objects(path)]
+    return list(iter_records(path, *_EXAMPLE_FIELDS, build=Example.from_dict))
 
 
-def read_pizza_rows(path: str | Path) -> list[dict[str, str]]:
-    """Read native pizza-ordering rows: JSON lines keyed ``<split>.SRC`` etc.
+def _pizza_row(record: dict[str, Any]) -> dict[str, Any]:
+    row = {key.rsplit(".", 1)[-1].upper(): val for key, val in record.items()}
+    if "SRC" not in row or "TOP" not in row:
+        raise ValueError("row lacks SRC/TOP fields")
+    return row
 
-    Returns dicts keyed by the uppercased key suffix (SRC, TOP, EXR, CF...).
+
+def iter_pizza_rows(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Yield native pizza-ordering rows: JSON lines keyed ``<split>.SRC`` etc.
+
+    Each is a dict keyed by the uppercased key suffix (SRC, TOP, EXR, CF...).
     """
-    rows = []
-    for n, obj in enumerate(read_objects(path), start=1):
-        row = {key.rsplit(".", 1)[-1].upper(): val for key, val in obj.items()}
-        if "SRC" not in row or "TOP" not in row:
-            raise RowMalformed(f"{path}:{n}: row lacks SRC/TOP fields")
-        rows.append(row)
-    return rows
+    return iter_records(path, build=_pizza_row)
 
 
 MTOP_COLUMNS = (
@@ -217,34 +254,31 @@ MTOP_COLUMNS = (
 )
 
 
-def read_mtop_rows(path: str | Path) -> list[dict[str, Any]]:
-    """Read tab-separated task-oriented-parsing rows.
+def iter_mtop_rows(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Yield tab-separated task-oriented-parsing rows, a line at a time.
 
     The tokens column holds a JSON object whose ``tokens`` list is the
     tokenization used everywhere downstream; the raw utterance column is
     ignored on purpose.
     """
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < len(MTOP_COLUMNS):
-                raise RowMalformed(
-                    f"{path}:{n}: expected {len(MTOP_COLUMNS)} tab-separated columns"
-                )
-            row = dict(zip(MTOP_COLUMNS, parts))
-            try:
-                tokens = json.loads(row["tokens_json"])["tokens"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise RowMalformed(f"{path}:{n}: bad tokens column") from exc
-            if not isinstance(tokens, list) or not all(
-                isinstance(t, str) for t in tokens
-            ):
-                raise RowMalformed(f"{path}:{n}: tokens must be a list of strings")
-            row["tokens"] = tokens
-            row["lang"] = row["locale"].split("_")[0]
-            rows.append(row)
-    return rows
+    for n, line in _numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) < len(MTOP_COLUMNS):
+            raise RowMalformed(
+                f"{path}:{n}: expected {len(MTOP_COLUMNS)} tab-separated columns"
+            )
+        row = dict(zip(MTOP_COLUMNS, parts))
+        try:
+            tokens = json.loads(row["tokens_json"])["tokens"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise RowMalformed(f"{path}:{n}: bad tokens column") from exc
+        if not isinstance(tokens, list) or not all(
+            isinstance(t, str) for t in tokens
+        ):
+            raise RowMalformed(f"{path}:{n}: tokens must be a list of strings")
+        row["tokens"] = tokens
+        row["lang"] = row["locale"].split("_")[0]
+        yield row

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .datasets import Example, atomic_write_text, dump_record
+from .datasets import Example, RecordWriter
 
 
 class EmptyReal(ValueError):
@@ -111,12 +111,10 @@ def emit_manifest(
     path: str | Path,
     real_tag: str = "dev",
 ) -> list[Example]:
-    """Write the shuffled training manifest (JSONL records with weights)."""
+    """Write the shuffled training manifest (JSONL records with weights),
+    one record at a time; the rows written, in order."""
     rows = mixed_examples(plan, real, synthetic, seed, real_tag=real_tag)
-    lines = []
-    for ex in rows:
-        record = ex.to_dict()
-        record["weight"] = 1.0
-        lines.append(dump_record(record))
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    with RecordWriter(path) as writer:
+        for ex in rows:
+            writer.write({**ex.to_dict(), "weight": 1.0})
     return rows

@@ -122,6 +122,13 @@ class TestMockBackend:
         with pytest.raises(ValueError):
             MockRule(corruptions=("explode",))
 
+    def test_unknown_rule_key_is_named(self):
+        # A misspelled key would otherwise load as a clean rule.
+        with pytest.raises(ValueError, match="unknown mock rule key 'corruption'"):
+            MockRule.from_dict({"corruption": ["flip_casing"]})
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            MockRule.from_dict("flip_casing")
+
     def test_drop_slot_word_removes_value(self):
         backend = MockBackend([MockRule(corruptions=("drop_slot_word",))])
         outs = backend.generate(rs_prompt(), DecodingConfig("greedy"))

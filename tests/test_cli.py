@@ -715,12 +715,14 @@ NOT_JSON_FLAGS = (
     ("--anchors", "ts",
      {"de": {"en": {"text": "call bob", "parse": "[IN:CREATE_CALL [SL:CONTACT bob ] ]"},
              "tgt": {"text": "bob anrufen", "parse": ["IN:CREATE_CALL"]}}}),
+    ("--mock-rules", "rs", [{"corruption": ["flip_casing"]}]),
     *((flag, method, Raw("{bad")) for flag, method in NOT_JSON_FLAGS),
 ], ids=["cf-templates-unknown-key", "mock-rules-not-objects", "anchors-without-tgt",
         "nbest-not-a-map", "nbest-string-not-a-list", "catalog-string-not-a-list",
         "mock-rules-string-responses", "mock-rules-number-response",
         "cf-templates-number-value", "catalog-not-a-map", "prompt-templates-not-a-map",
         "catalog-non-string-values", "mock-rules-bad-pattern", "anchors-parse-not-a-string",
+        "mock-rules-unknown-key",
         *(f"{flag[2:]}-not-json" for flag, _ in NOT_JSON_FLAGS)])
 def test_malformed_setting_file_is_a_one_line_error(
     data, tmp_path, caplog, flag, method, content
@@ -728,6 +730,20 @@ def test_malformed_setting_file_is_a_one_line_error(
     bad = write_json(tmp_path / "bad.json", content)
     code = run(*augment_argv(data, method, tmp_path / "out.jsonl", "--k", "2", flag, bad))
     assert_one_line_error(caplog, code, bad)
+
+
+@pytest.mark.parametrize("method", ["ts", "tb", "mt"])
+@pytest.mark.parametrize("side", ["en", "tgt"])
+def test_malformed_anchor_parse_is_a_one_line_error(data, tmp_path, caplog, method, side):
+    # mt never parses an anchor, so only the anchor file's reader can catch it.
+    pair = {"en": {"text": "call bob", "parse": "[IN:CREATE_CALL [SL:CONTACT bob ] ]"},
+            "tgt": {"text": "bob anrufen", "parse": "[IN:CREATE_CALL [SL:CONTACT bob ] ]"}}
+    pair[side]["parse"] = "[IN:CREATE_CALL [SL:CONTACT bob ] "
+    bad = write_json(tmp_path / "anchors.json", {"de": pair})
+    out = tmp_path / "out.jsonl"
+    code = run(*augment_argv(data, method, out, "--k", "2", "--anchors", bad))
+    assert_one_line_error(caplog, code, bad)
+    assert not out.exists() and not Path(str(out) + ".partial").exists()
 
 
 # The rs and gb context pools against the list comprehensions they replace.

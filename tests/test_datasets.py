@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,10 +13,12 @@ from clasp.datasets import (
     Example,
     FileMalformed,
     RowMalformed,
+    iter_mtop_rows,
+    iter_pizza_rows,
     read_json,
-    read_mtop_rows,
-    read_pizza_rows,
+    read_jsonl,
     read_records,
+    write_jsonl,
 )
 
 
@@ -38,30 +42,105 @@ class TestReadRecords:
         assert read_records(path) == [{"a": 1}, {"a": 2}]
 
 
+class TestReadJsonl:
+    @pytest.mark.parametrize("char", ["\u2028", "\u0085", "\x0c", "\x1e", "\r"],
+                             ids=["line-separator", "next-line", "form-feed",
+                                  "record-separator", "carriage-return"])
+    def test_a_text_with_a_line_break_character_round_trips(self, tmp_path, char):
+        # str.splitlines breaks at each of these; a JSON-lines record does not.
+        rows = [Example("a", "en", f"one{char}two", "(ORDER )", "dev", cf=f"c{char}"),
+                Example("b", "en", "three", "(ORDER )")]
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, rows)
+        assert path.read_text(encoding="utf-8").count("\n") == 2
+        assert read_jsonl(path) == rows
+
+    def test_crlf_file_reads_as_the_lf_file(self, tmp_path):
+        lines = [json.dumps(Example(str(i), "en", f"t {i}", "(ORDER )").to_dict())
+                 for i in range(3)]
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        lf.write_bytes("".join(line + "\n" for line in lines).encode())
+        crlf.write_bytes("".join(line + "\r\n" for line in lines).encode())
+        assert read_jsonl(crlf) == read_jsonl(lf) != []
+
+    def test_blank_lines_are_skipped_and_numbered(self, tmp_path):
+        good = json.dumps(Example("a", "en", "t", "(ORDER )").to_dict())
+        path = write(tmp_path / "r.jsonl", [good, "", "  ", good, "", '{"id": "b"}'])
+        with pytest.raises(RowMalformed, match=r"r\.jsonl:6: record lacks field 'lang'"):
+            read_jsonl(path)
+        path = write(tmp_path / "r.jsonl", [good, "", "[1]"])
+        with pytest.raises(RowMalformed, match=r"r\.jsonl:3: expected a JSON object"):
+            read_jsonl(path)
+
+    def test_a_row_without_parse_names_its_file_line(self, tmp_path):
+        path = write(tmp_path / "r.jsonl", ['{"id": "a", "lang": "en", "text": "t"}'])
+        with pytest.raises(RowMalformed, match=r"^.*r\.jsonl:1: record lacks field 'parse'$"):
+            read_jsonl(path)
+
+    def test_two_values_on_one_line_are_invalid(self, tmp_path):
+        good = json.dumps(Example("a", "en", "t", "(ORDER )").to_dict())
+        path = write(tmp_path / "r.jsonl", [good, good + " " + good])
+        with pytest.raises(RowMalformed, match=r"r\.jsonl:2: invalid JSON record"):
+            read_jsonl(path)
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'{"id": "a", "lang": "en", "text": "t\xff", "parse": "(ORDER )"}\n')
+        with pytest.raises(RowMalformed, match=r"r\.jsonl: 'utf-8' codec"):
+            read_jsonl(path)
+
+    def test_a_read_peaks_near_what_it_returns(self, tmp_path):
+        # One pass: no list of decoded records sits beside the rows built
+        # from them, so the peak is close to what the result retains.
+        path = tmp_path / "pool.jsonl"
+        write_jsonl(path, (
+            Example(f"pizza-{i:06d}", "en", f"i want {i} large pizza with ham",
+                    f"(ORDER i want (PIZZAORDER (NUMBER {i} ) (SIZE large ) pizza "
+                    "with (TOPPING ham ) ) )", "dev",
+                    cf=f"(PIZZAORDER (NUMBER {i} ) (SIZE LARGE ) (TOPPING HAM ) )")
+            for i in range(5000)
+        ))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows = read_jsonl(path)
+            retained, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 5000
+        assert peak <= 1.2 * retained, (peak, retained)
+
+
 class TestReadPizzaRows:
     def test_keys_become_their_upper_cased_suffix(self, tmp_path):
         record = {"train.SRC": "a pizza", "train.TOP": "(ORDER )",
                   "dev.exr": "x", "cf": "y"}
         path = write(tmp_path / "p.jsonl", [json.dumps(record)])
-        assert read_pizza_rows(path) == [
+        assert list(iter_pizza_rows(path)) == [
             {"SRC": "a pizza", "TOP": "(ORDER )", "EXR": "x", "CF": "y"}
         ]
 
     def test_row_without_top_is_rejected(self, tmp_path):
         path = write(tmp_path / "p.jsonl", [json.dumps({"train.SRC": "a"})])
         with pytest.raises(RowMalformed, match=r"p\.jsonl:1: row lacks SRC/TOP"):
-            read_pizza_rows(path)
+            list(iter_pizza_rows(path))
 
     def test_non_object_is_rejected(self, tmp_path):
         path = write(tmp_path / "p.jsonl", ['{"SRC": "a", "TOP": "b"}', "[1, 2]"])
         with pytest.raises(RowMalformed, match=r"p\.jsonl:2: expected a JSON object"):
-            read_pizza_rows(path)
+            list(iter_pizza_rows(path))
+
+    def test_a_row_fault_is_numbered_by_its_file_line(self, tmp_path):
+        path = write(tmp_path / "p.jsonl", ['{"SRC": "a", "TOP": "b"}', "", '{"SRC": "a"}'])
+        with pytest.raises(RowMalformed, match=r"p\.jsonl:3: row lacks SRC/TOP"):
+            list(iter_pizza_rows(path))
 
 
 class TestReadMtopRows:
     def test_tokens_and_language_come_from_their_columns(self, tmp_path):
         path = write(tmp_path / "m.tsv", [mtop_line('{"tokens": ["Bon", "jour"]}')])
-        (row,) = read_mtop_rows(path)
+        (row,) = iter_mtop_rows(path)
         assert row["tokens"] == ["Bon", "jour"]
         assert row["lang"] == "fr"
         assert row["utterance"] == "Bonjour"
@@ -73,17 +152,23 @@ class TestReadMtopRows:
     def test_bad_tokens_column(self, tmp_path, tokens_json):
         path = write(tmp_path / "m.tsv", [mtop_line('{"tokens": []}'), mtop_line(tokens_json)])
         with pytest.raises(RowMalformed, match=r"m\.tsv:2: bad tokens column"):
-            read_mtop_rows(path)
+            list(iter_mtop_rows(path))
 
     def test_tokens_must_be_strings(self, tmp_path):
         path = write(tmp_path / "m.tsv", [mtop_line('{"tokens": ["a", 1]}')])
         with pytest.raises(RowMalformed, match="tokens must be a list of strings"):
-            read_mtop_rows(path)
+            list(iter_mtop_rows(path))
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(mtop_line('{"tokens": ["Bon\xe9"]}').encode("latin-1") + b"\n")
+        with pytest.raises(RowMalformed, match=r"m\.tsv: 'utf-8' codec"):
+            list(iter_mtop_rows(path))
 
     def test_short_row_is_rejected(self, tmp_path):
         path = write(tmp_path / "m.tsv", ["fr-1\tIN:X"])
         with pytest.raises(RowMalformed, match=r"m\.tsv:1: expected 8 tab-separated"):
-            read_mtop_rows(path)
+            list(iter_mtop_rows(path))
 
 
 class TestExample:

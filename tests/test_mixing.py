@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -97,3 +99,22 @@ class TestMixedExamples:
         assert [r["id"] for r in records] == [ex.id for ex in written]
         assert all(r["weight"] == 1.0 for r in records)
         assert written == mixed_examples(plan, real, synthetic, seed=5)
+
+
+def test_emit_manifest_streams_its_records(tmp_path):
+    # Records are written one at a time: beyond the rows it returns, the
+    # manifest write holds a buffer, not the file's lines or their join.
+    real = rows("r", 500, "dev")
+    synthetic = {"rs": rows("s", 4000), "gb": rows("g", 4000)}
+    plan = plan_mix(real, synthetic, updates=100, batch_size=8)
+    path = tmp_path / "manifest.jsonl"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        written = emit_manifest(plan, real, synthetic, seed=3, path=path)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(written) == plan.total
+    extra = peak - after
+    assert extra <= 0.25 * path.stat().st_size, (extra, path.stat().st_size)
