@@ -1,9 +1,13 @@
 """Uniform text-continuation backends: a deterministic mock and an HTTP client.
 
-The mock synthesizes well-formed continuations from each prompt's
-expectation record and can inject every gate failure mode via corruption
-flags, which is how the filtering stack is exercised without a real model.
-Outputs are fully determined by (prompt, config, seed).
+The mock synthesizes each continuation from the prompt's expectation
+record as (parse, text) fields and can inject every gate failure mode via
+corruption flags, which is how the filtering stack is exercised without a
+real model. Substitutions and field corruptions edit the fields, which
+``prompts.continuation_for`` (the renderer of the prompt's own examples)
+then renders; only ``SEPARATOR_CORRUPTIONS`` act on the rendered string,
+and they are all that a rule's literal ``responses`` take. Outputs are
+fully determined by (prompt, config, seed).
 
 The HTTP backend speaks a single-shot JSON protocol:
 
@@ -53,20 +57,14 @@ from .trees import (
     serialize,
 )
 
-MOCK_CORRUPTIONS = frozenset(
-    {
-        "drop_slot_word",
-        "flip_casing",
-        "copy_example",
-        "untagged_word",
-        "mismatch_parse",
-        "no_semicolon",
-        "bad_separators",
-        "duplicate_output",
-        "invalid_parse",
-        "unknown_entity",
-    }
-)
+# The corruptions that act on the rendered continuation; every other one
+# edits its (parse, text) fields before they are rendered.
+SEPARATOR_CORRUPTIONS = frozenset({"no_semicolon", "bad_separators", "duplicate_output"})
+MOCK_CORRUPTIONS = SEPARATOR_CORRUPTIONS | {
+    "drop_slot_word", "flip_casing", "unknown_entity", "untagged_word", "copy_example",
+    "invalid_parse", "mismatch_parse",
+}
+
 
 class BackendError(Exception):
     pass
@@ -132,9 +130,10 @@ class MockRule:
 
     ``responses`` bypasses synthesis with literal continuations (cycled
     over output indices; ``{source_text}``/``{language}``/``{target_parse}``
-    placeholders are filled from the prompt expectation). Corruptions and
-    substitutions apply to the first ``corrupt_count`` outputs (default:
-    all of them).
+    placeholders are filled from the prompt expectation). A literal
+    response has no fields to edit, so it takes only the separator
+    corruptions. Corruptions and substitutions apply to the first
+    ``corrupt_count`` outputs (default: all of them).
     """
 
     pattern: str = ""
@@ -153,6 +152,12 @@ class MockRule:
             re.compile(self.pattern)
         except re.error as exc:
             raise ValueError(f"mock rule pattern {self.pattern!r}: {exc}") from exc
+        edits = sorted(set(self.corruptions) - SEPARATOR_CORRUPTIONS)
+        if self.responses and (self.substitutions or edits):
+            raise ValueError(
+                "a mock rule with literal responses takes only separator "
+                f"corruptions, not {(edits or ['substitutions'])[0]!r}"
+            )
 
     def matches(self, prompt_text: str) -> bool:
         return not self.pattern or re.search(self.pattern, prompt_text) is not None
@@ -207,10 +212,11 @@ class MockBackend:
         rule = next((r for r in self.rules if r.matches(prompt.text)), None)
         if rule is None:
             return [GenOutput("", _default_score(i)) for i in range(n)]
-        texts = [self._response(prompt, rule, i) for i in range(n)]
-        limit = n if rule.corrupt_count is None else min(rule.corrupt_count, n)
-        for i in range(limit):
-            texts[i] = _corrupt(prompt, rule, texts, i)
+        texts: list[str] = []
+        for i in range(n):
+            corrupt = rule.corrupt_count is None or i < rule.corrupt_count
+            raw = self._response(prompt, rule, i, corrupt)
+            texts.append(_break_separators(prompt, rule, raw, texts) if corrupt else raw)
         outputs = [
             GenOutput(text, self._score(rule, i)) for i, text in enumerate(texts)
         ]
@@ -226,46 +232,50 @@ class MockBackend:
             return rule.scores[i % len(rule.scores)]
         return _default_score(i)
 
-    def _response(self, prompt: Prompt, rule: MockRule, i: int) -> str:
+    def _response(self, prompt: Prompt, rule: MockRule, i: int, corrupt: bool) -> str:
+        exp = prompt.expected
         if rule.responses:
             template = rule.responses[i % len(rule.responses)]
-            exp = prompt.expected
             return template.format(
                 source_text=exp.source_text or "",
                 language=exp.language,
                 target_parse=exp.target_parse or "",
             )
-        return _synthesize(prompt, i)
+        parse_text, text = _synthesize(prompt, i)
+        if corrupt:
+            parse_text, text = _edit_fields(prompt, rule, parse_text, text)
+        return continuation_for(
+            prompt.method, text=text, parse_text=parse_text, language=exp.language,
+            templates=prompt.templates,
+        )
 
 
 def _default_score(i: int) -> float:
     return round(0.5 + 0.1 * i, 6)
 
 
-def _synthesize(prompt: Prompt, i: int) -> str:
+def _synthesize(prompt: Prompt, i: int) -> tuple[str | None, str]:
+    """The (parse, text) fields of a well-formed continuation. The parse is
+    the one the text realizes: generated for a pair method, given for rs
+    and ts, None for a text-only method."""
     exp = prompt.expected
     method = prompt.method
     spec = METHODS[method]
-    source, parse_text = exp.source_text or "", None
+    source = exp.source_text or ""
     if method is Method.SLOT_MT:
-        text = source if i == 0 else f"{source} alt{i}"
-    elif spec.dialect is None:
+        return None, source if i == 0 else f"{source} alt{i}"
+    if spec.dialect is None:
         # Sentence translation: reverse the token order so the output is a
         # deterministic non-copy of the source.
-        text = " ".join(reversed(source.split())) + (f" v{i}" if i else "")
+        return None, " ".join(reversed(source.split())) + (f" v{i}" if i else "")
+    if not spec.pair:
+        parse_text = exp.target_parse or ""
+    elif method is Method.GENERATE_BOTH:
+        k = i % len(exp.context_parses) if exp.context_parses else 0
+        parse_text = exp.context_parses[k] if exp.context_parses else ""
     else:
-        if not spec.pair:
-            parse_text = exp.target_parse or ""  # the given parse
-        elif method is Method.GENERATE_BOTH:
-            k = i % len(exp.context_parses) if exp.context_parses else 0
-            parse_text = exp.context_parses[k] if exp.context_parses else ""
-        else:
-            parse_text = exp.source_parse or ""
-        text = _cover_text(parse_text, spec.dialect, i)
-    return continuation_for(
-        method, text=text, parse_text=parse_text, language=exp.language,
-        templates=prompt.templates,
-    )
+        parse_text = exp.source_parse or ""
+    return parse_text, _cover_text(parse_text, spec.dialect, i)
 
 
 def _cover_text(parse_text: str, dialect: Dialect, i: int) -> str:
@@ -286,73 +296,66 @@ def _cover_text(parse_text: str, dialect: Dialect, i: int) -> str:
     return f"{filler} {values} thanks" if values else f"{filler} thanks"
 
 
-def _corrupt(prompt: Prompt, rule: MockRule, texts: list[str], i: int) -> str:
-    raw = texts[i]
-    for old, new in rule.substitutions:
-        raw = _edit_text_part(prompt, raw, lambda s: s.replace(old, new))
-    for flag in rule.corruptions:
-        raw = _apply_corruption(flag, raw, prompt, rule, texts, i)
-    return raw
-
-
-def _apply_corruption(
-    flag: str, raw: str, prompt: Prompt, rule: MockRule, texts: list[str], i: int
-) -> str:
+def _edit_fields(
+    prompt: Prompt, rule: MockRule, parse_text: str | None, text: str
+) -> tuple[str | None, str]:
+    """The fields after the rule's substitutions, then its field corruptions
+    in the rule's order. Only a pair method's parse field is edited."""
     exp = prompt.expected
-    method = prompt.method
+    spec = METHODS[prompt.method]
+    for old, new in rule.substitutions:
+        text = text.replace(old, new)
+    for flag in rule.corruptions:
+        if flag in ("drop_slot_word", "flip_casing", "unknown_entity"):
+            found = _first_slot(parse_text, spec.dialect)
+            if found is None:
+                continue
+            tree, ref = found
+            if flag == "drop_slot_word":
+                new_value: tuple[str, ...] = ()
+            elif flag == "flip_casing":
+                new_value = tuple(_flip_case(ref.value_text).split())
+            else:
+                new_value = ("unobtainium",)
+                if spec.pair:
+                    parse_text = serialize(replace_slot(tree, ref, new_value))
+            text = _replace_first_slot(text, tree, new_value)
+        elif flag == "untagged_word":
+            text = f"{text} {rule.inject_word}"
+        elif flag == "copy_example":
+            text = exp.context_texts[0] if exp.context_texts else ""
+        elif flag == "invalid_parse" and spec.pair:
+            parse_text = {Dialect.PIZZA_PAREN: "(Broken (Number",
+                          Dialect.MTOP_BRACKET: "[IN:BROKEN [SL:X"}[spec.dialect]
+        elif flag == "mismatch_parse" and spec.pair:
+            parse_text = exp.context_parses[0] if exp.context_parses else ""
+    return parse_text, text
+
+
+def _break_separators(
+    prompt: Prompt, rule: MockRule, raw: str, earlier: Sequence[str]
+) -> str:
+    """The rendered continuation after the rule's separator corruptions;
+    ``earlier`` holds the outputs before this one."""
     t = prompt.templates
-    if flag == "duplicate_output":
-        return raw if i == 0 else texts[0]
-    if flag == "no_semicolon":
-        return _strip_terminators(raw, t.terminator)
-    if flag == "bad_separators":
-        body = _strip_terminators(raw, t.terminator)
-        return f"{body} {t.arrow} oops{t.terminator}"
-    if flag in ("drop_slot_word", "flip_casing", "unknown_entity"):
-        found = _first_slot(prompt, raw)
-        if found is None:
-            return raw
-        tree, ref = found
-        if flag == "drop_slot_word":
-            new_value: tuple[str, ...] = ()
-        elif flag == "flip_casing":
-            new_value = tuple(_flip_case(ref.value_text).split())
-        else:
-            new_value = ("unobtainium",)
-            if METHODS[method].pair:
-                raw = _swap_parse_part(
-                    prompt, raw, serialize(replace_slot(tree, ref, new_value))
-                )
-        return _edit_text_part(
-            prompt, raw, lambda s: _replace_first_slot(s, tree, new_value)
-        )
-    if flag == "untagged_word":
-        word = rule.inject_word
-        return _edit_text_part(prompt, raw, lambda s: f"{s} {word}")
-    if flag == "copy_example":
-        copied = exp.context_texts[0] if exp.context_texts else ""
-        return _edit_text_part(prompt, raw, lambda s: copied)
-    if flag == "invalid_parse":
-        broken = {Dialect.PIZZA_PAREN: "(Broken (Number",
-                  Dialect.MTOP_BRACKET: "[IN:BROKEN [SL:X"}.get(METHODS[method].dialect)
-        return raw if broken is None else _swap_parse_part(prompt, raw, broken)
-    if flag == "mismatch_parse":
-        other = exp.context_parses[0] if exp.context_parses else ""
-        return _swap_parse_part(prompt, raw, other)
+    for flag in rule.corruptions:
+        if flag == "duplicate_output" and earlier:
+            raw = earlier[0]
+        elif flag == "no_semicolon":
+            raw = _strip_terminators(raw, t.terminator)
+        elif flag == "bad_separators":
+            raw = f"{_strip_terminators(raw, t.terminator)} {t.arrow} oops{t.terminator}"
     return raw
 
 
-def _first_slot(prompt: Prompt, raw: str) -> tuple[ParseTree, SlotRef] | None:
-    """The parse this continuation must realize and its first leaf slot."""
-    spec = METHODS[prompt.method]
-    if spec.dialect is None:
+def _first_slot(
+    parse_text: str | None, dialect: Dialect | None
+) -> tuple[ParseTree, SlotRef] | None:
+    """The parse field's tree and its first leaf slot, if it has one."""
+    if parse_text is None or dialect is None:
         return None
-    if spec.pair:
-        parse_text, _, _ = raw.partition(prompt.templates.arrow)
-    else:
-        parse_text = prompt.expected.target_parse or ""
     try:
-        tree = parse_tree(parse_text.strip(), spec.dialect)
+        tree = parse_tree(parse_text, dialect)
     except TreeError:
         return None
     refs = leaf_slots(tree)
@@ -366,34 +369,6 @@ def _replace_first_slot(text: str, tree: ParseTree, new: Sequence[str]) -> str:
     if span is None:
         return text
     return " ".join([*tokens[: span[0]], *new, *tokens[span[1] :]])
-
-
-def _edit_text_part(prompt: Prompt, raw: str, edit) -> str:
-    """Apply ``edit`` to the surface-text field of a continuation."""
-    t = prompt.templates
-    body = raw.rstrip()
-    had_term = body.endswith(t.terminator)
-    if had_term:
-        body = body[: -len(t.terminator)]
-    if METHODS[prompt.method].pair:
-        left, sep, right = body.partition(t.arrow)
-        if sep:
-            colon = right.find(":")
-            label, text = right[: colon + 1], right[colon + 1 :].strip()
-            body = f"{left}{t.arrow}{label} {edit(text)}"
-        else:
-            body = edit(body)
-    else:
-        body = edit(body)
-    return body + (t.terminator if had_term else "")
-
-
-def _swap_parse_part(prompt: Prompt, raw: str, new_parse: str) -> str:
-    arrow = prompt.templates.arrow
-    left, sep, right = raw.partition(arrow)
-    if not sep:
-        return raw
-    return f"{new_parse}\n{arrow}{right}"
 
 
 def _strip_terminators(raw: str, terminator: str) -> str:

@@ -236,7 +236,8 @@ def cmd_preprocess_pizza(args: argparse.Namespace) -> None:
 
     def examples():
         nonlocal uncovered
-        for i, row in enumerate(iter_pizza_rows(args.infile)):
+        rows = iter_pizza_rows(args.infile, need_cf=args.mode == "original")
+        for i, row in enumerate(rows):
             tree = decouple(parse_tree(row["TOP"], Dialect.PIZZA_PAREN))
             parse_str = serialize(tree)
             if args.mode == "fixed-cf":
@@ -246,10 +247,6 @@ def cmd_preprocess_pizza(args: argparse.Namespace) -> None:
                     uncovered += 1
                     continue
             else:
-                if "CF" not in row:
-                    raise RowMalformed(
-                        f"row {i}: original mode needs a CF field in the input rows"
-                    )
                 cf = row["CF"]
             yield Example(
                 id=f"pizza-{i:06d}",

@@ -81,6 +81,9 @@ class Example:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "Example":
+        cf = d.get("cf")
+        if cf is not None and not isinstance(cf, str):
+            raise RowMalformed(f"field 'cf' must be a string or null, got {cf!r}")
         try:
             return cls(
                 id=str(d["id"]),
@@ -88,7 +91,7 @@ class Example:
                 text=str(d["text"]),
                 parse=str(d["parse"]),
                 source=str(d.get("source", "")),
-                cf=d.get("cf"),
+                cf=cf,
             )
         except KeyError as exc:
             raise RowMalformed(f"missing field {exc} in record {d!r}") from exc
@@ -227,19 +230,22 @@ def read_jsonl(path: str | Path) -> list[Example]:
     return list(iter_records(path, *_EXAMPLE_FIELDS, build=Example.from_dict))
 
 
-def _pizza_row(record: dict[str, Any]) -> dict[str, Any]:
+def _pizza_row(record: dict[str, Any], need_cf: bool) -> dict[str, Any]:
     row = {key.rsplit(".", 1)[-1].upper(): val for key, val in record.items()}
     if "SRC" not in row or "TOP" not in row:
         raise ValueError("row lacks SRC/TOP fields")
+    if need_cf and not isinstance(row.get("CF"), str):
+        raise ValueError("row lacks a string CF field, which original mode needs")
     return row
 
 
-def iter_pizza_rows(path: str | Path) -> Iterator[dict[str, Any]]:
+def iter_pizza_rows(path: str | Path, *, need_cf: bool = False) -> Iterator[dict[str, Any]]:
     """Yield native pizza-ordering rows: JSON lines keyed ``<split>.SRC`` etc.
 
     Each is a dict keyed by the uppercased key suffix (SRC, TOP, EXR, CF...).
+    With ``need_cf`` a row without a string CF field ends the read.
     """
-    return iter_records(path, build=_pizza_row)
+    return iter_records(path, build=lambda record: _pizza_row(record, need_cf))
 
 
 MTOP_COLUMNS = (

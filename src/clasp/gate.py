@@ -50,7 +50,7 @@ from .prompts import (
     PromptTemplates,
     split_generation,
 )
-from .tables import EmptyEvents, format_table, pct
+from .tables import EmptyEvents, format_table, pct, rate
 from .trees import (
     ParseTree,
     SlotRef,
@@ -531,26 +531,21 @@ def _stats_row(
         language=language,
         inputs=inputs,
         outputs=outputs,
-        success_rate_inputs=_rate(
+        success_rate_inputs=rate(
             sum(ev.success_mode is not None for ev in events), inputs
         ),
-        success_rate_outputs=_rate(sum(not modes for modes in candidates), outputs),
+        success_rate_outputs=rate(sum(not modes for modes in candidates), outputs),
         success_modes={
-            mode: _rate(sum(ev.success_mode == mode for ev in events), inputs)
+            mode: rate(sum(ev.success_mode == mode for ev in events), inputs)
             for mode in SUCCESS_MODES
         },
         failure_modes={
             mode: None
             if mode in impossible
-            else _rate(sum(mode in modes for modes in candidates), outputs)
+            else rate(sum(mode in modes for modes in candidates), outputs)
             for mode in FAILURE_COLUMNS[_family(method)]
         },
     )
-
-
-def _rate(count: int, total: int) -> float:
-    """``count`` as a percentage of ``total``, to one decimal; 0 of none."""
-    return round(100.0 * count / total, 1) if total else 0.0
 
 
 def _avg_row(method: str, rows: Sequence[GateStatsRow]) -> GateStatsRow:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .datasets import Example
-from .tables import EmptyEvents, format_table, pct
+from .tables import EmptyEvents, format_table, pct, rate
 from .trees import (
     Dialect,
     ParseTree,
@@ -170,19 +170,15 @@ def mt_stats(verdicts: Sequence[tuple[str, ProjectionVerdict]]) -> MtStats:
         groups.setdefault(lang, []).append(verdict)
     rows = []
     for lang, vs in sorted(groups.items()):
-        total = len(vs)
-        ok = sum(1 for v in vs if v.ok)
         failures: dict[str, float | None] = {
-            mode: round(
-                100.0 * sum(1 for v in vs if mode in v.failure_modes) / total, 1
-            )
+            mode: rate(sum(mode in v.failure_modes for v in vs), len(vs))
             for mode in FAILURE_COLUMNS
         }
         rows.append(
             MtStatsRow(
                 language=lang,
-                total=total,
-                success_rate=round(100.0 * ok / total, 1),
+                total=len(vs),
+                success_rate=rate(sum(v.ok for v in vs), len(vs)),
                 failure_modes=failures,
             )
         )

@@ -180,24 +180,6 @@ def _sp_block(
     ]
 
 
-def _gb_block(
-    t: PromptTemplates, parse_text: str, text: str, lang: str
-) -> list[str]:
-    return [
-        f"{t.parse_cue} {parse_text}",
-        f"{t.arrow} {t.tcue(lang)} {text}{t.terminator}",
-    ]
-
-
-def _tb_block(
-    t: PromptTemplates, parse_text: str, text: str, lang: str
-) -> list[str]:
-    return [
-        f"{t.pcue(lang)} {parse_text}",
-        f"{t.arrow} {t.tcue(lang)} {text}{t.terminator}",
-    ]
-
-
 def _require_single_slot_edit(
     original_parse: str, edited: ParseTree
 ) -> None:
@@ -259,9 +241,13 @@ def build_gb_prompt(
     t = templates or PromptTemplates()
     if not context:
         raise ContextArity("generate-both prompts need at least 1 context example")
-    lines: list[str] = []
-    for ex in context:
-        lines += _gb_block(t, ex.parse, ex.text, ex.lang)
+    lines = [
+        f"{t.parse_cue} " + continuation_for(
+            Method.GENERATE_BOTH, text=ex.text, parse_text=ex.parse,
+            language=ex.lang, templates=t,
+        )
+        for ex in context
+    ]
     lines.append(t.parse_cue)
     return Prompt(
         text=_assemble(t, lines),
@@ -328,10 +314,13 @@ def build_tb_prompt(
     t = templates or PromptTemplates()
     require_cross_lingual(t, language)
     signature = structure_signature(parse(en_source.parse, Dialect.MTOP_BRACKET))
-    lines: list[str] = []
-    lines += _tb_block(t, anchor_en.parse, anchor_en.text, "en")
-    lines += _tb_block(t, anchor_tgt.parse, anchor_tgt.text, language)
-    lines += _tb_block(t, en_source.parse, en_source.text, "en")
+    lines = [
+        f"{t.pcue(lang)} " + continuation_for(
+            Method.TRANSLATE_BOTH, text=ex.text, parse_text=ex.parse,
+            language=lang, templates=t,
+        )
+        for ex, lang in ((anchor_en, "en"), (anchor_tgt, language), (en_source, "en"))
+    ]
     lines.append(t.pcue(language))
     return Prompt(
         text=_assemble(t, lines),
@@ -452,7 +441,10 @@ def continuation_for(
     language: str = "en",
     templates: PromptTemplates | None = None,
 ) -> str:
-    """Render a well-formed model continuation (inverse of split_generation)."""
+    """Render a well-formed model continuation (inverse of split_generation).
+
+    The one renderer of the continuation format: the gb and tb prompts'
+    examples and the mock's outputs are its output."""
     t = templates or PromptTemplates()
     method = Method(method)
     if not METHODS[method].pair:

@@ -20,3 +20,8 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 def pct(value: float | None) -> str:
     return "--" if value is None else f"{value:.1f}"
+
+
+def rate(count: int, total: int) -> float:
+    """``count`` as a percentage of ``total``, to one decimal; 0 of none."""
+    return round(100.0 * count / total, 1) if total else 0.0

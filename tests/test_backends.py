@@ -122,6 +122,19 @@ class TestMockBackend:
         with pytest.raises(ValueError):
             MockRule(corruptions=("explode",))
 
+    @pytest.mark.parametrize("edit", [
+        {"corruptions": ("copy_example",)}, {"substitutions": (("a", "b"),)},
+    ], ids=["field-corruption", "substitution"])
+    def test_literal_responses_take_no_field_edit(self, edit):
+        # A literal response has no (parse, text) fields to edit.
+        with pytest.raises(ValueError, match="literal responses"):
+            MockRule(responses=("x;",), **edit)
+
+    def test_literal_responses_take_separator_corruptions(self):
+        rule = MockRule(responses=("x;",), corruptions=("no_semicolon", "bad_separators"))
+        outs = MockBackend([rule]).generate(rs_prompt(), DecodingConfig("greedy"))
+        assert outs[0].text == "x => oops;"
+
     def test_unknown_rule_key_is_named(self):
         # A misspelled key would otherwise load as a clean rule.
         with pytest.raises(ValueError, match="unknown mock rule key 'corruption'"):

@@ -675,6 +675,12 @@ MALFORMED_RECORD_FILES = {
         [{"id": MTOP_ROWS[0][0]}]
         + [{"id": i, "parse": parse} for i, _, parse in MTOP_ROWS[1:]],
     ),
+    "mix-real-number-cf": (
+        lambda d, bad, tmp: ["mix", "--real", bad, "--updates", "10", "--batch", "2",
+                             "--seed", "1", "--out", tmp / "manifest.jsonl"],
+        [{"id": "en-0", "lang": "en", "text": "call david", "parse": "[IN:CREATE_CALL ]",
+          "cf": 5}],
+    ),
     "mix-real-list-line": (
         lambda d, bad, tmp: ["mix", "--real", bad, "--updates", "10", "--batch", "2",
                              "--seed", "1", "--out", tmp / "manifest.jsonl"],
@@ -688,6 +694,16 @@ def test_malformed_record_file_is_a_one_line_error(data, tmp_path, caplog, case)
     argv, rows = MALFORMED_RECORD_FILES[case]
     bad = write_jsonl(tmp_path / "bad.jsonl", rows)
     assert_one_line_error(caplog, run(*argv(data, bad, tmp_path)), bad)
+
+
+def test_preprocess_pizza_original_names_the_line_of_a_row_without_cf(tmp_path, caplog):
+    src, top = PIZZA_ROWS[0]
+    bad = write_jsonl(tmp_path / "pizza.jsonl", [{"train.SRC": src, "train.TOP": top}])
+    out = tmp_path / "pool.jsonl"
+    code = run("preprocess-pizza", "--in", bad, "--out", out, "--mode", "original")
+    assert_one_line_error(caplog, code, bad)
+    assert f"{bad}:1: row lacks a string CF field" in caplog.records[-1].getMessage()
+    assert not out.exists()
 
 
 # Each flag that names a JSON setting file, with a method that reads it.
@@ -716,13 +732,14 @@ NOT_JSON_FLAGS = (
      {"de": {"en": {"text": "call bob", "parse": "[IN:CREATE_CALL [SL:CONTACT bob ] ]"},
              "tgt": {"text": "bob anrufen", "parse": ["IN:CREATE_CALL"]}}}),
     ("--mock-rules", "rs", [{"corruption": ["flip_casing"]}]),
+    ("--mock-rules", "rs", [{"responses": ["x;"], "corruptions": ["copy_example"]}]),
     *((flag, method, Raw("{bad")) for flag, method in NOT_JSON_FLAGS),
 ], ids=["cf-templates-unknown-key", "mock-rules-not-objects", "anchors-without-tgt",
         "nbest-not-a-map", "nbest-string-not-a-list", "catalog-string-not-a-list",
         "mock-rules-string-responses", "mock-rules-number-response",
         "cf-templates-number-value", "catalog-not-a-map", "prompt-templates-not-a-map",
         "catalog-non-string-values", "mock-rules-bad-pattern", "anchors-parse-not-a-string",
-        "mock-rules-unknown-key",
+        "mock-rules-unknown-key", "mock-rules-responses-with-a-field-corruption",
         *(f"{flag[2:]}-not-json" for flag, _ in NOT_JSON_FLAGS)])
 def test_malformed_setting_file_is_a_one_line_error(
     data, tmp_path, caplog, flag, method, content

@@ -55,6 +55,17 @@ class TestReadJsonl:
         assert path.read_text(encoding="utf-8").count("\n") == 2
         assert read_jsonl(path) == rows
 
+    @pytest.mark.parametrize("cf", [5, ["a"], {"a": 1}, True])
+    def test_a_cf_that_is_not_a_string_is_named_by_its_line(self, tmp_path, cf):
+        row = Example("a", "en", "t", "(ORDER )").to_dict()
+        path = write(tmp_path / "r.jsonl", [json.dumps(row), json.dumps({**row, "cf": cf})])
+        with pytest.raises(RowMalformed, match=r"r\.jsonl:2: field 'cf' must be a string"):
+            read_jsonl(path)
+
+    def test_a_null_cf_reads_as_none(self, tmp_path):
+        row = {**Example("a", "en", "t", "(ORDER )").to_dict(), "cf": None}
+        assert read_jsonl(write(tmp_path / "r.jsonl", [json.dumps(row)]))[0].cf is None
+
     def test_crlf_file_reads_as_the_lf_file(self, tmp_path):
         lines = [json.dumps(Example(str(i), "en", f"t {i}", "(ORDER )").to_dict())
                  for i in range(3)]
@@ -135,6 +146,14 @@ class TestReadPizzaRows:
         path = write(tmp_path / "p.jsonl", ['{"SRC": "a", "TOP": "b"}', "", '{"SRC": "a"}'])
         with pytest.raises(RowMalformed, match=r"p\.jsonl:3: row lacks SRC/TOP"):
             list(iter_pizza_rows(path))
+
+    @pytest.mark.parametrize("row", ['{"SRC": "a", "TOP": "b"}',
+                                     '{"SRC": "a", "TOP": "b", "CF": 5}'])
+    def test_need_cf_names_a_row_without_a_string_cf(self, tmp_path, row):
+        path = write(tmp_path / "p.jsonl", ['{"SRC": "a", "TOP": "b", "CF": "c"}', row])
+        assert next(iter_pizza_rows(path, need_cf=True))["CF"] == "c"
+        with pytest.raises(RowMalformed, match=r"p\.jsonl:2: row lacks a string CF"):
+            list(iter_pizza_rows(path, need_cf=True))
 
 
 class TestReadMtopRows:

@@ -36,11 +36,13 @@ from clasp.gate import (
 )
 from clasp.canonical import SlotCatalog
 from clasp.prompts import (
+    METHODS,
     Method,
     PromptExpectation,
     PromptTemplates,
     build_tb_prompt,
     build_ts_prompt,
+    split_generation,
 )
 from clasp.projection import WordAlignment, project_parse
 from clasp.sentinels import encode_sentinels
@@ -55,7 +57,7 @@ from clasp.trees import (
     structure_signature,
 )
 
-from conftest import WORDS, random_encodable_example
+from conftest import WORDS, random_encodable_example, random_pizza_tree
 from test_prompts import TS_ANCHOR_EN, TS_ANCHOR_FR, TS_SOURCE, TS_TRANSLATED
 
 PIZZA = Dialect.PIZZA_PAREN
@@ -642,9 +644,15 @@ TEMPLATE_CORRUPTIONS = [
     (PromptTemplates(arrow="->"), "drop_slot_word", MISSING_SLOT),
     (PromptTemplates(arrow="->"), "bad_separators", INVALID_SEPARATORS),
     (PromptTemplates(terminator="."), "no_semicolon", INVALID_SEPARATORS),
+    # Cues whose label does not end in the first colon after the arrow: the
+    # copied text must replace the text field, not the label with it.
+    (PromptTemplates(translation_cue="Translation in {language} -"),
+     "copy_example", COPY_EXAMPLE),
+    (PromptTemplates(translation_cue="Text: {language}:"), "copy_example", COPY_EXAMPLE),
 ]
 TEMPLATE_CORRUPTION_IDS = [
-    "arrow-drop_slot_word", "arrow-bad_separators", "terminator-no_semicolon"
+    "arrow-drop_slot_word", "arrow-bad_separators", "terminator-no_semicolon",
+    "dash-cue-copy_example", "colon-cue-copy_example",
 ]
 
 
@@ -853,6 +861,171 @@ class TestMockCorruptionsTriggerIntendedModes:
         )
         assert verdict.status == "failed"
         assert mode in verdict.failure_modes
+
+
+# What candidate 0 carries under a rule with one corruption flag: its
+# failure modes and, for ts/tb, the recovery that cleared them. An empty set:
+# the gate has no check for what the flag does there (ts/tb have no
+# catalog). None: the flag has nothing to edit for the method (rs and ts are
+# given their parse; gb's candidate 0 already realizes the first context
+# parse; a duplicate is always a later output), so candidate 0 is the clean
+# rule's.
+_SEPARATOR_FLAGS = {
+    "no_semicolon": {INVALID_SEPARATORS},
+    "bad_separators": {INVALID_SEPARATORS},
+    "duplicate_output": None,
+}
+FLAG_MODES = {
+    Method.REPLACE_SLOTS: {
+        **_SEPARATOR_FLAGS,
+        "drop_slot_word": {MISSING_SLOT},
+        "flip_casing": {MISSING_SLOT},
+        "unknown_entity": {MISSING_SLOT},
+        "untagged_word": {UNTAGGED_SLOT},
+        "copy_example": {COPY_EXAMPLE},
+        "invalid_parse": None,
+        "mismatch_parse": None,
+    },
+    Method.GENERATE_BOTH: {
+        **_SEPARATOR_FLAGS,
+        "drop_slot_word": {MISSING_SLOT},
+        "flip_casing": {MISSING_SLOT},
+        "unknown_entity": {UNKNOWN_ENTITY},
+        "untagged_word": {UNTAGGED_SLOT},
+        "copy_example": {COPY_EXAMPLE},
+        "invalid_parse": {INVALID_PARSE},
+        "mismatch_parse": None,
+    },
+    Method.TRANSLATE_SLOTS: {
+        **_SEPARATOR_FLAGS,
+        "drop_slot_word": {MISSING_SLOT},
+        "flip_casing": {FIX_CASING},
+        "unknown_entity": {MISSING_SLOT},
+        "untagged_word": set(),
+        "copy_example": {COPY_EXAMPLE},
+        "invalid_parse": None,
+        "mismatch_parse": None,
+    },
+    Method.TRANSLATE_BOTH: {
+        **_SEPARATOR_FLAGS,
+        "drop_slot_word": {MISSING_SLOT},
+        "flip_casing": {FIX_CASING},
+        "unknown_entity": set(),
+        "untagged_word": set(),
+        "copy_example": {COPY_EXAMPLE},
+        "invalid_parse": {INVALID_PARSE},
+        "mismatch_parse": {MISMATCH_PARSE},
+    },
+}
+# These put another example's text or parse in a field, which the VP2 and
+# catalog checks may then reject too; every other flag yields exactly its
+# modes.
+_WHOLE_FIELD_FLAGS = {"copy_example", "mismatch_parse"}
+# The flags that edit the first leaf slot's value in the text.
+_FIRST_SLOT_FLAGS = {"drop_slot_word", "flip_casing", "unknown_entity"}
+# Few words make repeated slot values common; the digits and the Devanagari
+# word have no case.
+_MTOP_WORDS = ("alpha", "bravo", "10", "दस")
+RENAMED_TEMPLATES = PromptTemplates(
+    parse_cue="Parse:", lang_parse_cue="Parse in {language}:",
+    translation_cue="Text: {language} -", arrow="->", terminator=".",
+)
+
+
+def _random_prompts(rng, catalog, templates):
+    """An rs, gb, ts and tb prompt on random pizza and MTOP trees."""
+    from clasp.prompts import build_gb_prompt, build_rs_prompt
+
+    pool = []
+    for i in range(5):
+        tree = random_pizza_tree(rng, catalog)
+        values = " ".join(ref.value_text for ref in leaf_slots(tree))
+        pool.append(Example(f"p{i}", "en", f"order {values}", serialize(tree), "train"))
+    original = parse(pool[4].parse, PIZZA)
+    ref = rng.choice(leaf_slots(original))
+    value = rng.choice([v for v in catalog.values(ref.slot_label) if v != ref.value_text])
+    edited = replace_slot(original, ref, value.split())
+    text, tree = random_encodable_example(rng, _MTOP_WORDS)
+    source = Example("m", "en", text, serialize(tree), "dev")
+    return [
+        build_rs_prompt(pool[:4], pool[4], edited, templates),
+        build_gb_prompt(pool[:3], templates),
+        build_ts_prompt(TS_ANCHOR_EN, TS_ANCHOR_FR, source, tree, "fr", templates),
+        build_tb_prompt(TS_ANCHOR_EN, TS_ANCHOR_FR, source, "fr", templates),
+    ]
+
+
+def _generate_and_gate(prompt, rule, catalog):
+    outs = MockBackend([rule]).generate(prompt, DecodingConfig("sampling", 2))
+    exp, t = prompt.expected, prompt.templates
+    if prompt.method is Method.REPLACE_SLOTS:
+        target = parse(exp.target_parse, PIZZA)
+        return outs, gate_rs(outs, target, exp.context_texts, catalog, templates=t)
+    if prompt.method is Method.GENERATE_BOTH:
+        return outs, gate_gb(outs, exp.context_texts, catalog, templates=t)
+    return outs, gate_mtop(prompt.method, outs[0], exp, SlotNBestMap(), templates=t)
+
+
+def _first_slot_unedited(prompt, flag, clean_text):
+    """Whether ``flag`` finds nothing to edit: the first leaf slot of the
+    parse candidate 0 realizes is unbound in its clean text, or, for
+    ``flip_casing``, has no cased character."""
+    exp = prompt.expected
+    parse_text = {
+        Method.GENERATE_BOTH: exp.context_parses[0],
+        Method.TRANSLATE_BOTH: exp.source_parse,
+    }.get(prompt.method, exp.target_parse)
+    tree = parse(parse_text, METHODS[prompt.method].dialect)
+    (ref, span), *_ = bind_slot_spans(tree, clean_text.split())
+    caseless = all(c.lower() == c.upper() for c in ref.value_text)
+    return span is None or (flag == "flip_casing" and caseless)
+
+
+class TestMockCorruptionProperty:
+    """On random pizza and MTOP trees, each one-flag rule gives candidate 0
+    the modes ``FLAG_MODES`` lists, or leaves it as the clean rule does."""
+
+    @pytest.mark.parametrize(
+        "templates", [PromptTemplates(), RENAMED_TEMPLATES], ids=["default", "renamed"]
+    )
+    def test_each_flag_yields_its_modes(self, catalog, templates):
+        rng = random.Random(2210)
+        unedited_seen = 0
+        for _ in range(25):
+            for prompt in _random_prompts(rng, catalog, templates):
+                clean_outs, (verdict, event) = _generate_and_gate(
+                    prompt, MockRule(), catalog
+                )
+                assert verdict.status == "clean", clean_outs
+                assert set().union(*event.candidate_modes) == set()
+                clean = clean_outs[0].text
+                split = split_generation(prompt.method, clean, templates)
+                for flag, expected in FLAG_MODES[prompt.method].items():
+                    outs, (verdict, event) = _generate_and_gate(
+                        prompt, MockRule(corruptions=(flag,)), catalog
+                    )
+                    where = (prompt.method.value, flag, outs[0].text)
+                    unedited = flag in _FIRST_SLOT_FLAGS and _first_slot_unedited(
+                        prompt, flag, split.text
+                    )
+                    unedited_seen += unedited
+                    if expected is None or unedited:
+                        assert outs[0].text == clean, where
+                        continue
+                    observed = event.candidate_modes[0] | {verdict.recovery} - {None}
+                    assert expected <= observed, where
+                    if flag not in _WHOLE_FIELD_FLAGS:
+                        assert observed == expected, where
+        assert unedited_seen > 0  # the unedited case was reached
+
+    def test_duplicate_output_repeats_candidate_zero(self, catalog):
+        rng = random.Random(2211)
+        for prompt in _random_prompts(rng, catalog, PromptTemplates())[:2]:
+            outs, (verdict, event) = _generate_and_gate(
+                prompt, MockRule(corruptions=("duplicate_output",)), catalog
+            )
+            assert outs[1].text == outs[0].text
+            assert event.candidate_modes == (frozenset(), {DUPLICATE_OUTPUT})
 
 
 # Reference scans: the n-best lookups as they were before the dict index,

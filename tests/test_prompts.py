@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import clasp
 from clasp.datasets import Example
 from clasp.prompts import (
     BadEdit,
@@ -418,3 +421,52 @@ class TestSplitGeneration:
         b = build_rs_prompt(RS_CONTEXT, RS_ORIGINAL, parse(RS_EDITED, PIZZA))
         assert a.text == b.text
         assert build_gb_prompt(GB_CONTEXT).text == build_gb_prompt(GB_CONTEXT).text
+
+
+# The template fields that shape a continuation. ``prompts`` renders and
+# splits with them; the mock reads them only to break the separators of a
+# rendered continuation, and edits every other part as (parse, text) fields.
+SEPARATOR_FIELDS = {"arrow", "terminator", "translation_cue", "tcue", "pcue"}
+SEPARATOR_READS_ALLOWED = {("backends.py", "_break_separators")}
+
+
+def separator_reads(path: Path) -> list[str]:
+    """``file:line field`` of each read of a ``SEPARATOR_FIELDS`` attribute
+    in ``path`` outside ``prompts.py`` and the places allowed to make one."""
+
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in SEPARATOR_FIELDS:
+                yield func, child.attr, child.lineno
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from walk(child, child.name if inner else func)
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.name}:{line} {name}"
+        for func, name, line in walk(tree, None)
+        if path.name != "prompts.py"
+        and (path.name, func) not in SEPARATOR_READS_ALLOWED
+    ]
+
+
+def test_no_module_reads_the_continuation_format_but_prompts():
+    # A second reader would define the format a second time.
+    sources = sorted(Path(clasp.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    assert [where for path in sources for where in separator_reads(path)] == []
+
+
+def test_guard_sees_separator_reads(tmp_path):
+    src = tmp_path / "backends.py"
+    src.write_text(
+        "def _break_separators(t):\n"
+        "    return t.arrow + t.terminator\n"
+        "def _edit(prompt, raw):\n"
+        "    return raw.partition(prompt.templates.arrow), prompt.templates.tcue('de')\n"
+        "label = PromptTemplates().translation_cue\n",
+        encoding="utf-8",
+    )
+    assert separator_reads(src) == [
+        "backends.py:4 arrow", "backends.py:4 tcue", "backends.py:5 translation_cue"
+    ]
