@@ -16,9 +16,10 @@ The HTTP backend speaks a single-shot JSON protocol:
     response: {outputs: [{text, score}, ...]}
 
 Endpoint and bearer token come from CLASP_BACKEND_ENDPOINT /
-CLASP_BACKEND_TOKEN unless passed explicitly. ``score`` is the mean
-per-token negative log-likelihood (lower is better), used for
-lowest-perplexity selection.
+CLASP_BACKEND_TOKEN unless passed explicitly. ``stop`` is the prompt's
+terminator (``Prompt.stop``), where each of its continuations ends.
+``score`` is the mean per-token negative log-likelihood (lower is
+better), used for lowest-perplexity selection.
 
 The client is the standard library's ``http.client``: one keep-alive
 connection per calling thread, remade after the server closes it, and all
@@ -90,7 +91,6 @@ class DecodingConfig:
     top_p: float = 0.9
     temperature: float = 0.9
     max_new_tokens: int = 256
-    stop_sequence: str = ";"
 
     def __post_init__(self) -> None:
         if self.mode not in ("sampling", "greedy", "beam"):
@@ -498,7 +498,7 @@ class HttpBackend:
             "temperature": cfg.temperature,
             "n": cfg.n,
             "max_new_tokens": cfg.max_new_tokens,
-            "stop": cfg.stop_sequence,
+            "stop": prompt.stop,
         }
         body = json.dumps(payload).encode()
         last_error: Exception | None = None

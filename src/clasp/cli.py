@@ -62,7 +62,6 @@ from .datasets import (
     RecordWriter,
     RowMalformed,
     atomic_write_text,
-    class_key,
     iter_mtop_rows,
     iter_pizza_rows,
     iter_records,
@@ -456,6 +455,8 @@ def cmd_augment(args: argparse.Namespace) -> None:
         raise CliError(f"dataset {args.dataset} is empty")
     if args.k <= 0:
         raise CliError("--k must be positive")
+    if args.max_inflight <= 0:
+        raise CliError("--max-inflight must be positive")
     templates = (
         read_json(args.prompt_templates, prompts.PromptTemplates.from_mapping)
         if args.prompt_templates
@@ -530,7 +531,7 @@ def _pizza_tasks(args, pool, templates, backend):
         if prompt is None:
             # No replaceable slot: the task falls back without a request.
             event = gate.GateEvent(args.method, lang, input_id, (), None)
-            emitted = gate.fallback([original], None, seed)
+            emitted = gate.fallback([original], seed)
         elif args.method == "rs":
             expected_tree = parse_tree(
                 prompt.expected.target_parse, Dialect.PIZZA_PAREN
@@ -539,16 +540,14 @@ def _pizza_tasks(args, pool, templates, backend):
                 outs, expected_tree, prompt.expected.context_texts, catalog,
                 input_id=input_id, language=lang, templates=templates,
             )
-            emitted = verdict.final or gate.fallback(
-                [original], class_key(original.parse), seed
-            )
+            emitted = verdict.final or gate.fallback([original], seed)
         else:
             verdict, event = gate.gate_gb(
                 outs, prompt.expected.context_texts, catalog,
                 input_id=input_id, language=lang, templates=templates,
             )
             emitted = verdict.final or gate.fallback(
-                _gb_context_pool(pool, positions, prompt), None, seed
+                _gb_context_pool(pool, positions, prompt), seed
             )
         return _with_cf(emitted, cf_templates).to_dict(), event
 
@@ -666,9 +665,7 @@ def _mtop_tasks(args, pool, templates, backend):
             args.method, outs[0], prompt.expected, nbest,
             input_id=f"{args.method}-{i:05d}", language=lang, templates=templates,
         )
-        emitted = verdict.final or gate.fallback(
-            [ex], class_key(ex.parse), _task_seed(args.seed, i)
-        )
+        emitted = verdict.final or gate.fallback([ex], _task_seed(args.seed, i))
         return emitted.to_dict(), event
 
     return tasks(), to_row
@@ -705,8 +702,7 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
                 continue
             if cand.text:
                 candidates.append(cand.text)
-        if candidates:
-            mapping.setdefault(lang, {})[value] = list(dict.fromkeys(candidates))
+        mapping.setdefault(lang, {})[value] = candidates
     nbest = gate.SlotNBestMap.from_mapping(mapping)
     nbest_out = args.nbest_out or str(args.out) + ".nbest.json"
     atomic_write_text(

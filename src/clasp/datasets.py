@@ -100,14 +100,6 @@ class Example:
 _EXAMPLE_FIELDS = ("id", "lang", "text", "parse")
 
 
-def class_key(parse: str) -> str:
-    """Top-level intent label of a serialized parse."""
-    head = parse.split(None, 1)
-    if not head:
-        return ""
-    return head[0].lstrip("([")
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write a file via temp-file rename so readers never see partial content."""
     path = Path(path)

@@ -18,8 +18,9 @@ candidate loop, ``_gate``, which checks each candidate in this order:
 
 A recovery clears no other mode. Of the candidates with no mode the
 lowest score wins, the earliest on a tie; when none survives, a fallback
-example is duplicated from the prompt so the per-class distribution of
-the emitted dataset matches the input task list.
+example is duplicated from the prompt. rs, ts and tb fall back on a
+one-row pool, the task's own row, which keeps the per-class distribution
+of the emitted dataset that of the input task list.
 
 Every check takes its slot spans from ``trees.bind_slot_spans`` (see
 ``trees``): VP2 binds exact case, so two slots with the value "a" need two
@@ -41,7 +42,7 @@ from typing import Mapping, Sequence
 
 from .backends import GenOutput
 from .canonical import SlotCatalog, contains_catalog_word
-from .datasets import Example, class_key
+from .datasets import Example
 from .prompts import (
     METHODS,
     InvalidSeparators,
@@ -271,7 +272,7 @@ def gate_rs(
     *,
     input_id: str = "",
     language: str = "en",
-    templates: PromptTemplates | None = None,
+    templates: PromptTemplates = PromptTemplates(),
 ) -> tuple[GateVerdict, GateEvent]:
     """Gate one replace-slots candidate batch and pick the best survivor."""
     return _gate(
@@ -287,7 +288,7 @@ def gate_gb(
     *,
     input_id: str = "",
     language: str = "en",
-    templates: PromptTemplates | None = None,
+    templates: PromptTemplates = PromptTemplates(),
 ) -> tuple[GateVerdict, GateEvent]:
     """Gate one generate-both batch; the parse itself is also validated."""
     return _gate(
@@ -304,7 +305,7 @@ def gate_mtop(
     *,
     input_id: str = "",
     language: str | None = None,
-    templates: PromptTemplates | None = None,
+    templates: PromptTemplates = PromptTemplates(),
 ) -> tuple[GateVerdict, GateEvent]:
     """Gate one cross-lingual candidate, attempting both recovery passes.
 
@@ -337,7 +338,7 @@ def _gate(
     nbest: SlotNBestMap | None = None,
     input_id: str,
     language: str,
-    templates: PromptTemplates | None,
+    templates: PromptTemplates,
 ) -> tuple[GateVerdict, GateEvent]:
     """The loop of the module docstring. ``given`` is the rs/ts parse; a
     ``signature`` turns the mismatch check on (tb), an ``nbest`` map
@@ -412,22 +413,14 @@ def _gate(
     return verdict, event
 
 
-def fallback(
-    prompt_examples: Sequence[Example], class_label: str | None, seed: int
-) -> Example:
-    """Duplicate a prompt example back into the training set.
-
-    Prefers examples of the requested class so the per-class distribution
-    of the emitted dataset stays equal to that of the task list.
+def fallback(prompt_examples: Sequence[Example], seed: int) -> Example:
+    """Duplicate a prompt example, drawn with ``seed``, back into the
+    training set. The caller's pool keeps the per-class distribution: a
+    one-row pool of the task's own row (rs, ts, tb) always gives that row.
     """
     if not prompt_examples:
         raise GateError("fallback needs at least one prompt example")
-    pool = [
-        ex
-        for ex in prompt_examples
-        if class_label is None or class_key(ex.parse) == class_label
-    ] or list(prompt_examples)
-    pick = random.Random(seed).choice(pool)
+    pick = random.Random(seed).choice(prompt_examples)
     return replace(pick, source="fallback")
 
 

@@ -136,12 +136,6 @@ class MtStatsRow:
 class MtStats:
     rows: tuple[MtStatsRow, ...]
 
-    def row(self, language: str) -> MtStatsRow:
-        for r in self.rows:
-            if r.language == language:
-                return r
-        raise KeyError(language)
-
     def to_record(self) -> dict:
         return {"kind": "mt_stats", "rows": [r.to_dict() for r in self.rows]}
 

@@ -1,8 +1,10 @@
 """Prompt construction and the inverse splitter for generation outputs.
 
 Every prompt starts with the in-context-learning control token ("[CLM] "),
-verbalizes its context examples, and ends with an open cue line the model
-is expected to continue. Example verbalizations per augmentation method:
+verbalizes its context examples, and ends with an open cue the model is
+expected to continue. Each example is its cue, a space, then its
+continuation as ``continuation_for`` renders it, so the model continues
+the very format its examples show. Example verbalizations per method:
 
     replace-slots / translate-slots:
         Semantic Parse: <parse>;
@@ -13,9 +15,14 @@ is expected to continue. Example verbalizations per augmentation method:
     translate-both:
         Semantic Parse for <Language>: <parse>
         => Translation in <Language>: <text>;
+    slot-mt / mt:
+        Translation in English: <English text>;
+        Translation in <Language>: <text>;
 
-Cue wording is overridable via a JSON template file. ``METHODS`` is the
-one table of what every layer knows about a method.
+The open cue is an example's cue without a continuation. Cue wording is
+overridable via a JSON template file, and a backend asks the model to stop
+at ``Prompt.stop``, the prompt's terminator. ``METHODS`` is the one table
+of what every layer knows about a method.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -83,6 +91,13 @@ METHODS: Mapping[Method, MethodSpec] = MappingProxyType({
 })
 
 
+# Every line of a prompt has a cue, and ``str.format`` costs more than the
+# rest of the line, so each cue is formatted once per language name.
+@lru_cache(maxsize=256)
+def _with_language(cue: str, name: str) -> str:
+    return cue.format(language=name)
+
+
 @dataclass(frozen=True)
 class PromptTemplates:
     clm_token: str = "[CLM]"
@@ -113,10 +128,10 @@ class PromptTemplates:
         raise LanguageUnsupported(f"no language name configured for {code!r}")
 
     def tcue(self, code: str) -> str:
-        return self.translation_cue.format(language=self.language_name(code))
+        return _with_language(self.translation_cue, self.language_name(code))
 
     def pcue(self, code: str) -> str:
-        return self.lang_parse_cue.format(language=self.language_name(code))
+        return _with_language(self.lang_parse_cue, self.language_name(code))
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "PromptTemplates":
@@ -160,6 +175,11 @@ class Prompt:
     expected: PromptExpectation
     templates: PromptTemplates = PromptTemplates()  # the ones it was built with
 
+    @property
+    def stop(self) -> str:
+        """Where a continuation of this prompt ends: its terminator."""
+        return self.templates.terminator
+
 
 @dataclass(frozen=True)
 class SplitCandidate:
@@ -167,17 +187,39 @@ class SplitCandidate:
     parse_text: str | None = None
 
 
-def _assemble(templates: PromptTemplates, lines: Sequence[str]) -> str:
-    return f"{templates.clm_token} " + "\n".join(lines)
+def _cue(method: Method, t: PromptTemplates, given: str | None, lang: str) -> str:
+    """What an example shows before its continuation: rs/ts the parse
+    ``given`` and slot-mt/mt the English text ``given``, each then the
+    translation cue of ``lang``; gb the parse cue and tb the parse cue of
+    ``lang``, for a pair continuation carries the parse itself."""
+    spec = METHODS[method]
+    if spec.pair:
+        # Only the cross-lingual (mtop) one names the parse's language.
+        return t.pcue(lang) if spec.family == "mtop" else t.parse_cue
+    head = t.parse_cue if spec.dialect else t.tcue("en")
+    return f"{head} {given}{t.terminator}\n{t.tcue(lang)}"
 
 
-def _sp_block(
-    t: PromptTemplates, parse_text: str, text: str, lang: str
-) -> list[str]:
-    return [
-        f"{t.parse_cue} {parse_text}{t.terminator}",
-        f"{t.tcue(lang)} {text}{t.terminator}",
+def _render(
+    method: Method,
+    t: PromptTemplates,
+    shots: Sequence[tuple[str, str, str]],
+    given: str | None,
+    language: str,
+) -> str:
+    """The prompt text: the control token, each ``(given, text, lang)``
+    shot as its cue plus its continuation, then the open cue of ``given``
+    and ``language``. A shot's ``given`` is its parse (rs, ts, gb, tb) or
+    its English text (slot-mt, mt): a pair method's continuation carries
+    it, any other method's cue."""
+    lines = [
+        f"{_cue(method, t, g, lang)} " + continuation_for(
+            method, text=text, parse_text=g, language=lang, templates=t
+        )
+        for g, text, lang in shots
     ]
+    lines.append(_cue(method, t, given, language))
+    return f"{t.clm_token} " + "\n".join(lines)
 
 
 def _require_single_slot_edit(
@@ -202,25 +244,20 @@ def build_rs_prompt(
     context: Sequence[Example],
     original: Example,
     edited_parse: ParseTree,
-    templates: PromptTemplates | None = None,
+    templates: PromptTemplates = PromptTemplates(),
 ) -> Prompt:
     """Same-language prompt: context examples, the original, then the
     slot-edited parse with an open translation cue."""
-    t = templates or PromptTemplates()
     if len(context) != 4:
         raise ContextArity(
             f"replace-slots prompts take exactly 4 context examples, got {len(context)}"
         )
     _require_single_slot_edit(original.parse, edited_parse)
     edited = serialize(edited_parse)
-    lines: list[str] = []
-    for ex in [*context, original]:
-        lines += _sp_block(t, ex.parse, ex.text, ex.lang)
-    lines.append(f"{t.parse_cue} {edited}{t.terminator}")
-    lines.append(t.tcue(original.lang))
     examples = [*context, original]
+    shots = [(ex.parse, ex.text, ex.lang) for ex in examples]
     return Prompt(
-        text=_assemble(t, lines),
+        text=_render(Method.REPLACE_SLOTS, templates, shots, edited, original.lang),
         method=Method.REPLACE_SLOTS,
         expected=PromptExpectation(
             language=original.lang,
@@ -230,34 +267,27 @@ def build_rs_prompt(
             context_texts=tuple(ex.text for ex in examples),
             context_parses=tuple(ex.parse for ex in examples),
         ),
-        templates=t,
+        templates=templates,
     )
 
 
 def build_gb_prompt(
-    context: Sequence[Example], templates: PromptTemplates | None = None
+    context: Sequence[Example], templates: PromptTemplates = PromptTemplates()
 ) -> Prompt:
     """Open-ended prompt: the model continues with a new parse and text."""
-    t = templates or PromptTemplates()
     if not context:
         raise ContextArity("generate-both prompts need at least 1 context example")
-    lines = [
-        f"{t.parse_cue} " + continuation_for(
-            Method.GENERATE_BOTH, text=ex.text, parse_text=ex.parse,
-            language=ex.lang, templates=t,
-        )
-        for ex in context
-    ]
-    lines.append(t.parse_cue)
+    shots = [(ex.parse, ex.text, ex.lang) for ex in context]
+    language = context[0].lang
     return Prompt(
-        text=_assemble(t, lines),
+        text=_render(Method.GENERATE_BOTH, templates, shots, None, language),
         method=Method.GENERATE_BOTH,
         expected=PromptExpectation(
-            language=context[0].lang,
+            language=language,
             context_texts=tuple(ex.text for ex in context),
             context_parses=tuple(ex.parse for ex in context),
         ),
-        templates=t,
+        templates=templates,
     )
 
 
@@ -275,21 +305,19 @@ def build_ts_prompt(
     en_source: Example,
     slot_translated_parse: ParseTree,
     language: str,
-    templates: PromptTemplates | None = None,
+    templates: PromptTemplates = PromptTemplates(),
 ) -> Prompt:
     """Cross-lingual prompt: anchor pair, the English source, then the
     slot-translated parse with an open target-language cue."""
-    t = templates or PromptTemplates()
-    require_cross_lingual(t, language)
+    require_cross_lingual(templates, language)
     translated = serialize(slot_translated_parse)
-    lines: list[str] = []
-    lines += _sp_block(t, anchor_en.parse, anchor_en.text, "en")
-    lines += _sp_block(t, anchor_tgt.parse, anchor_tgt.text, language)
-    lines += _sp_block(t, en_source.parse, en_source.text, "en")
-    lines.append(f"{t.parse_cue} {translated}{t.terminator}")
-    lines.append(t.tcue(language))
+    shots = [
+        (anchor_en.parse, anchor_en.text, "en"),
+        (anchor_tgt.parse, anchor_tgt.text, language),
+        (en_source.parse, en_source.text, "en"),
+    ]
     return Prompt(
-        text=_assemble(t, lines),
+        text=_render(Method.TRANSLATE_SLOTS, templates, shots, translated, language),
         method=Method.TRANSLATE_SLOTS,
         expected=PromptExpectation(
             language=language,
@@ -299,7 +327,7 @@ def build_ts_prompt(
             context_texts=(anchor_en.text, anchor_tgt.text, en_source.text),
             context_parses=(anchor_en.parse, anchor_tgt.parse, en_source.parse),
         ),
-        templates=t,
+        templates=templates,
     )
 
 
@@ -308,22 +336,18 @@ def build_tb_prompt(
     anchor_tgt: Example,
     en_source: Example,
     language: str,
-    templates: PromptTemplates | None = None,
+    templates: PromptTemplates = PromptTemplates(),
 ) -> Prompt:
     """Cross-lingual prompt asking for both the parse and the text."""
-    t = templates or PromptTemplates()
-    require_cross_lingual(t, language)
+    require_cross_lingual(templates, language)
     signature = structure_signature(parse(en_source.parse, Dialect.MTOP_BRACKET))
-    lines = [
-        f"{t.pcue(lang)} " + continuation_for(
-            Method.TRANSLATE_BOTH, text=ex.text, parse_text=ex.parse,
-            language=lang, templates=t,
-        )
-        for ex, lang in ((anchor_en, "en"), (anchor_tgt, language), (en_source, "en"))
+    shots = [
+        (anchor_en.parse, anchor_en.text, "en"),
+        (anchor_tgt.parse, anchor_tgt.text, language),
+        (en_source.parse, en_source.text, "en"),
     ]
-    lines.append(t.pcue(language))
     return Prompt(
-        text=_assemble(t, lines),
+        text=_render(Method.TRANSLATE_BOTH, templates, shots, None, language),
         method=Method.TRANSLATE_BOTH,
         expected=PromptExpectation(
             language=language,
@@ -333,7 +357,7 @@ def build_tb_prompt(
             context_texts=(anchor_en.text, anchor_tgt.text, en_source.text),
             context_parses=(anchor_en.parse, anchor_tgt.parse, en_source.parse),
         ),
-        templates=t,
+        templates=templates,
     )
 
 
@@ -341,30 +365,24 @@ def build_slot_mt_prompt(
     anchor_slot_pairs: Sequence[tuple[str, str]],
     slot_value: str,
     language: str,
-    templates: PromptTemplates | None = None,
+    templates: PromptTemplates = PromptTemplates(),
 ) -> Prompt:
     """Line-per-pair prompt translating one slot value."""
-    t = templates or PromptTemplates()
-    require_cross_lingual(t, language)
+    require_cross_lingual(templates, language)
     if not slot_value.strip():
         raise EmptyValue("cannot translate an empty slot value")
     if not anchor_slot_pairs:
         raise ContextArity("slot translation needs at least 1 anchor pair")
-    lines: list[str] = []
-    for src, tgt in anchor_slot_pairs:
-        lines.append(f"{t.tcue('en')} {src}{t.terminator}")
-        lines.append(f"{t.tcue(language)} {tgt}{t.terminator}")
-    lines.append(f"{t.tcue('en')} {slot_value}{t.terminator}")
-    lines.append(t.tcue(language))
+    shots = [(src, tgt, language) for src, tgt in anchor_slot_pairs]
     return Prompt(
-        text=_assemble(t, lines),
+        text=_render(Method.SLOT_MT, templates, shots, slot_value, language),
         method=Method.SLOT_MT,
         expected=PromptExpectation(
             language=language,
             source_text=slot_value,
             context_texts=tuple(x for pair in anchor_slot_pairs for x in pair),
         ),
-        templates=t,
+        templates=templates,
     )
 
 
@@ -372,41 +390,34 @@ def build_sent_mt_prompt(
     anchor_sent_pair: tuple[str, str],
     text: str,
     language: str,
-    templates: PromptTemplates | None = None,
+    templates: PromptTemplates = PromptTemplates(),
 ) -> Prompt:
-    """One-shot sentence-translation prompt; outputs must end with ';'."""
-    t = templates or PromptTemplates()
-    require_cross_lingual(t, language)
+    """One-shot sentence-translation prompt; outputs end with the terminator."""
+    require_cross_lingual(templates, language)
     if not text.strip():
         raise EmptyValue("cannot translate empty text")
     src, tgt = anchor_sent_pair
-    lines = [
-        f"{t.tcue('en')} {src}{t.terminator}",
-        f"{t.tcue(language)} {tgt}{t.terminator}",
-        f"{t.tcue('en')} {text}{t.terminator}",
-        t.tcue(language),
-    ]
     return Prompt(
-        text=_assemble(t, lines),
+        text=_render(Method.SENT_MT, templates, [(src, tgt, language)], text, language),
         method=Method.SENT_MT,
         expected=PromptExpectation(
             language=language,
             source_text=text,
             context_texts=anchor_sent_pair,
         ),
-        templates=t,
+        templates=templates,
     )
 
 
 def split_generation(
-    method: Method | str, raw_output: str, templates: PromptTemplates | None = None
+    method: Method | str, raw_output: str, templates: PromptTemplates = PromptTemplates()
 ) -> SplitCandidate:
     """Invert the continuation format: extract text and/or parse fields.
 
     Raises InvalidSeparators when ';' or '=>' is missing, misplaced, or
     duplicated for the method's expected shape.
     """
-    t = templates or PromptTemplates()
+    t = templates
     method = Method(method)
     raw = raw_output.strip()
     if raw.count(t.terminator) != 1 or not raw.endswith(t.terminator):
@@ -439,14 +450,17 @@ def continuation_for(
     text: str,
     parse_text: str | None = None,
     language: str = "en",
-    templates: PromptTemplates | None = None,
+    templates: PromptTemplates = PromptTemplates(),
 ) -> str:
     """Render a well-formed model continuation (inverse of split_generation).
 
-    The one renderer of the continuation format: the gb and tb prompts'
-    examples and the mock's outputs are its output."""
-    t = templates or PromptTemplates()
-    method = Method(method)
+    The one renderer of the continuation format: every prompt example and
+    the mock's outputs are its output."""
+    t = templates
+    # A prompt renders one continuation per example, and Method() of a
+    # member costs more than a text-only render.
+    if not isinstance(method, Method):
+        method = Method(method)
     if not METHODS[method].pair:
         return f"{text}{t.terminator}"
     if parse_text is None:

@@ -27,6 +27,7 @@ from clasp.backends import (
 from clasp.datasets import Example
 from clasp.prompts import (
     Method,
+    PromptTemplates,
     build_gb_prompt,
     build_rs_prompt,
     build_slot_mt_prompt,
@@ -46,9 +47,9 @@ from test_prompts import (
 )
 
 
-def rs_prompt():
+def rs_prompt(templates=PromptTemplates()):
     return build_rs_prompt(
-        RS_CONTEXT, RS_ORIGINAL, parse(RS_EDITED, Dialect.PIZZA_PAREN)
+        RS_CONTEXT, RS_ORIGINAL, parse(RS_EDITED, Dialect.PIZZA_PAREN), templates
     )
 
 
@@ -279,6 +280,15 @@ class TestHttpBackend:
         assert request["n"] == 4
         assert request["max_new_tokens"] == 64
         assert request["stop"] == ";"
+
+    def test_stop_is_the_prompts_terminator(self, http_server):
+        _, url = http_server
+        _Handler.responses = [(200, _ok_body(1))]
+        prompt = rs_prompt(PromptTemplates(terminator="."))
+        HttpBackend(endpoint=url).generate(prompt, DecodingConfig("greedy"))
+        (request,) = _Handler.requests_seen
+        assert request["prompt"].endswith(".\nTranslation in English:")
+        assert request["stop"] == "."
 
     def test_retry_after_server_error_yields_single_result_set(self, http_server):
         _, url = http_server

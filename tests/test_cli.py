@@ -280,6 +280,27 @@ def test_missing_required_setting_exits_1(data, tmp_path, caplog):
     assert "--method" in caplog.text
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag, value", [
+    ("--k", 0), ("--max-inflight", 0), ("--max-inflight", -3),
+])
+def test_nonpositive_count_is_a_one_line_error(data, tmp_path, caplog, source, flag,
+                                               value):
+    settings = {"--k": 2, "--max-inflight": 1, flag: value}
+    out = tmp_path / "o.jsonl"
+    if source == "flag":
+        argv = augment_argv(data, "rs", out, *(str(x) for kv in settings.items() for x in kv))
+    else:
+        config = write_json(tmp_path / "config.json", {
+            key[2:].replace("-", "_"): v for key, v in settings.items()
+        })
+        argv = augment_argv(data, "rs", out, "--config", config)
+    assert run(*argv) == 1
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == f"{flag} must be positive"
+    assert sorted(tmp_path.iterdir()) == ([] if source == "flag" else [config])
+
+
 @pytest.mark.parametrize("flag", ["--config", "--dataset"])
 def test_missing_file_is_a_one_line_error(data, tmp_path, caplog, flag):
     missing = tmp_path / "missing.json"
@@ -343,6 +364,8 @@ def test_config_only_templates_are_used(data, tmp_path):
     ({"k": "5"}, "k"),
     ({"decoding": {"n": "2"}}, "decoding.n"),
     ({"method": "xx"}, "method"),
+    # The request's stop is the prompt's terminator, not a decoding field.
+    ({"decoding": {"stop_sequence": ";"}}, "stop_sequence"),
 ])
 def test_unknown_config_key_is_rejected(data, tmp_path, caplog, typo, name):
     config = write_json(tmp_path / "config.json", {

@@ -538,25 +538,17 @@ class TestGateMtop:
 class TestFallback:
     def test_rs_failure_reemits_original(self):
         original = Example("o1", "en", "text", "(Order (Pizzaorder (Number a ) ) )", "dev")
-        out = fallback([original], "Order", seed=5)
+        out = fallback([original], seed=5)
         assert out.text == original.text
         assert out.source == "fallback"
-
-    def test_class_preference(self):
-        pool = [
-            Example("a", "en", "ta", "(Order (Pizzaorder (Number a ) ) )", "dev"),
-            Example("b", "en", "tb", "(Refund (Item x ) )", "dev"),
-        ]
-        for seed in range(10):
-            assert fallback(pool, "Refund", seed).id == "b"
 
     def test_seeded_pick_among_context(self):
         pool = [
             Example(str(i), "en", f"t{i}", "(Order (Pizzaorder (Number a ) ) )", "dev")
             for i in range(5)
         ]
-        first = fallback(pool, None, seed=9)
-        assert fallback(pool, None, seed=9) == first
+        first = fallback(pool, seed=9)
+        assert fallback(pool, seed=9) == first
 
 
 class TestCompileStats:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -335,6 +336,100 @@ class TestMtPrompts:
         assert prompt.text.count("Translation in German:") == 2
 
 
+# Every field differs from its default.
+RENAMED = PromptTemplates(
+    clm_token="<ctx>",
+    parse_cue="LF:",
+    lang_parse_cue="LF in {language}:",
+    translation_cue="Text in {language} -",
+    arrow="->",
+    terminator=".",
+    language_names=(("de", "Deutsch"), ("en", "Englisch"), ("fr", "Französisch")),
+)
+
+RENAMED_GOLDEN = {
+    "rs": (
+        lambda: build_rs_prompt(RS_CONTEXT, RS_ORIGINAL, parse(RS_EDITED, PIZZA), RENAMED),
+        [
+            line
+            for exm in [*RS_CONTEXT, RS_ORIGINAL]
+            for line in (f"LF: {exm.parse}.", f"Text in Englisch - {exm.text}.")
+        ] + [f"LF: {RS_EDITED}.", "Text in Englisch -"],
+    ),
+    "gb": (
+        lambda: build_gb_prompt(GB_CONTEXT[:2], RENAMED),
+        [
+            f"LF: {GB_CONTEXT[0].parse}",
+            f"-> Text in Englisch - {GB_CONTEXT[0].text}.",
+            f"LF: {GB_CONTEXT[1].parse}",
+            f"-> Text in Englisch - {GB_CONTEXT[1].text}.",
+            "LF:",
+        ],
+    ),
+    "ts": (
+        lambda: build_ts_prompt(
+            TS_ANCHOR_EN, TS_ANCHOR_FR, TS_SOURCE,
+            parse(TS_TRANSLATED, Dialect.MTOP_BRACKET), "fr", RENAMED,
+        ),
+        [
+            f"LF: {TS_ANCHOR_EN.parse}.",
+            f"Text in Englisch - {TS_ANCHOR_EN.text}.",
+            f"LF: {TS_ANCHOR_FR.parse}.",
+            f"Text in Französisch - {TS_ANCHOR_FR.text}.",
+            f"LF: {TS_SOURCE.parse}.",
+            f"Text in Englisch - {TS_SOURCE.text}.",
+            f"LF: {TS_TRANSLATED}.",
+            "Text in Französisch -",
+        ],
+    ),
+    "tb": (
+        lambda: build_tb_prompt(TS_ANCHOR_EN, TS_ANCHOR_FR, TB_SOURCE, "fr", RENAMED),
+        [
+            f"LF in Englisch: {TS_ANCHOR_EN.parse}",
+            f"-> Text in Englisch - {TS_ANCHOR_EN.text}.",
+            f"LF in Französisch: {TS_ANCHOR_FR.parse}",
+            f"-> Text in Französisch - {TS_ANCHOR_FR.text}.",
+            f"LF in Englisch: {TB_SOURCE.parse}",
+            f"-> Text in Englisch - {TB_SOURCE.text}.",
+            "LF in Französisch:",
+        ],
+    ),
+    "slot-mt": (
+        lambda: build_slot_mt_prompt(
+            [("reminder", "rappel"), ("all", "tout")], "all alarms", "fr", RENAMED
+        ),
+        [
+            "Text in Englisch - reminder.",
+            "Text in Französisch - rappel.",
+            "Text in Englisch - all.",
+            "Text in Französisch - tout.",
+            "Text in Englisch - all alarms.",
+            "Text in Französisch -",
+        ],
+    ),
+    "mt": (
+        lambda: build_sent_mt_prompt(("hello there", "bonjour"), "good morning", "fr",
+                                     RENAMED),
+        [
+            "Text in Englisch - hello there.",
+            "Text in Französisch - bonjour.",
+            "Text in Englisch - good morning.",
+            "Text in Französisch -",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("method", list(RENAMED_GOLDEN))
+def test_golden_layout_under_renamed_templates(method):
+    build, lines = RENAMED_GOLDEN[method]
+    prompt = build()
+    assert prompt.method is Method(method)
+    assert prompt.text == "<ctx> " + "\n".join(lines)
+    assert prompt.templates is RENAMED
+    assert prompt.stop == "."
+
+
 class TestSplitGeneration:
     def test_gb_pair(self):
         raw = (
@@ -423,10 +518,13 @@ class TestSplitGeneration:
         assert build_gb_prompt(GB_CONTEXT).text == build_gb_prompt(GB_CONTEXT).text
 
 
-# The template fields that shape a continuation. ``prompts`` renders and
-# splits with them; the mock reads them only to break the separators of a
-# rendered continuation, and edits every other part as (parse, text) fields.
-SEPARATOR_FIELDS = {"arrow", "terminator", "translation_cue", "tcue", "pcue"}
+# The template fields and accessors that shape a prompt or a continuation.
+# ``prompts`` renders and splits with them; the mock reads them only to
+# break the separators of a rendered continuation, and edits every other
+# part as (parse, text) fields; a request's stop is ``Prompt.stop``.
+SEPARATOR_FIELDS = {f.name for f in fields(PromptTemplates)} | {
+    "language_name", "tcue", "pcue"
+}
 SEPARATOR_READS_ALLOWED = {("backends.py", "_break_separators")}
 
 
@@ -464,9 +562,11 @@ def test_guard_sees_separator_reads(tmp_path):
         "    return t.arrow + t.terminator\n"
         "def _edit(prompt, raw):\n"
         "    return raw.partition(prompt.templates.arrow), prompt.templates.tcue('de')\n"
-        "label = PromptTemplates().translation_cue\n",
+        "label = PromptTemplates().translation_cue\n"
+        "stop = prompt.templates.terminator, t.clm_token + t.language_name('de')\n",
         encoding="utf-8",
     )
     assert separator_reads(src) == [
-        "backends.py:4 arrow", "backends.py:4 tcue", "backends.py:5 translation_cue"
+        "backends.py:4 arrow", "backends.py:4 tcue", "backends.py:5 translation_cue",
+        "backends.py:6 terminator", "backends.py:6 clm_token", "backends.py:6 language_name",
     ]
