@@ -23,8 +23,9 @@ flight. When a run fails part way (a backend failure, an interrupt, a
 pool row that cannot be parsed), the rows finished so far are kept in
 ``<out>.partial`` and --out is not created. Errors in the settings (a pool
 too small, a language without an anchor pair or a name in the prompt
-templates, an unreadable file) stop the run before its first request and
-leave no ``.partial``.
+templates, an --nbest-in file without a value the run renders, an
+unreadable file) stop the run before its first request and leave no
+``.partial``.
 
 Row files stream (see ``datasets``): preprocess-pizza and preprocess-mtop
 turn each input line into its output row before reading the next, and
@@ -96,7 +97,13 @@ _AUGMENT_FLAGS = {
     "cf_templates": (str, None),
 }
 _DECODING_FIELDS = get_type_hints(DecodingConfig)
-_LANGS_HELP = "comma-separated target languages (default: every anchor language)"
+_AUGMENT_HELP = {
+    "langs": "comma-separated target languages (default: every anchor language)",
+    "nbest_in": "ts/tb: read the slot n-best from this file instead of translating "
+    "the slot values; it must hold every value of the rows the run renders",
+    "nbest_out": "ts/tb: write the slot n-best here (default: <out>.nbest.json); "
+    "it holds only the values of the rows the run renders",
+}
 
 
 class CliError(Exception):
@@ -163,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for key, (kind, choices) in _AUGMENT_FLAGS.items():
         p.add_argument(
             "--" + key.replace("_", "-"), type=kind, choices=choices,
-            help=_LANGS_HELP if key == "langs" else None,
+            help=_AUGMENT_HELP.get(key),
         )
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
@@ -615,11 +622,17 @@ def _with_cf(ex: Example, cf_templates) -> Example:
     return dc_replace(ex, cf=cf)
 
 
+def _mtop_row(i: int, langs: Sequence[str], pool: Sequence[Example]) -> int:
+    """The pool position of the row that mtop task ``i`` renders."""
+    return (i // len(langs)) % len(pool)
+
+
 def _mtop_tasks(args, pool, templates, backend):
-    """ts/tb/mt: task i renders pool example i // len(langs) in language
-    langs[i % len(langs)]; mt rows are bare translations with no gate.
-    The slot n-best is ready before the first task; tasks are built as
-    they are read."""
+    """ts/tb/mt: task i renders the pool row ``_mtop_row(i, langs, pool)``
+    in language langs[i % len(langs)]; mt rows are bare translations with
+    no gate. The slot n-best is ready before the first task and covers only
+    the leaf-slot values of the rows the tasks render, so --nbest-in must
+    hold each of them; tasks are built as they are read."""
     # The shipped pairs by default.
     anchors = read_json(args.anchors or packaged("mtop_anchors.json"), _anchor_pairs)
     langs = args.langs or sorted(anchors)
@@ -637,7 +650,7 @@ def _mtop_tasks(args, pool, templates, backend):
     def tasks():
         for i in range(args.k):
             lang = langs[i % len(langs)]
-            ex = pool[(i // len(langs)) % len(pool)]
+            ex = pool[_mtop_row(i, langs, pool)]
             anchor_en, anchor_tgt = anchors[lang]
             if args.method == "mt":
                 prompt = prompts.build_sent_mt_prompt(
@@ -672,15 +685,34 @@ def _mtop_tasks(args, pool, templates, backend):
 
 
 def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
-    if args.nbest_in:
-        return read_json(args.nbest_in, gate.SlotNBestMap.from_mapping)
+    """The slot n-best of each leaf-slot value of the rows that tasks
+    ``i < k`` render, in each language: read from --nbest-in, which must
+    hold every such (language, value), else translated through the backend
+    and written to --nbest-out. A value that got no candidate is written
+    with an empty list, so the file shows that it was tried."""
+    rows = {_mtop_row(i, langs, pool) for i in range(args.k)}
     values = sorted(
         {
             ref.value_text
-            for ex in pool
-            for ref in leaf_slots(parse_tree(ex.parse, Dialect.MTOP_BRACKET))
+            for j in rows
+            for ref in leaf_slots(parse_tree(pool[j].parse, Dialect.MTOP_BRACKET))
         }
     )
+    if args.nbest_in:
+        nbest = read_json(args.nbest_in, gate.SlotNBestMap.from_mapping)
+        missing = [
+            (lang, value)
+            for lang in langs
+            for value in values
+            if value not in nbest.lists.get(lang, {})
+        ]
+        if missing:
+            raise CliError(
+                f"{args.nbest_in}: no slot n-best for {len(missing)} (language, "
+                f"value) pairs of the rendered rows, the first {missing[0][0]} "
+                f"{missing[0][1]!r}"
+            )
+        return nbest
     pairs = {lang: _slot_anchor_pairs(*anchors[lang]) for lang in langs}
     jobs = (
         ((lang, value),

@@ -124,7 +124,8 @@ class SlotNBestMap:
     """Beam-ranked translation alternatives per (English value, language).
 
     ``lists`` is {language: {english_value: candidates}}, each candidate
-    tuple deduplicated and non-empty.
+    tuple deduplicated; an empty tuple records a value that was translated
+    but got no candidate.
     """
 
     lists: Mapping[str, Mapping[str, tuple[str, ...]]] = field(default_factory=dict)
@@ -144,9 +145,7 @@ class SlotNBestMap:
                         f"n-best of {en_value!r} in {lang!r} must be a list of "
                         f"strings, got {candidates!r}"
                     )
-                deduped = tuple(dict.fromkeys(candidates))
-                if deduped:
-                    lists.setdefault(lang, {})[en_value] = deduped
+                lists.setdefault(lang, {})[en_value] = tuple(dict.fromkeys(candidates))
         return cls(lists)
 
     def to_mapping(self) -> dict[str, dict[str, list[str]]]:

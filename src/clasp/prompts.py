@@ -418,7 +418,10 @@ def split_generation(
     duplicated for the method's expected shape.
     """
     t = templates
-    method = Method(method)
+    # The slot n-best pass splits every beam of every request, and Method()
+    # of a member costs more than a text-only split.
+    if not isinstance(method, Method):
+        method = Method(method)
     raw = raw_output.strip()
     if raw.count(t.terminator) != 1 or not raw.endswith(t.terminator):
         raise InvalidSeparators(f"expected exactly one trailing {t.terminator!r}")

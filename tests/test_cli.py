@@ -12,6 +12,7 @@ import hashlib
 import json
 import random
 import warnings
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -583,6 +584,145 @@ def test_gate_binds_each_ts_candidate_once(data, tmp_path, monkeypatch):
     out = tmp_path / "out.jsonl"
     assert run(*augment_argv(data, "ts", out, *REAL_PARSES["ts"])) == 0
     assert (len(calls), sum(calls)) == (36, 6)
+
+
+# ------------------------------------------------------------- slot n-best map
+
+
+def _leaf_values(parse: str) -> list[str]:
+    tree = trees.parse(parse, trees.Dialect.MTOP_BRACKET)
+    return [ref.value_text for ref in trees.leaf_slots(tree)]
+
+
+def test_nbest_covers_only_the_rendered_rows(data, tmp_path):
+    # ts --k 3 in three languages renders row 0 only, so only its values
+    # are translated; the rows equal a run given the whole-pool map.
+    small, full = tmp_path / "small", tmp_path / "full"
+    small.mkdir()
+    full.mkdir()
+    langs = ("--langs", "de,es,fr")
+    assert run(*augment_argv(data, "ts", small / "ts.jsonl", "--k", "3", *langs)) == 0
+    written = json.loads((small / "ts.jsonl.nbest.json").read_text(encoding="utf-8"))
+    row0 = sorted(_leaf_values(MTOP_ROWS[0][2]))
+    assert {lang: sorted(values) for lang, values in written.items()} == {
+        lang: row0 for lang in ("de", "es", "fr")
+    }
+    assert run(*augment_argv(data, "ts", full / "ts.jsonl", *AUGMENT_RUNS["ts"])) == 0
+    assert run(*augment_argv(data, "ts", full / "k3.jsonl", "--k", "3", *langs,
+                             "--nbest-in", full / "ts.jsonl.nbest.json")) == 0
+    assert (small / "ts.jsonl").read_bytes() == (full / "k3.jsonl").read_bytes()
+    assert (small / "ts.stats.json").read_bytes() == (full / "k3.stats.json").read_bytes()
+
+
+def test_nbest_in_missing_a_rendered_value_is_a_one_line_error(data, tmp_path, caplog):
+    langs = ("--langs", "de,es,fr")
+    assert run(*augment_argv(data, "ts", tmp_path / "k3.jsonl", "--k", "3", *langs)) == 0
+    nbest = tmp_path / "k3.jsonl.nbest.json"
+    out = tmp_path / "k18.jsonl"
+    caplog.clear()
+    code = run(*augment_argv(data, "ts", out, "--k", "18", *langs, "--nbest-in", nbest))
+    assert_one_line_error(caplog, code, nbest)
+    # Rows 1-5 hold 7 values the file lacks, in each of the 3 languages.
+    values = sorted({v for _, _, parse in MTOP_ROWS[1:] for v in _leaf_values(parse)})
+    assert len(values) == 7
+    message = caplog.records[-1].getMessage()
+    assert "21 (language, value) pairs" in message
+    assert message.endswith(f"the first de {values[0]!r}")
+    assert not out.exists() and not Path(str(out) + ".partial").exists()
+
+
+def test_nbest_keeps_a_value_without_candidates(data, tmp_path):
+    # The mock answers every slot translation with an empty text: each value
+    # of row 0 is written with no candidate, and the file covers a rerun.
+    rules = write_json(tmp_path / "rules.json", [
+        {"pattern": r"^\[CLM\] Translation in English:", "responses": [";"]}, {},
+    ])
+    first, again = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    argv = ["augment", "--method", "ts", "--dataset", data / "mtop.jsonl", "--seed",
+            "7", "--mock-rules", rules, "--k", "1", "--langs", "de"]
+    assert run(*argv, "--out", first) == 0
+    nbest = tmp_path / "a.jsonl.nbest.json"
+    row0 = _leaf_values(MTOP_ROWS[0][2])
+    assert json.loads(nbest.read_text(encoding="utf-8")) == {
+        "de": {value: [] for value in sorted(row0)}
+    }
+    assert run(*argv, "--out", again, "--nbest-in", nbest) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+# ------------------------------------------------------------------ work counts
+
+# The work of an augment run depends on k, never on the pool size. Pools
+# of 300 and 3000 generated rows share their first 300 rows, so every k
+# below touches the same rows, and sends the same requests, at both sizes.
+WORK_POOL_SIZES = (300, 3000)
+WORK_KS = (6, 30)
+WORK_LANGS = ("de", "es", "fr")
+_WORK_NUMBERS = ("two", "three", "four", "five")
+_WORK_TOPPINGS = ("bacon", "onions", "spinach", "mushrooms")
+_WORK_TIMES = ("today", "at 7 pm", "on friday")
+# Prompts built and real tree parses (memo misses) per task, at most.
+MAX_PROMPTS_PER_TASK = 3
+MAX_PARSES_PER_TASK = 3
+
+
+def _work_row(method: str, j: int) -> dict:
+    if method in ("rs", "gb"):
+        number, topping = _WORK_NUMBERS[j % 4], _WORK_TOPPINGS[j // 4 % 4]
+        text = f"i want {number} pizza with {topping}"
+        parse = f"(ORDER (PIZZAORDER (NUMBER {number} ) (TOPPING {topping} ) ) )"
+    else:
+        when = _WORK_TIMES[j % 3]
+        text = f"call bob{j} {when}"
+        parse = f"[IN:CREATE_CALL [SL:CONTACT bob{j} ] [SL:DATE_TIME {when} ] ]"
+    return {"id": f"w-{j:05d}", "lang": "en", "text": text, "parse": parse,
+            "source": "dev"}
+
+
+def _expected_requests(method: str, k: int) -> int:
+    """1 per task, plus for ts/tb one slot translation per distinct value of
+    the touched rows and language."""
+    if method in ("rs", "gb"):
+        return k
+    rows = {i // len(WORK_LANGS) for i in range(k)}
+    values = {f"bob{j}" for j in rows} | {_WORK_TIMES[j % 3] for j in rows}
+    return k + len(values) * len(WORK_LANGS)
+
+
+@pytest.mark.parametrize("method", ["rs", "gb", "ts", "tb"])
+def test_work_depends_on_k_not_on_the_pool_size(tmp_path, monkeypatch, method):
+    counts = Counter()
+    generate, from_dict, parse_text = (
+        MockBackend.generate, Example.from_dict, trees._parse_text
+    )
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(MockBackend, "generate", counted("requests", generate))
+    monkeypatch.setattr(Example, "from_dict", staticmethod(counted("rows", from_dict)))
+    monkeypatch.setattr(trees, "_parse_text", counted("parses", parse_text))
+    for name in dir(prompts):
+        if name.startswith("build_") and name.endswith("_prompt"):
+            monkeypatch.setattr(prompts, name, counted("prompts", getattr(prompts, name)))
+    rows = [_work_row(method, j) for j in range(max(WORK_POOL_SIZES))]
+    for size in WORK_POOL_SIZES:
+        pool = write_jsonl(tmp_path / f"pool{size}.jsonl", rows[:size])
+        for k in WORK_KS:
+            counts.clear()
+            trees._parse_memo.cache_clear()
+            out = tmp_path / f"{size}-{k}.jsonl"
+            assert run("augment", "--method", method, "--dataset", pool, "--k", k,
+                       "--seed", "3", "--langs", ",".join(WORK_LANGS),
+                       "--max-inflight", "1", "--out", out) == 0
+            assert counts["requests"] == _expected_requests(method, k)
+            assert counts["prompts"] <= MAX_PROMPTS_PER_TASK * k
+            assert counts["parses"] <= MAX_PARSES_PER_TASK * k
+            # Every pool row is still built; pinned until the pool is read lazily.
+            assert counts["rows"] == size
 
 
 # ------------------------------------------------------------ downstream stages

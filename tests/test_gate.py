@@ -1021,7 +1021,8 @@ class TestMockCorruptionProperty:
 
 
 # Reference scans: the n-best lookups as they were before the dict index,
-# over the (English value, language) entries in map order.
+# over the (English value, language) entries in map order. A value with
+# no candidate keeps its (empty) entry, so a loaded map shows it was tried.
 
 
 def _scan_entries(mapping) -> list:
@@ -1029,14 +1030,13 @@ def _scan_entries(mapping) -> list:
         ((en_value, lang), tuple(dict.fromkeys(cands)))
         for lang, values in mapping.items()
         for en_value, cands in values.items()
-        if cands
     ]
 
 
 def _scan_top(entries, en_value, language):
     for (value, lang), candidates in entries:
         if value == en_value and lang == language:
-            return candidates[0]
+            return candidates[0] if candidates else None
     return None
 
 
@@ -1087,6 +1087,13 @@ class TestSlotNBestIndex:
         entries = _scan_entries(mapping)
         assert nbest.top(word, lang) == _scan_top(entries, word, lang)
         assert nbest.alternatives(word, lang) == _scan_alternatives(entries, word, lang)
+
+    def test_a_value_without_candidates_stays_in_the_map(self):
+        nbest = SlotNBestMap.from_mapping(_SHARED_CANDIDATE)
+        assert nbest.lists["de"] == {"none": ()}
+        assert nbest.top("none", "es") is None
+        assert nbest.alternatives("none", "es") == ()
+        assert nbest.to_mapping()["es"]["none"] == []
 
     def test_first_list_in_map_order_wins(self):
         nbest = SlotNBestMap.from_mapping(_SHARED_CANDIDATE)
