@@ -258,7 +258,7 @@ def _value_text(node: Node) -> str:
         raise UncoveredConstruct(getattr(node, "label", "<token>"))
     if not node.children:
         raise UncoveredConstruct(node.label)
-    return " ".join(c.text for c in node.children)
+    return " ".join(node.children)
 
 
 def to_canonical_form(tree: ParseTree, templates: CfTemplateSet | None = None) -> str:
@@ -430,7 +430,7 @@ def _take_listed(
 def _slot(t: CfTemplateSet, name: str, value_tokens: Sequence[str]) -> Slot:
     if not value_tokens:
         raise TemplateMismatch(f"empty {name} value")
-    return Slot(t.canonical_label(name), tuple(Token(v) for v in value_tokens))
+    return Slot(t.canonical_label(name), tuple(value_tokens))
 
 
 def _parse_pizza(chunk: Sequence[str], t: CfTemplateSet) -> Intent:

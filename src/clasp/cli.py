@@ -27,12 +27,17 @@ templates, an --nbest-in file without a value the run renders, an
 unreadable file) stop the run before its first request and leave no
 ``.partial``.
 
-Row files stream (see ``datasets``): preprocess-pizza and preprocess-mtop
-turn each input line into its output row before reading the next, and
-project-mt, mix and the augment loop write a row at a time. A command
-holds a whole file only where it must: augment holds its pool, mix the
-real plus the synthetic rows, project-mt the source rows, the MT records
-and the alignments, and score the hyp and ref rows by id.
+Row files stream (see ``datasets``). preprocess-pizza and preprocess-mtop
+map their rows with ``datasets.map_rows``: the input lines go in chunks to
+one forked worker per CPU, only a few chunks per worker are read ahead of
+the one being written, and the rows are written in input order. An input
+that fits in one chunk, or a single CPU, is mapped in process. Each row's
+parse is parsed, so a row that does not decode or whose parse is
+malformed ends the run with one error line naming ``<file>:<line>`` and
+no output. project-mt, mix and the augment loop write a row at a time. A
+command holds a whole file only where it must: augment holds its pool,
+mix the real plus the synthetic rows, project-mt the source rows, the MT
+records and the alignments, and score the hyp and ref rows by id.
 
 Every JSON file a command reads (the setting files of ``augment``, its
 --config, and the record given to ``report --in``) is read by
@@ -48,11 +53,10 @@ import json
 import logging
 import random
 import sys
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as dc_replace
-from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -63,10 +67,12 @@ from .datasets import (
     RecordWriter,
     RowMalformed,
     atomic_write_text,
-    iter_mtop_rows,
-    iter_pizza_rows,
+    decode_mtop_line,
     iter_records,
+    map_rows,
+    ordered_map,
     packaged,
+    pizza_line_decoder,
     read_json,
     read_jsonl,
     read_records,
@@ -238,75 +244,66 @@ def _cf_templates(path: str | None) -> canonical.CfTemplateSet:
 
 def cmd_preprocess_pizza(args: argparse.Namespace) -> None:
     templates = _cf_templates(args.cf_templates)
-    uncovered = 0
+    fixed_cf = args.mode == "fixed-cf"
 
-    def examples():
-        nonlocal uncovered
-        rows = iter_pizza_rows(args.infile, need_cf=args.mode == "original")
-        for i, row in enumerate(rows):
-            tree = decouple(parse_tree(row["TOP"], Dialect.PIZZA_PAREN))
-            parse_str = serialize(tree)
-            if args.mode == "fixed-cf":
-                try:
-                    cf = canonical.to_canonical_form(tree, templates)
-                except canonical.TemplateError:
-                    uncovered += 1
-                    continue
-            else:
-                cf = row["CF"]
-            yield Example(
-                id=f"pizza-{i:06d}",
-                lang="en",
-                text=" ".join(row["SRC"].split()),
-                parse=parse_str,
-                source=args.source_tag,
-                cf=cf,
-            )
+    def build(i, row):
+        tree = decouple(parse_tree(row["TOP"], Dialect.PIZZA_PAREN))
+        if fixed_cf:
+            try:
+                cf = canonical.to_canonical_form(tree, templates)
+            except canonical.TemplateError:
+                return None, True
+        else:
+            cf = row["CF"]
+        ex = Example(
+            id=f"pizza-{i:06d}",
+            lang="en",
+            text=" ".join(row["SRC"].split()),
+            parse=serialize(tree),
+            source=args.source_tag,
+            cf=cf,
+        )
+        return ex.to_dict(), False
 
-    written = write_jsonl(args.out, examples())
+    decode = pizza_line_decoder(need_cf=not fixed_cf)
+    with RecordWriter(args.out) as out:
+        uncovered = map_rows(args.infile, decode, build, out)
     if uncovered:
         log.info("skipped %d rows not covered by the CF templates", uncovered)
-    log.info("wrote %d examples to %s", written, args.out)
+    log.info("wrote %d examples to %s", out.count, args.out)
 
 
 def cmd_preprocess_mtop(args: argparse.Namespace) -> None:
-    unencodable = 0
+    def build(i, row):
+        text = sentinels.space_join_tokens(row["tokens"])
+        parse_str = " ".join(row["decoupled_parse"].split())
+        # Parsed in both modes, so that no malformed parse reaches the pool.
+        tree = parse_tree(parse_str, Dialect.MTOP_BRACKET)
+        ex = Example(
+            id=row["id"],
+            lang=row["lang"],
+            text=text,
+            parse=parse_str,
+            source=args.source_tag,
+        )
+        if not args.sentinels:
+            return ex.to_dict(), False
+        try:
+            enc = sentinels.encode_sentinels(text, tree)
+        except UnmatchableSlot:
+            return (ex.to_dict() if args.on_unencodable == "keep" else None), True
+        ex = dc_replace(ex, text=enc.sentinel_text, parse=serialize(enc.sentinel_parse))
+        return ex.to_dict(), False
 
-    def examples():
-        nonlocal unencodable
-        for row in iter_mtop_rows(args.infile):
-            text = sentinels.space_join_tokens(row["tokens"])
-            parse_str = " ".join(row["decoupled_parse"].split())
-            ex = Example(
-                id=row["id"],
-                lang=row["lang"],
-                text=text,
-                parse=parse_str,
-                source=args.source_tag,
-            )
-            if args.sentinels:
-                try:
-                    enc = sentinels.encode_sentinels(
-                        text, parse_tree(parse_str, Dialect.MTOP_BRACKET)
-                    )
-                except UnmatchableSlot:
-                    unencodable += 1
-                    if args.on_unencodable == "keep":
-                        yield ex
-                    continue
-                ex = dc_replace(
-                    ex, text=enc.sentinel_text, parse=serialize(enc.sentinel_parse)
-                )
-            yield ex
-
-    written = write_jsonl(args.out, examples())
+    with RecordWriter(args.out) as out:
+        unencodable = map_rows(args.infile, decode_mtop_line, build, out)
     if unencodable:
         log.info(
             "%d rows could not be sentinel-encoded (%s)",
             unencodable,
             args.on_unencodable,
         )
-    log.info("wrote %d examples to %s", written, args.out)
+    log.info("wrote %d examples to %s", out.count, args.out)
 
 
 # ------------------------------------------------------------------- augment
@@ -428,26 +425,16 @@ def _generate(backend, jobs, cfg: DecodingConfig, max_inflight: int):
     most ``_WINDOW_PER_SLOT * max_inflight`` jobs ahead of the one yielded.
     """
 
-    def call(prompt):
-        return None if prompt is None else backend.generate(prompt, cfg)
+    def call(job_prompt):
+        job, prompt = job_prompt
+        return job, None if prompt is None else backend.generate(prompt, cfg)
 
     if max_inflight <= 1:
-        for job, prompt in jobs:
-            yield job, call(prompt)
+        yield from map(call, jobs)
         return
-    jobs = iter(jobs)
     pool = ThreadPoolExecutor(max_workers=max_inflight)
     try:
-        window = deque(
-            (job, pool.submit(call, prompt))
-            for job, prompt in islice(jobs, _WINDOW_PER_SLOT * max_inflight)
-        )
-        while window:
-            job, future = window.popleft()
-            outs = future.result()
-            for nxt, prompt in islice(jobs, 1):
-                window.append((nxt, pool.submit(call, prompt)))
-            yield job, outs
+        yield from ordered_map(pool, call, jobs, _WINDOW_PER_SLOT * max_inflight)
     finally:
         # A run stopped early sends none of the queued requests.
         pool.shutdown(cancel_futures=True)

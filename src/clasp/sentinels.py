@@ -85,15 +85,15 @@ def decode_sentinels(enc: SentinelEncoding) -> ParseTree:
 
     def restore(node: Node) -> Node:
         if isinstance(node, Token):
-            m = _SENTINEL_RE.match(node.text)
+            m = _SENTINEL_RE.match(node)
             if m is None:
                 return node
             idx = int(m.group(1))
             if idx >= len(enc.token_map):
                 raise UnknownSentinel(
-                    f"{node.text} outside the {len(enc.token_map)}-token map"
+                    f"{node} outside the {len(enc.token_map)}-token map"
                 )
-            return Token(enc.token_map[idx])
+            return enc.token_map[idx]
         return type(node)(node.label, tuple(restore(c) for c in node.children))
 
     return ParseTree(restore(enc.sentinel_parse.root), enc.sentinel_parse.dialect)

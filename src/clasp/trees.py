@@ -7,7 +7,9 @@ bracketed trees whose labels carry ``IN:``/``SL:`` prefixes, e.g.
 
 Tokens are whitespace-delimited and never split further; serialization
 joins all atoms with single spaces, so ``serialize(parse(s)) ==
-" ".join(s.split())`` for every well-formed input.
+" ".join(s.split())`` for every well-formed input. A token leaf is the
+word itself, a plain ``str`` (``Token`` is an alias), so a leaf slot's
+children are its value.
 
 Trees are immutable and shared. ``parse`` answers from a memo of the 64
 most recent inputs, because a pipeline stage parses the same string many
@@ -66,9 +68,9 @@ class UnmatchableSlot(TreeError):
     """A leaf slot that ``bind_slot_spans`` cannot bind to its own span."""
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
+# A leaf is the word itself: a wrapper object per word would cost about
+# 40% of a parse.
+Token = str
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,7 @@ class Slot:
     children: tuple["Node", ...] = ()
 
 
+# A node is an intent, a slot or a word.
 Node = Union[Intent, Slot, Token]
 
 
@@ -180,7 +183,7 @@ def _parse_paren(s: str, pieces: list[str]) -> Node:
                 f"bracketed label {piece!r} in parenthesis-dialect input"
             )
         elif stack:
-            stack[-1][1].append(Token(piece))
+            stack[-1][1].append(piece)
         else:
             raise UnbalancedDelimiters(f"token {piece!r} outside any group in {s!r}")
     if stack:
@@ -210,7 +213,7 @@ def _parse_bracket(s: str, pieces: list[str]) -> Node:
             cls = Intent if piece[1] == "I" else Slot
             stack.append([cls, piece[1:], []])
         elif stack:
-            stack[-1][2].append(Token(piece))
+            stack[-1][2].append(piece)
         else:
             raise UnbalancedDelimiters(f"token {piece!r} outside any group in {s!r}")
     if stack:
@@ -225,7 +228,7 @@ def serialize(tree: ParseTree) -> str:
 
 def serialize_node(node: Node, dialect: Dialect) -> str:
     if isinstance(node, Token):
-        return node.text
+        return node
     atoms: list[str] = []
     if dialect is Dialect.PIZZA_PAREN:
         _append_atoms(node, "(", ")", atoms)
@@ -240,7 +243,7 @@ def _append_atoms(
     atoms.append(opener + node.label)
     for child in node.children:
         if isinstance(child, Token):
-            atoms.append(child.text)
+            atoms.append(child)
         else:
             _append_atoms(child, opener, close, atoms)
     atoms.append(close)
@@ -289,7 +292,7 @@ def _collect_leaf_slots(
     if isinstance(node, Token):
         return
     if isinstance(node, Slot) and all(isinstance(c, Token) for c in node.children):
-        out.append(SlotRef(path, node.label, tuple(c.text for c in node.children)))
+        out.append(SlotRef(path, node.label, node.children))
         return
     for i, child in enumerate(node.children):
         _collect_leaf_slots(child, path + (i,), out)
@@ -311,7 +314,7 @@ def replace_slot(
                 raise PathInvalid(
                     f"path {ref.path} does not resolve to leaf slot {ref.slot_label!r}"
                 )
-            return Slot(node.label, tuple(Token(t) for t in value))
+            return Slot(node.label, value)
         if isinstance(node, Token):
             raise PathInvalid(f"path {ref.path} descends through a token")
         idx = ref.path[depth]
@@ -339,7 +342,7 @@ def structure_signature(tree: ParseTree) -> str:
             and node.children
             and all(isinstance(c, Token) for c in node.children)
         ):
-            return Slot(node.label, (Token("_"),))
+            return Slot(node.label, ("_",))
         return type(node)(node.label, tuple(mask(c) for c in node.children))
 
     return serialize(ParseTree(mask(tree.root), tree.dialect))
@@ -367,7 +370,7 @@ def unordered_normalize(tree: ParseTree) -> ParseTree:
 
 def _sort_key(node: Node, dialect: Dialect) -> tuple[int, str, str]:
     if isinstance(node, Token):
-        return (2, node.text, node.text)
+        return (2, node, node)
     rank = 0 if isinstance(node, Intent) else 1
     return (rank, node.label, serialize_node(node, dialect))
 

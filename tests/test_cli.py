@@ -10,7 +10,12 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import logging
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from importlib import resources
@@ -19,7 +24,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from clasp import cli, gate, prompts, trees
+from clasp import cli, datasets, gate, prompts, trees
 from clasp.backends import BackendUnavailable, MockBackend
 from clasp.datasets import Example, RecordWriter, read_jsonl, read_records
 from clasp.prompts import build_gb_prompt
@@ -146,6 +151,12 @@ def write_json(path: Path, obj) -> Path:
     return path
 
 
+def mtop_line(i: str, text: str, parse: str) -> str:
+    """An MTOP TSV line whose tokens are the words of ``text``."""
+    return "\t".join([i, parse.split()[0][1:], "", text, "test", "en_XX", parse,
+                      json.dumps({"tokens": text.split()})])
+
+
 @pytest.fixture(scope="module")
 def data(tmp_path_factory) -> Path:
     """Preprocessed pizza and MTOP pools plus mock rule files."""
@@ -153,11 +164,7 @@ def data(tmp_path_factory) -> Path:
     rows = [json.dumps({"train.SRC": s, "train.TOP": t}) for s, t in PIZZA_ROWS]
     (d / "pizza.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert run("preprocess-pizza", "--in", d / "pizza.jsonl", "--out", d / "pool.jsonl") == 0
-    lines = [
-        "\t".join([i, parse.split()[0][1:], "", text, "test", "en_XX", parse,
-                   json.dumps({"tokens": text.split()})])
-        for i, text, parse in MTOP_ROWS
-    ]
+    lines = [mtop_line(i, text, parse) for i, text, parse in MTOP_ROWS]
     (d / "mtop.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run("preprocess-mtop", "--in", d / "mtop.tsv", "--out", d / "mtop.jsonl") == 0
     write_json(d / "pizza_rules.json", PIZZA_RULES)
@@ -223,6 +230,194 @@ def test_preprocess_mtop_space_joins_tokens(data, tmp_path):
     encoded = read_jsonl(out)
     assert len(encoded) == len(MTOP_ROWS)
     assert encoded[0].text != pool[0].text
+
+
+# Twenty rows of each preprocess input, cycling the fixture rows: row 3 of
+# every 7 is one that the CF templates do not cover or that sentinels cannot
+# encode, and a blank line follows the fifth row, so the pizza ids skip it.
+MAP_ROWS = 20
+UNCOVERED_TOP = "(ORDER (PIZZAORDER (NUMBER a ) (CRUST x ) ) )"
+UNENCODABLE_PARSE = "[IN:CREATE_CALL [SL:CONTACT nobody ] ]"
+
+
+def write_map_inputs(d: Path, bad_line: int | None = None) -> dict[str, Path]:
+    """``pizza.jsonl`` and ``mtop.tsv`` of MAP_ROWS rows in ``d``; the row
+    on file line ``bad_line`` holds a parse with an unclosed group."""
+    pizza, mtop = [], []
+    for i in range(MAP_ROWS):
+        src, top = PIZZA_ROWS[i % len(PIZZA_ROWS)]
+        rid, text, parse = MTOP_ROWS[i % len(MTOP_ROWS)]
+        if i % 7 == 3:
+            top, parse = UNCOVERED_TOP, UNENCODABLE_PARSE
+        pizza.append(json.dumps({"train.SRC": src, "train.TOP": top, "train.CF": f"cf {i}"}))
+        mtop.append(mtop_line(f"{rid}-{i}", text, parse))
+    pizza.insert(5, "")
+    mtop.insert(5, "")
+    if bad_line is not None:
+        pizza[bad_line - 1] = json.dumps({"SRC": "a pizza", "TOP": "(ORDER (PIZZAORDER"})
+        mtop[bad_line - 1] = mtop_line("bad", "call x", "[IN:X [SL:A x ]")
+    files = {"pizza.jsonl": pizza, "mtop.tsv": mtop}
+    for name, lines in files.items():
+        (d / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return {name: d / name for name in files}
+
+
+PREPROCESS_RUNS = {
+    "pizza-fixed-cf": ("preprocess-pizza", "pizza.jsonl"),
+    "pizza-original": ("preprocess-pizza", "pizza.jsonl", "--mode", "original"),
+    "mtop": ("preprocess-mtop", "mtop.tsv"),
+    "mtop-sentinels": ("preprocess-mtop", "mtop.tsv", "--sentinels"),
+    "mtop-sentinels-keep": ("preprocess-mtop", "mtop.tsv", "--sentinels",
+                            "--on-unencodable", "keep"),
+}
+
+
+def preprocess(inputs: dict[str, Path], case: str, out: Path) -> int:
+    command, infile, *extra = PREPROCESS_RUNS[case]
+    return run(command, "--in", inputs[infile], "--out", out, *extra)
+
+
+MAP_CHUNK = 3
+
+
+def two_workers(monkeypatch) -> None:
+    """Map rows in chunks of MAP_CHUNK on two forked workers."""
+    monkeypatch.setattr(datasets, "_CHUNK_ROWS", MAP_CHUNK)
+    monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+# The skip line and the count of rows written by each run of the inputs.
+PREPROCESS_LOGS = {
+    "pizza-fixed-cf": ["skipped 3 rows not covered by the CF templates", 17],
+    "pizza-original": [None, 20],
+    "mtop": [None, 20],
+    "mtop-sentinels": ["3 rows could not be sentinel-encoded (discard)", 17],
+    "mtop-sentinels-keep": ["3 rows could not be sentinel-encoded (keep)", 20],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREPROCESS_RUNS))
+def test_preprocess_in_chunks_on_two_workers_is_the_one_chunk_run(
+    tmp_path, monkeypatch, caplog, case
+):
+    inputs = write_map_inputs(tmp_path)
+    one, many = tmp_path / "one.jsonl", tmp_path / "many.jsonl"
+    with caplog.at_level(logging.INFO, logger="clasp"):
+        assert preprocess(inputs, case, one) == 0
+        logged_one = [r.getMessage().replace(str(one), "OUT") for r in caplog.records]
+        caplog.clear()
+        two_workers(monkeypatch)
+        mapped_in = tmp_path / "pids"
+        map_chunk = datasets._map_chunk
+
+        def recording(*args):
+            with open(mapped_in, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return map_chunk(*args)
+
+        monkeypatch.setattr(datasets, "_map_chunk", recording)
+        assert preprocess(inputs, case, many) == 0
+        logged_many = [r.getMessage().replace(str(many), "OUT") for r in caplog.records]
+    assert many.read_bytes() == one.read_bytes()
+    skipped, written = PREPROCESS_LOGS[case]
+    assert logged_many == logged_one == [
+        *([skipped] if skipped else []), f"wrote {written} examples to OUT"
+    ]
+    pids = mapped_in.read_text().split()
+    assert len(pids) == -(-MAP_ROWS // MAP_CHUNK)
+    assert str(os.getpid()) not in pids
+    assert multiprocessing.active_children() == []
+    if case.startswith("pizza"):
+        # Ids number the non-blank rows, skipped ones included.
+        assert read_jsonl(many)[-1].id == f"pizza-{MAP_ROWS - 1:06d}"
+
+
+def test_preprocess_in_chunks_writes_the_fixture_pools(data, tmp_path, monkeypatch):
+    # The pools that every EXPECTED_DIGESTS run reads.
+    two_workers(monkeypatch)
+    assert run("preprocess-pizza", "--in", data / "pizza.jsonl",
+               "--out", tmp_path / "pool.jsonl") == 0
+    assert run("preprocess-mtop", "--in", data / "mtop.tsv",
+               "--out", tmp_path / "mtop.jsonl") == 0
+    for name in ("pool.jsonl", "mtop.jsonl"):
+        assert (tmp_path / name).read_bytes() == (data / name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "two-workers"])
+@pytest.mark.parametrize("case", ["pizza-fixed-cf", "mtop", "mtop-sentinels"])
+def test_a_malformed_parse_names_its_row_and_leaves_no_output(
+    tmp_path, monkeypatch, caplog, case, workers
+):
+    inputs = write_map_inputs(tmp_path, bad_line=15)
+    if workers == 2:
+        two_workers(monkeypatch)
+    out = tmp_path / "out" / "pool.jsonl"
+    code = preprocess(inputs, case, out)
+    path = inputs[PREPROCESS_RUNS[case][1]]
+    assert_one_line_error(caplog, code, path)
+    assert f"{path}:15: unclosed group" in caplog.records[-1].getMessage()
+    assert list(out.parent.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_a_pizza_src_that_is_not_a_string_names_its_row(tmp_path, caplog):
+    bad = write_jsonl(tmp_path / "pizza.jsonl", [{"SRC": 5, "TOP": PIZZA_ROWS[0][1]}])
+    code = run("preprocess-pizza", "--in", bad, "--out", tmp_path / "pool.jsonl")
+    assert_one_line_error(caplog, code, bad)
+    assert f"{bad}:1: row's SRC and TOP fields must be strings" in caplog.text
+
+
+def test_preprocess_reads_a_bounded_window_ahead(tmp_path, monkeypatch):
+    rows = [json.dumps({"SRC": src, "TOP": top}) for src, top in PIZZA_ROWS] * 8
+    infile = tmp_path / "pizza.jsonl"
+    infile.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    two_workers(monkeypatch)
+    read, read_at_write = [0], []
+    numbered_lines, write_text = datasets._numbered_lines, RecordWriter.write_text
+
+    def counting(path):
+        for item in numbered_lines(path):
+            read[0] += 1
+            yield item
+
+    def writing(self, text, count):
+        read_at_write.append(read[0])
+        write_text(self, text, count)
+
+    monkeypatch.setattr(datasets, "_numbered_lines", counting)
+    monkeypatch.setattr(RecordWriter, "write_text", writing)
+    assert run("preprocess-pizza", "--in", infile, "--out", tmp_path / "pool.jsonl") == 0
+    ahead = datasets._AHEAD_PER_WORKER * 2
+    assert read_at_write[0] <= (ahead + 1) * MAP_CHUNK < len(rows)
+    assert len(read_at_write) == -(-len(rows) // MAP_CHUNK)
+    assert read[0] == len(rows)
+
+
+def test_one_chunk_or_one_cpu_starts_no_process(data, tmp_path, monkeypatch):
+    def forbidden():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0, 1})
+    # The fixture's eight rows fit in one chunk.
+    out = tmp_path / "pool.jsonl"
+    assert run("preprocess-pizza", "--in", data / "pizza.jsonl", "--out", out) == 0
+    assert out.read_bytes() == (data / "pool.jsonl").read_bytes()
+    inputs = write_map_inputs(tmp_path)
+    two_workers(monkeypatch)
+    monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0})
+    assert preprocess(inputs, "mtop-sentinels", tmp_path / "sent.jsonl") == 0
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # A pool loads it when it starts; the start-up of every command does not.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, clasp.cli; print(sorted(m for m in sys.modules if 'multiproc' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------- augment

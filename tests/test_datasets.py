@@ -3,7 +3,9 @@ from __future__ import annotations
 import ast
 import gc
 import json
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -12,12 +14,16 @@ import clasp
 from clasp.datasets import (
     Example,
     FileMalformed,
+    RecordWriter,
     RowMalformed,
     iter_mtop_rows,
     iter_pizza_rows,
+    map_rows,
+    ordered_map,
     read_json,
     read_jsonl,
     read_records,
+    record_line,
     write_jsonl,
 )
 
@@ -188,6 +194,78 @@ class TestReadMtopRows:
         path = write(tmp_path / "m.tsv", ["fr-1\tIN:X"])
         with pytest.raises(RowMalformed, match=r"m\.tsv:1: expected 8 tab-separated"):
             list(iter_mtop_rows(path))
+
+    def test_blank_lines_are_skipped_and_numbered(self, tmp_path):
+        # A line of whitespace is blank in every row format.
+        good = mtop_line('{"tokens": ["a"]}')
+        path = write(tmp_path / "m.tsv", [good, "", " \t ", good, "fr-1\tIN:X"])
+        rows = iter_mtop_rows(path)
+        assert [next(rows)["tokens"], next(rows)["tokens"]] == [["a"], ["a"]]
+        with pytest.raises(RowMalformed, match=r"m\.tsv:5: expected 8 tab-separated"):
+            next(rows)
+
+
+def parity(i: int, word: str) -> tuple[dict | None, bool]:
+    """Keep even rows; flag every third."""
+    return ({"i": i, "word": word} if i % 2 == 0 else None), i % 3 == 0
+
+
+class TestMapRows:
+    def test_rows_are_numbered_built_and_written_in_order(self, tmp_path):
+        path = write(tmp_path / "w.txt", ["a", "", "b", "c", "  ", "d", "e"])
+        with RecordWriter(tmp_path / "out.jsonl") as out:
+            flagged = map_rows(path, str.strip, parity, out)
+        assert flagged == 2
+        assert out.count == 3
+        assert read_records(tmp_path / "out.jsonl") == [
+            {"i": 0, "word": "a"}, {"i": 2, "word": "c"}, {"i": 4, "word": "e"}
+        ]
+
+    def test_a_fault_of_build_names_its_line_and_writes_nothing(self, tmp_path):
+        def build(i, word):
+            if word == "bad":
+                raise ValueError("no good")
+            return {"word": word}, False
+
+        path = write(tmp_path / "w.txt", ["a", "", "bad"])
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(RowMalformed, match=r"w\.txt:3: no good"):
+            with RecordWriter(out) as writer:
+                map_rows(path, str.strip, build, writer)
+        assert list(tmp_path.iterdir()) == [Path(path)]
+
+    def test_write_encodes_with_record_line(self, tmp_path):
+        rows = [{"a": "\u00e9"}, {"b": [1, None]}]
+        with RecordWriter(tmp_path / "one.jsonl") as one:
+            for row in rows:
+                one.write(row)
+        with RecordWriter(tmp_path / "text.jsonl") as text:
+            text.write_text("".join(map(record_line, rows)), len(rows))
+        assert one.count == text.count == 2
+        assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "text.jsonl").read_bytes()
+
+
+class TestOrderedMap:
+    def test_results_come_in_order_within_the_window(self):
+        read = []
+
+        def items():
+            for i in range(20):
+                read.append(i)
+                yield i
+
+        def slow_first(i):
+            if i == 0:
+                time.sleep(0.05)
+            return i * i
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            out = []
+            for result in ordered_map(pool, slow_first, items(), 4):
+                out.append(result)
+                # The item yielded, plus at most 4 read ahead of it.
+                assert len(read) <= len(out) + 4
+        assert out == [i * i for i in range(20)]
 
 
 class TestExample:
