@@ -42,7 +42,7 @@ import ssl
 import threading
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .prompts import METHODS, Method, Prompt, continuation_for
@@ -143,13 +143,15 @@ class MockRule:
     substitutions: tuple[tuple[str, str], ...] = ()
     inject_word: str = "pepperoni"
     corrupt_count: int | None = None
+    # ``pattern`` compiled once; not part of equality, hash or repr.
+    _regex: re.Pattern = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         unknown = set(self.corruptions) - MOCK_CORRUPTIONS
         if unknown:
             raise ValueError(f"unknown corruption flags: {sorted(unknown)}")
         try:
-            re.compile(self.pattern)
+            object.__setattr__(self, "_regex", re.compile(self.pattern))
         except re.error as exc:
             raise ValueError(f"mock rule pattern {self.pattern!r}: {exc}") from exc
         edits = sorted(set(self.corruptions) - SEPARATOR_CORRUPTIONS)
@@ -160,7 +162,7 @@ class MockRule:
             )
 
     def matches(self, prompt_text: str) -> bool:
-        return not self.pattern or re.search(self.pattern, prompt_text) is not None
+        return self._regex.search(prompt_text) is not None
 
     @classmethod
     def from_dict(cls, d: dict) -> "MockRule":

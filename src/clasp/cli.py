@@ -18,14 +18,23 @@ default to every language of the anchor file, sorted.
 ``augment`` streams: tasks are built as the backend loop asks for them,
 at most a few per request slot ahead of the row being written, and each
 row goes in task order to a temp file beside --out that is renamed onto
---out when the run ends. No more than --max-inflight requests are in
-flight. When a run fails part way (a backend failure, an interrupt, a
-pool row that cannot be parsed), the rows finished so far are kept in
-``<out>.partial`` and --out is not created. Errors in the settings (a pool
-too small, a language without an anchor pair or a name in the prompt
-templates, an --nbest-in file without a value the run renders, an
-unreadable file) stop the run before its first request and leave no
-``.partial``.
+--out when the run ends. --max-inflight bounds the requests in flight to
+an HTTP backend, which runs in this process on that many threads. The
+mock answers with CPU work instead, so a mock run of more than one chunk
+of tasks (``datasets._CHUNK_ROWS``, 1000) maps its chunks with
+``datasets.map_chunks`` on one forked worker per CPU, each sending one
+request at a time, and writes their rows in task order, with at most
+two chunks per worker mapped ahead of the one being written; so does the
+ts/tb slot n-best pass when its (language, value) jobs fill more than
+one chunk. A mock run of one chunk, or on one CPU, stays in this process
+with --max-inflight requests in flight. Outputs are the same bytes either
+way. When a run fails part way (a backend failure, an interrupt, a pool
+row that cannot be parsed, a lost worker), the rows finished so far are
+kept in ``<out>.partial`` and --out is not created. Errors in the
+settings (a pool too small, a language without an anchor pair or a name
+in the prompt templates, an --nbest-in file without a value the run
+renders, an unreadable file) stop the run before its first request and
+leave no ``.partial``.
 
 Row files stream (see ``datasets``). preprocess-pizza and preprocess-mtop
 map their rows with ``datasets.map_rows``: the input lines go in chunks to
@@ -49,6 +58,7 @@ the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import random
@@ -56,7 +66,9 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import replace as dc_replace
+from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
@@ -66,16 +78,21 @@ from .datasets import (
     Example,
     RecordWriter,
     RowMalformed,
+    WorkerLost,
     atomic_write_text,
+    chunk_spans,
     decode_mtop_line,
     iter_records,
+    map_chunks,
     map_rows,
+    map_workers,
     ordered_map,
     packaged,
     pizza_line_decoder,
     read_json,
     read_jsonl,
     read_records,
+    record_line,
     write_jsonl,
 )
 from .trees import (
@@ -133,7 +150,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         args.func(args)
-    except (CliError, RowMalformed, TreeError, ValueError, OSError) as exc:
+    except (CliError, RowMalformed, TreeError, ValueError, OSError, WorkerLost) as exc:
         log.error("%s", exc)
         return 1
     except BackendError as exc:
@@ -462,21 +479,25 @@ def cmd_augment(args: argparse.Namespace) -> None:
     try:
         build = _pizza_tasks if spec.family == "pizza" else _mtop_tasks
         tasks, to_row = build(args, pool, templates, backend)
-        jobs = ((task, task[3]) for task in tasks)
-        # The stats read no input id, so events are counted without it:
-        # memory then grows with the kinds of outcome, not with --k.
+        run = functools.partial(_run_tasks, backend, tasks, to_row, cfg)
         events: Counter[gate.GateEvent] = Counter()
+        spans = _worker_spans(backend, args.k)
         partial = str(args.out) + ".partial"
         with RecordWriter(args.out, partial) as writer:
             try:
-                for task, outs in _generate(backend, jobs, cfg, args.max_inflight):
-                    row, event = to_row(*task, outs)
-                    writer.write(row)
-                    if event is not None:
-                        events[dc_replace(event, input_id="")] += 1
+                if spans is None:
+                    run(args.max_inflight, (0, args.k), _sink(writer.write, events))
+                else:
+                    task = functools.partial(_task_chunk, run)
+                    with closing(map_chunks(task, spans)) as chunks:
+                        for text, count, chunk_events, error in chunks:
+                            writer.write_text(text, count)
+                            events.update(chunk_events)
+                            if error is not None:
+                                raise error
             except BaseException:
-                # Whatever stops the run (a backend failure, an interrupt),
-                # the rows finished so far are kept.
+                # Whatever stops the run (a backend failure, an interrupt,
+                # a lost worker), the rows finished so far are kept.
                 log.error("flushed %d partial rows to %s", writer.count, partial)
                 raise
     finally:
@@ -487,8 +508,56 @@ def cmd_augment(args: argparse.Namespace) -> None:
     log.info("wrote %d rows to %s", writer.count, args.out)
 
 
+def _worker_spans(backend, n: int) -> list[tuple[int, int]] | None:
+    """The chunk spans of ``n`` jobs when they run on forked workers, else
+    None. Only the mock forks: it answers with CPU work in the calling
+    process, while an HTTP backend waits on the network in this process,
+    with --max-inflight requests in flight."""
+    spans = chunk_spans(n)
+    if isinstance(backend, MockBackend) and map_workers(len(spans)):
+        return spans
+    return None
+
+
+def _run_tasks(backend, tasks, to_row, cfg, max_inflight, span, sink) -> None:
+    """The task loop: each task ``i`` of the span ``[start, stop)`` is
+    built, generated, and gated or falls back, and ``sink(row, event)``
+    gets its row, in task order."""
+    jobs = ((task, task[3]) for task in tasks(*span))
+    for task, outs in _generate(backend, jobs, cfg, max_inflight):
+        sink(*to_row(*task, outs))
+
+
+def _sink(write, events: Counter):
+    """A task-loop sink: ``write`` each row and count its event. The stats
+    read no input id, so events are counted without it: memory then grows
+    with the kinds of outcome, not with --k."""
+
+    def sink(row, event) -> None:
+        write(row)
+        if event is not None:
+            events[dc_replace(event, input_id="")] += 1
+
+    return sink
+
+
+def _task_chunk(run, span):
+    """``(text, rows, events, error)`` of the tasks of ``span`` run on a
+    worker, one request at a time: the rows before a task that raised, and
+    its exception, which the main process raises after writing them."""
+    lines: list[str] = []
+    events: Counter[gate.GateEvent] = Counter()
+    error = None
+    try:
+        run(1, span, _sink(lambda row: lines.append(record_line(row)), events))
+    except Exception as exc:
+        error = exc
+    return "".join(lines), len(lines), events, error
+
+
 def _pizza_tasks(args, pool, templates, backend):
-    """rs/gb: task i starts from pool example i mod len(pool); rows carry a
+    """rs/gb: ``tasks(start, stop)`` yields tasks ``start <= i < stop``,
+    and task i starts from pool example i mod len(pool); rows carry a
     canonical form. Tasks are built as they are read."""
     catalog = (
         read_json(args.catalog, canonical.SlotCatalog.from_mapping)
@@ -506,8 +575,8 @@ def _pizza_tasks(args, pool, templates, backend):
     ):
         raise CliError("replace-slots needs at least 5 distinct dataset examples")
 
-    def tasks():
-        for i in range(args.k):
+    def tasks(start, stop):
+        for i in range(start, stop):
             original = pool[i % len(pool)]
             rng = random.Random(_task_seed(args.seed, i))
             if args.method == "rs":
@@ -545,7 +614,7 @@ def _pizza_tasks(args, pool, templates, backend):
             )
         return _with_cf(emitted, cf_templates).to_dict(), event
 
-    return tasks(), to_row
+    return tasks, to_row
 
 
 class _Without(Sequence):
@@ -615,7 +684,8 @@ def _mtop_row(i: int, langs: Sequence[str], pool: Sequence[Example]) -> int:
 
 
 def _mtop_tasks(args, pool, templates, backend):
-    """ts/tb/mt: task i renders the pool row ``_mtop_row(i, langs, pool)``
+    """ts/tb/mt: ``tasks(start, stop)`` yields tasks ``start <= i < stop``,
+    and task i renders the pool row ``_mtop_row(i, langs, pool)``
     in language langs[i % len(langs)]; mt rows are bare translations with
     no gate. The slot n-best is ready before the first task and covers only
     the leaf-slot values of the rows the tasks render, so --nbest-in must
@@ -634,8 +704,8 @@ def _mtop_tasks(args, pool, templates, backend):
     if args.method != "mt":
         nbest = _load_or_build_nbest(args, backend, pool, langs, anchors, templates)
 
-    def tasks():
-        for i in range(args.k):
+    def tasks(start, stop):
+        for i in range(start, stop):
             lang = langs[i % len(langs)]
             ex = pool[_mtop_row(i, langs, pool)]
             anchor_en, anchor_tgt = anchors[lang]
@@ -668,7 +738,7 @@ def _mtop_tasks(args, pool, templates, backend):
         emitted = verdict.final or gate.fallback([ex], _task_seed(args.seed, i))
         return emitted.to_dict(), event
 
-    return tasks(), to_row
+    return tasks, to_row
 
 
 def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
@@ -676,7 +746,12 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
     ``i < k`` render, in each language: read from --nbest-in, which must
     hold every such (language, value), else translated through the backend
     and written to --nbest-out. A value that got no candidate is written
-    with an empty list, so the file shows that it was tried."""
+    with an empty list, so the file shows that it was tried.
+
+    The (language, value) jobs are mapped like the tasks: on forked
+    workers when the backend is the mock and they fill more than one
+    chunk, else in this process. The task workers fork after the map is
+    built, so they inherit it."""
     rows = {_mtop_row(i, langs, pool) for i in range(args.k)}
     values = sorted(
         {
@@ -701,27 +776,30 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
             )
         return nbest
     pairs = {lang: _slot_anchor_pairs(*anchors[lang]) for lang in langs}
-    jobs = (
-        ((lang, value),
-         prompts.build_slot_mt_prompt(pairs[lang], value, lang, templates))
-        for lang in langs
-        for value in values
-    )
+    jobs = [(lang, value) for lang in langs for value in values]
     spec = prompts.METHODS[prompts.Method.SLOT_MT]
     cfg = dc_replace(DecodingConfig(*spec.decoding), **args.decoding)
+
+    def translate(max_inflight, span):
+        """The candidates of each job of the span ``[start, stop)``."""
+        prompted = (
+            (None, prompts.build_slot_mt_prompt(pairs[lang], value, lang, templates))
+            for lang, value in jobs[slice(*span)]
+        )
+        return [
+            _slot_candidates(outs, templates)
+            for _, outs in _generate(backend, prompted, cfg, max_inflight)
+        ]
+
+    spans = _worker_spans(backend, len(jobs))
+    if spans is None:
+        candidates = translate(args.max_inflight, (0, len(jobs)))
+    else:
+        with closing(map_chunks(functools.partial(translate, 1), spans)) as chunks:
+            candidates = list(chain.from_iterable(chunks))
     mapping: dict[str, dict[str, list[str]]] = {}
-    for (lang, value), outs in _generate(backend, jobs, cfg, args.max_inflight):
-        candidates = []
-        for out in outs:
-            try:
-                cand = prompts.split_generation(
-                    prompts.Method.SLOT_MT, out.text, templates
-                )
-            except prompts.InvalidSeparators:
-                continue
-            if cand.text:
-                candidates.append(cand.text)
-        mapping.setdefault(lang, {})[value] = candidates
+    for (lang, value), found in zip(jobs, candidates):
+        mapping.setdefault(lang, {})[value] = found
     nbest = gate.SlotNBestMap.from_mapping(mapping)
     nbest_out = args.nbest_out or str(args.out) + ".nbest.json"
     atomic_write_text(
@@ -729,6 +807,19 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
     )
     log.info("wrote slot n-best lists for %d values to %s", len(values), nbest_out)
     return nbest
+
+
+def _slot_candidates(outs, templates) -> list[str]:
+    """The non-empty translations of a slot value, in output order."""
+    candidates = []
+    for out in outs:
+        try:
+            cand = prompts.split_generation(prompts.Method.SLOT_MT, out.text, templates)
+        except prompts.InvalidSeparators:
+            continue
+        if cand.text:
+            candidates.append(cand.text)
+    return candidates
 
 
 def _write_stats(args, record: dict, table: str) -> None:

@@ -11,12 +11,17 @@ what it must keep: the list that ``read_jsonl`` returns (the augment pool,
 which rs and gb sample by index; the real and synthetic sets of ``mix``;
 the source rows of ``project-mt``) and the id maps of ``score``.
 
-``map_rows`` maps the rows of a file on every CPU: the main process reads
-and numbers the lines, forked workers decode, build and encode chunks of
-them, and the main process writes each chunk's text in input order,
-reading at most a few chunks per worker ahead. An input that fits in one
-chunk, or a single CPU, is mapped in process with no other process
-started, and ``multiprocessing`` is imported only when a pool starts.
+``map_chunks`` maps chunks of work on every CPU: forked workers map the
+chunks, and the main process takes their results in order, reading at
+most a few chunks per worker ahead. One chunk, or a single CPU, is mapped
+in process with no other process started, and ``multiprocessing`` is
+imported only when a pool starts. A worker that dies ends the map with
+one ``WorkerLost``; workers ignore SIGINT, which only the main process
+acts on. ``map_rows`` maps the rows of a file with it: the main process
+reads and numbers the lines, workers decode, build and encode chunks of
+them, and the main process writes each chunk's text in input order.
+``cli`` maps a mock augment run's tasks and slot n-best jobs with it, in
+``chunk_spans`` of task indices.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import json
 import os
 import tempfile
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, islice
@@ -322,11 +328,14 @@ def iter_mtop_rows(path: str | Path) -> Iterator[dict[str, Any]]:
 
 # ------------------------------------------------------------------ row map
 
-# Rows in one task of ``map_rows``. A worker maps 1000 of the benchmark's
-# pizza rows in about 0.1 s on a 2-vCPU Xeon VM, against about a
-# millisecond to send their lines and fetch back their text, so the
-# hand-off costs about 1%; each chunk read ahead holds about 250 KB of
-# lines; and a 20k-row input still splits evenly over the workers.
+# Items in one chunk of ``map_chunks``: rows of ``map_rows``, augment tasks
+# or slot n-best jobs. A worker maps 1000 of the benchmark's pizza rows in
+# about 0.1 s on a 2-vCPU Xeon VM, against about a millisecond to send
+# their lines and fetch back their text, so the hand-off costs about 1%;
+# each chunk read ahead holds about 250 KB of lines; and a 20k-row input
+# still splits evenly over the workers. 1000-task augment chunks were also
+# faster than 64-task ones, and a mock augment run of at most 1000 tasks
+# stays in one process, where a patched backend sees every request.
 _CHUNK_ROWS = 1000
 # Chunks queued per worker ahead of the one being written: one to map and
 # one waiting, so no worker idles while the main process writes.
@@ -347,27 +356,63 @@ def map_rows(
     ``decode`` or ``build`` ends the map with a ``RowMalformed`` naming
     ``<path>:<line>``.
 
-    The main process reads and numbers the lines and hands them out in
-    chunks of ``_CHUNK_ROWS`` to one forked worker per CPU, which decodes,
-    builds and encodes each row; the text of each chunk is written in input
-    order, and at most ``_AHEAD_PER_WORKER`` chunks per worker are read
-    ahead of the one being written. An input that fits in one chunk, or a
-    single CPU, maps the same chunks in this process and starts no other.
+    The main process reads and numbers the lines and ``map_chunks`` hands
+    them out in chunks of ``_CHUNK_ROWS``; a worker decodes, builds and
+    encodes each row, and the text of each chunk is written in input order.
     """
-    chunks = _chunks(_numbered_rows(path))
-    head = list(islice(chunks, 2))
     task = functools.partial(_map_chunk, path, decode, build)
-    workers = len(os.sched_getaffinity(0))
-    if len(head) < 2 or workers < 2:
-        return _write_chunks(map(task, chain(head, chunks)), out)
-    # Imported here: a command that maps no large file loads no
-    # multiprocessing.
+    flagged = 0
+    with closing(map_chunks(task, _chunks(_numbered_rows(path)))) as results:
+        for text, count, flags in results:
+            out.write_text(text, count)
+            flagged += flags
+    return flagged
+
+
+def chunk_spans(n: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` index spans of ``n`` items in chunks of
+    ``_CHUNK_ROWS``."""
+    return [(start, min(start + _CHUNK_ROWS, n)) for start in range(0, n, _CHUNK_ROWS)]
+
+
+def map_workers(chunks: int) -> int:
+    """The workers ``map_chunks`` forks for ``chunks`` chunks: one per CPU,
+    or none for a single chunk or a single CPU."""
+    cpus = len(os.sched_getaffinity(0))
+    return cpus if chunks > 1 and cpus > 1 else 0
+
+
+class WorkerLost(Exception):
+    """A worker of ``map_chunks`` ended without returning its chunk."""
+
+
+def map_chunks(task: Callable[[Any], T], chunks: Iterable[Any]) -> Iterator[T]:
+    """Yield ``task(chunk)`` for each of ``chunks``, in order.
+
+    When ``map_workers`` gives workers for them, the chunks go to forked
+    workers and at most ``_AHEAD_PER_WORKER`` chunks per worker are read
+    ahead of the one yielded; otherwise each is mapped in this process,
+    which starts no other. Call it with no other thread running. An exception that ``task`` raises in a worker is raised here;
+    a worker that dies without one (killed by a signal) raises
+    ``WorkerLost``. Workers ignore SIGINT, so an interrupt reaches only
+    this process, which lets the running chunks finish before it goes on.
+    Close the generator to stop the workers early.
+    """
+    chunks = iter(chunks)
+    head = list(islice(chunks, 2))
+    workers = map_workers(len(head))
+    if not workers:
+        yield from map(task, chain(head, chunks))
+        return
+    # Imported here: a command that maps no chunks loads no multiprocessing.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # Fork, not spawn: a worker inherits the imported modules and ``task``,
-    # whose closures need not pickle; and the pool forks every worker before
-    # it starts its own thread, in a command that has started none.
+    # whose closures need not pickle. Forking is safe because the callers
+    # run no thread (cli joins the mock's request threads before a map) and
+    # the pool forks every worker before it starts its own.
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
@@ -375,10 +420,11 @@ def map_rows(
         initargs=(task,),
     )
     try:
-        results = ordered_map(
+        yield from ordered_map(
             pool, _worker_map, chain(head, chunks), _AHEAD_PER_WORKER * workers
         )
-        return _write_chunks(results, out)
+    except BrokenProcessPool:
+        raise WorkerLost("a worker process died before returning its chunk") from None
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -424,22 +470,18 @@ def _map_chunk(path, decode, build, chunk) -> tuple[str, int, int]:
     return "".join(lines), len(lines), flagged
 
 
-def _write_chunks(results: Iterable[tuple[str, int, int]], out: RecordWriter) -> int:
-    flagged = 0
-    for text, count, flags in results:
-        out.write_text(text, count)
-        flagged += flags
-    return flagged
-
-
-# The chunk function of a forked ``map_rows`` worker, set as it starts.
-_worker_task: Callable[[Any], tuple[str, int, int]] | None = None
+# The chunk function of a forked ``map_chunks`` worker, set as it starts.
+_worker_task: Callable[[Any], Any] | None = None
 
 
 def _start_worker(task) -> None:
+    import signal
+
     global _worker_task
     _worker_task = task
+    # Ctrl-C goes to the whole process group; only the main process acts.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _worker_map(chunk) -> tuple[str, int, int]:
+def _worker_map(chunk):
     return _worker_task(chunk)

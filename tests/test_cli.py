@@ -14,6 +14,7 @@ import logging
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import warnings
@@ -737,6 +738,171 @@ def test_http_run_leaves_no_socket_open(data, tmp_path, monkeypatch, keepalive_s
         assert run(*_http_gb_argv(data, tmp_path / "out.jsonl", 2)) == 0
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# ------------------------------------------------------------ augment in chunks
+
+
+def record_request_pids(monkeypatch, path: Path) -> None:
+    """Append the id of the process that sends each mock request to ``path``."""
+    generate = MockBackend.generate
+
+    def recording(self, prompt, cfg):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return generate(self, prompt, cfg)
+
+    monkeypatch.setattr(MockBackend, "generate", recording)
+
+
+@pytest.mark.parametrize("method", sorted(AUGMENT_RUNS))
+def test_augment_in_chunks_on_two_workers_is_the_in_process_run(
+    data, tmp_path, monkeypatch, method
+):
+    # EXPECTED_DIGESTS pin the in-process run. Here every request, slot
+    # n-best included, is sent from a worker.
+    two_workers(monkeypatch)
+    pids = tmp_path / "pids"
+    record_request_pids(monkeypatch, pids)
+    files = augment_outputs(data, method, tmp_path)
+    assert {name: sha256(path) for name, path in files.items()} == EXPECTED_DIGESTS[method]
+    sent_from = pids.read_text().split()
+    assert sent_from and str(os.getpid()) not in sent_from
+    assert multiprocessing.active_children() == []
+
+
+def test_a_backend_failure_in_a_later_chunk_leaves_the_in_process_partial(
+    data, tmp_path, monkeypatch, caplog
+):
+    generate = MockBackend.generate
+    seen = []
+
+    def recording(self, prompt, cfg):
+        seen.append(prompt.text)
+        return generate(self, prompt, cfg)
+
+    monkeypatch.setattr(MockBackend, "generate", recording)
+    full = tmp_path / "full.jsonl"
+    assert run(*augment_argv(data, "ts", full, *REAL_PARSES["ts"])) == 0
+    # The last 18 requests are the tasks': fail task 13, in the fifth chunk.
+    fatal = seen[-5]
+
+    def failing(self, prompt, cfg):
+        if prompt.text == fatal:
+            raise BackendUnavailable("injected failure")
+        return generate(self, prompt, cfg)
+
+    monkeypatch.setattr(MockBackend, "generate", failing)
+    partials = []
+    for name in ("in-process", "two-workers"):
+        if name == "two-workers":
+            two_workers(monkeypatch)
+        out = tmp_path / f"{name}.jsonl"
+        caplog.clear()
+        assert run(*augment_argv(data, "ts", out, *AUGMENT_RUNS["ts"])) == 3
+        assert not out.exists()
+        assert f"flushed 13 partial rows to {out}.partial" in caplog.text
+        partials.append(Path(f"{out}.partial").read_bytes())
+    assert partials[0] == partials[1]
+    assert read_records(tmp_path / "two-workers.jsonl.partial") == read_records(full)[:13]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["preprocess-pizza", "augment"])
+def test_a_worker_that_dies_is_one_error_line(
+    data, tmp_path, monkeypatch, caplog, command
+):
+    main = os.getpid()
+
+    def dying(chunk_fn, start):
+        # The chunk that starts at row or task 9 kills its own worker.
+        def chunk(*args):
+            if args[-1][0] == start and os.getpid() != main:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return chunk_fn(*args)
+        return chunk
+
+    out = tmp_path / "out" / "out.jsonl"
+    if command == "augment":
+        full = tmp_path / "full.jsonl"
+        assert run(*augment_argv(data, "gb", full, *AUGMENT_RUNS["gb"])) == 0
+    two_workers(monkeypatch)
+    caplog.clear()
+    if command == "augment":
+        monkeypatch.setattr(cli, "_task_chunk", dying(cli._task_chunk, 9))
+        code = run(*augment_argv(data, "gb", out, *AUGMENT_RUNS["gb"]))
+    else:
+        monkeypatch.setattr(datasets, "_map_chunk", dying(datasets._map_chunk, 9))
+        code = preprocess(write_map_inputs(tmp_path), "pizza-fixed-cf", out)
+    assert code == 1
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert errors[-1].getMessage() == "a worker process died before returning its chunk"
+    assert all(r.exc_info is None for r in errors)
+    if command == "augment":
+        # The chunks written before the lost one are kept.
+        (left,) = out.parent.iterdir()
+        assert left.name == "out.jsonl.partial"
+        kept = read_records(left)
+        assert len(kept) in (0, 3, 6, 9) and kept == read_records(full)[: len(kept)]
+        assert errors[0].getMessage() == f"flushed {len(kept)} partial rows to {left}"
+        assert len(errors) == 2
+    else:
+        assert len(errors) == 1
+        assert list(out.parent.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_stops_only_the_main_process(data, tmp_path, monkeypatch, caplog):
+    # Ctrl-C signals the whole process group: a worker goes on with its
+    # chunk, and the main process keeps the chunks written before it.
+    two_workers(monkeypatch)
+    main, task_chunk = os.getpid(), cli._task_chunk
+
+    def interrupted(*args):
+        if os.getpid() != main:
+            os.kill(os.getpid(), signal.SIGINT)
+        return task_chunk(*args)
+
+    monkeypatch.setattr(cli, "_task_chunk", interrupted)
+    files = augment_outputs(data, "gb", tmp_path)
+    assert sha256(files["out"]) == EXPECTED_DIGESTS["gb"]["out"]
+    write_text = RecordWriter.write_text
+
+    def writing(self, text, count):
+        if self.count:
+            raise KeyboardInterrupt
+        write_text(self, text, count)
+
+    monkeypatch.setattr(RecordWriter, "write_text", writing)
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(KeyboardInterrupt) as stopped:
+        run(*augment_argv(data, "gb", out, *AUGMENT_RUNS["gb"]))
+    # ``stopped`` keeps the traceback's frames alive: the workers must have
+    # been stopped when the run ended, not when its frames are freed.
+    assert stopped.traceback
+    assert read_records(f"{out}.partial") == read_records(files["out"])[:3]
+    assert f"flushed 3 partial rows to {out}.partial" in caplog.text
+    assert multiprocessing.active_children() == []
+
+
+def test_a_one_chunk_mock_run_and_an_http_run_start_no_process(
+    data, tmp_path, monkeypatch, keepalive_server
+):
+    def forbidden():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0, 1})
+    # ts runs both passes; the fixture's tasks and n-best jobs fit in one chunk.
+    files = augment_outputs(data, "ts", tmp_path)
+    assert {name: sha256(path) for name, path in files.items()} == EXPECTED_DIGESTS["ts"]
+    # An HTTP backend waits on the network: its tasks stay on threads here.
+    two_workers(monkeypatch)
+    server, url = keepalive_server
+    monkeypatch.setenv("CLASP_BACKEND_ENDPOINT", url)
+    out = tmp_path / "http.jsonl"
+    assert run(*_http_gb_argv(data, out, 3)) == 0
+    assert len(read_records(out)) == len(server.seen) == 30
 
 
 # Real parses (memo misses) of one serial run on the fixtures; a call site
