@@ -43,10 +43,14 @@ the one being written, and the rows are written in input order. An input
 that fits in one chunk, or a single CPU, is mapped in process. Each row's
 parse is parsed, so a row that does not decode or whose parse is
 malformed ends the run with one error line naming ``<file>:<line>`` and
-no output. project-mt, mix and the augment loop write a row at a time. A
-command holds a whole file only where it must: augment holds its pool,
-mix the real plus the synthetic rows, project-mt the source rows, the MT
-records and the alignments, and score the hyp and ref rows by id.
+no output. project-mt, mix and the augment loop write a row at a time. The
+augment pool, the real and synthetic rows of mix and the source rows of
+project-mt are read with ``datasets.read_jsonl``: one pass checks every
+row and keeps its byte span (and, for rs, gb and project-mt, the id or
+text it is indexed by), and a row is built only when a task, the manifest
+or a projection uses it. A command holds a whole file only where it must:
+project-mt the MT records and the alignments, and score the hyp and ref
+rows by id.
 
 Every JSON file a command reads (the setting files of ``augment``, its
 --config, and the record given to ``report --in``) is read by
@@ -66,7 +70,7 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import ExitStack, closing
 from dataclasses import replace as dc_replace
 from itertools import chain
 from pathlib import Path
@@ -461,47 +465,50 @@ def cmd_augment(args: argparse.Namespace) -> None:
     """One streaming pass for every method: each task is built, generated,
     gated or falls back, and its row written, in task order."""
     _merge_config(args)
-    pool = read_jsonl(args.dataset)
-    if not pool:
-        raise CliError(f"dataset {args.dataset} is empty")
-    if args.k <= 0:
-        raise CliError("--k must be positive")
-    if args.max_inflight <= 0:
-        raise CliError("--max-inflight must be positive")
-    templates = (
-        read_json(args.prompt_templates, prompts.PromptTemplates.from_mapping)
-        if args.prompt_templates
-        else prompts.PromptTemplates()
-    )
     spec = prompts.METHODS[prompts.Method(args.method)]
-    cfg = dc_replace(DecodingConfig(*spec.decoding), **args.decoding)
-    backend = _load_backend(args)
-    try:
-        build = _pizza_tasks if spec.family == "pizza" else _mtop_tasks
-        tasks, to_row = build(args, pool, templates, backend)
-        run = functools.partial(_run_tasks, backend, tasks, to_row, cfg)
-        events: Counter[gate.GateEvent] = Counter()
-        spans = _worker_spans(backend, args.k)
-        partial = str(args.out) + ".partial"
-        with RecordWriter(args.out, partial) as writer:
-            try:
-                if spans is None:
-                    run(args.max_inflight, (0, args.k), _sink(writer.write, events))
-                else:
-                    task = functools.partial(_task_chunk, run)
-                    with closing(map_chunks(task, spans)) as chunks:
-                        for text, count, chunk_events, error in chunks:
-                            writer.write_text(text, count)
-                            events.update(chunk_events)
-                            if error is not None:
-                                raise error
-            except BaseException:
-                # Whatever stops the run (a backend failure, an interrupt,
-                # a lost worker), the rows finished so far are kept.
-                log.error("flushed %d partial rows to %s", writer.count, partial)
-                raise
-    finally:
-        backend.close()
+    # rs indexes its pool by id and gb by text (``_pizza_tasks``); the mtop
+    # methods index it by position only.
+    key = ("id" if args.method == "rs" else "text") if spec.family == "pizza" else None
+    with read_jsonl(args.dataset, key) as pool:
+        if not pool:
+            raise CliError(f"dataset {args.dataset} is empty")
+        if args.k <= 0:
+            raise CliError("--k must be positive")
+        if args.max_inflight <= 0:
+            raise CliError("--max-inflight must be positive")
+        templates = (
+            read_json(args.prompt_templates, prompts.PromptTemplates.from_mapping)
+            if args.prompt_templates
+            else prompts.PromptTemplates()
+        )
+        cfg = dc_replace(DecodingConfig(*spec.decoding), **args.decoding)
+        backend = _load_backend(args)
+        try:
+            build = _pizza_tasks if spec.family == "pizza" else _mtop_tasks
+            tasks, to_row = build(args, pool, templates, backend)
+            run = functools.partial(_run_tasks, backend, tasks, to_row, cfg)
+            events: Counter[gate.GateEvent] = Counter()
+            spans = _worker_spans(backend, args.k)
+            partial = str(args.out) + ".partial"
+            with RecordWriter(args.out, partial) as writer:
+                try:
+                    if spans is None:
+                        run(args.max_inflight, (0, args.k), _sink(writer.write, events))
+                    else:
+                        task = functools.partial(_task_chunk, run)
+                        with closing(map_chunks(task, spans)) as chunks:
+                            for text, count, chunk_events, error in chunks:
+                                writer.write_text(text, count)
+                                events.update(chunk_events)
+                                if error is not None:
+                                    raise error
+                except BaseException:
+                    # Whatever stops the run (a backend failure, an interrupt,
+                    # a lost worker), the rows finished so far are kept.
+                    log.error("flushed %d partial rows to %s", writer.count, partial)
+                    raise
+        finally:
+            backend.close()
     if events:
         stats = gate.compile_stats(list(events.elements()))
         _write_stats(args, stats.to_record(), stats.to_table())
@@ -566,12 +573,13 @@ def _pizza_tasks(args, pool, templates, backend):
     )
     cf_templates = _cf_templates(args.cf_templates)
     # Pool positions by id (rs: the original's rows leave the context
-    # pool) or by text (gb: the fallback draws from the context rows).
+    # pool) or by text (gb: the fallback draws from the context rows),
+    # from the pool's key column: no row is built to index the pool.
     positions: dict[str, list[int]] = {}
-    for j, ex in enumerate(pool):
-        positions.setdefault(ex.id if args.method == "rs" else ex.text, []).append(j)
+    for j, key in enumerate(pool.keys):
+        positions.setdefault(key, []).append(j)
     if args.method == "rs" and any(
-        len(pool) - len(positions[ex.id]) < 4 for ex in pool[: args.k]
+        len(pool) - len(positions[key]) < 4 for key in pool.keys[: args.k]
     ):
         raise CliError("replace-slots needs at least 5 distinct dataset examples")
 
@@ -657,13 +665,29 @@ def _build_rs_task(others, original, catalog, rng, task_seed, prompt_templates):
     return None
 
 
-def _gb_context_pool(pool, positions, prompt) -> list[Example]:
+class _At(Sequence):
+    """Read-only view of the rows of ``pool`` at ``positions``: the
+    fallback draws one of them, and only that row is read."""
+
+    def __init__(self, pool: Sequence[Example], positions: Sequence[int]) -> None:
+        self._pool = pool
+        self._positions = positions
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, i: int) -> Example:
+        return self._pool[self._positions[i]]
+
+
+def _gb_context_pool(pool, positions, prompt) -> Sequence[Example]:
     """The pool rows, in pool order, whose text is one of the prompt's
-    context texts; ``positions`` maps each text to its pool positions."""
+    context texts; ``positions`` maps each text to its pool positions.
+    The context rows come from the pool, so every text has some."""
     found = set()
     for text in set(prompt.expected.context_texts):
-        found.update(positions.get(text, ()))
-    return [pool[j] for j in sorted(found)] or list(pool)
+        found.update(positions[text])
+    return _At(pool, sorted(found))
 
 
 def _with_cf(ex: Example, cf_templates) -> Example:
@@ -834,7 +858,6 @@ def _write_stats(args, record: dict, table: str) -> None:
 
 
 def cmd_project_mt(args: argparse.Namespace) -> None:
-    src = {ex.id: ex for ex in read_jsonl(args.dataset)}
     mt_rows = read_records(args.mt, "id", "language", "text")
     if not mt_rows:
         raise MissingInput(f"MT output file {args.mt} is empty")
@@ -847,12 +870,13 @@ def cmd_project_mt(args: argparse.Namespace) -> None:
     verdicts: list[tuple[str, projection.ProjectionVerdict]] = []
     unbound = 0
 
-    def projected():
+    def projected(src, src_at):
         nonlocal unbound
         for row in mt_rows:
-            ex = src.get(str(row["id"]))
-            if ex is None:
+            j = src_at.get(str(row["id"]))
+            if j is None:
                 raise IdMismatch(f"MT output id {row['id']!r} not in {args.dataset}")
+            ex = src[j]
             lang = str(row["language"])
             raw = str(row["text"])
             if args.check_sentence_marker and projection.check_sentence_marker(raw):
@@ -892,7 +916,10 @@ def cmd_project_mt(args: argparse.Namespace) -> None:
                     source=args.source_tag,
                 )
 
-    written = write_jsonl(args.out, projected())
+    with read_jsonl(args.dataset, "id") as src:
+        # The position of each source id; a later row of one id wins.
+        src_at = {key: j for j, key in enumerate(src.keys)}
+        written = write_jsonl(args.out, projected(src, src_at))
     stats = projection.mt_stats(verdicts)
     _write_stats(args, stats.to_record(), stats.to_table())
     if unbound:
@@ -904,17 +931,18 @@ def cmd_project_mt(args: argparse.Namespace) -> None:
 
 
 def cmd_mix(args: argparse.Namespace) -> None:
-    real = read_jsonl(args.real)
-    synthetic: dict[str, list[Example]] = {}
-    for spec in args.synthetic:
-        tag, _, path = spec.partition("=")
-        if not path:
-            raise CliError(f"--synthetic takes TAG=PATH, got {spec!r}")
-        synthetic[tag] = read_jsonl(path)
-    plan = mixing.plan_mix(real, synthetic, updates=args.updates,
-                           batch_size=args.batch)
-    rows = mixing.emit_manifest(plan, real, synthetic, seed=args.seed,
-                                path=args.out, real_tag=args.real_tag)
+    with ExitStack() as views:
+        real = views.enter_context(read_jsonl(args.real))
+        synthetic: dict[str, Sequence[Example]] = {}
+        for spec in args.synthetic:
+            tag, _, path = spec.partition("=")
+            if not path:
+                raise CliError(f"--synthetic takes TAG=PATH, got {spec!r}")
+            synthetic[tag] = views.enter_context(read_jsonl(path))
+        plan = mixing.plan_mix(real, synthetic, updates=args.updates,
+                               batch_size=args.batch)
+        rows = mixing.emit_manifest(plan, real, synthetic, seed=args.seed,
+                                    path=args.out, real_tag=args.real_tag)
     plan_path = args.plan_out or str(Path(args.out).with_suffix("")) + ".plan.json"
     atomic_write_text(
         plan_path, json.dumps(plan.to_record(), ensure_ascii=False, indent=2) + "\n"

@@ -1,15 +1,24 @@
 """Dataset records and the file formats shared across pipeline commands.
 
-Row files stream. ``iter_records`` is the one JSON-lines reader: it reads
-a line at a time and decodes, checks and builds each row before the next,
-so no list of decoded records ever sits beside the rows built from them;
-``iter_pizza_rows`` and ``iter_mtop_rows`` read the native inputs the same
-way, each with the per-line decoder it shares with ``map_rows``.
-``RecordWriter`` and ``write_records`` write a row at a time, each as the
-line ``record_line`` makes. What a command holds whole is therefore only
-what it must keep: the list that ``read_jsonl`` returns (the augment pool,
-which rs and gb sample by index; the real and synthetic sets of ``mix``;
-the source rows of ``project-mt``) and the id maps of ``score``.
+Row files stream. Every reader splits its file into lines with
+``_numbered_lines``, which reads bytes a block at a time and yields each
+line's span, and a line that is not UTF-8 is named by its number.
+``iter_records`` is the one JSON-lines reader of records: it decodes,
+checks and builds each row before the next, so no list of decoded records
+ever sits beside the rows built from them; ``iter_pizza_rows`` and
+``iter_mtop_rows`` read the native inputs the same way, each with the
+per-line decoder it shares with ``map_rows``. ``RecordWriter`` and
+``write_records`` write a row at a time, each as the line ``record_line``
+makes.
+
+``read_jsonl`` checks every row of an ``Example`` file in one pass but
+keeps only each row's byte span, plus one key column when the caller asks
+for it; indexing the ``ExampleRows`` it returns rereads that row and
+builds its ``Example``. So the augment pool, which rs and gb sample by
+index, the real and synthetic sets of ``mix`` and the source rows of
+``project-mt`` cost a few bytes per row until a row is used. What a
+command holds whole is what it must keep: the id or text positions that
+rs, gb and project-mt index, and the id maps of ``score``.
 
 ``map_chunks`` maps chunks of work on every CPU: forked workers map the
 chunks, and the main process takes their results in order, reading at
@@ -30,13 +39,16 @@ import functools
 import json
 import os
 import tempfile
+import weakref
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from contextlib import closing
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -98,20 +110,27 @@ class Example:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "Example":
-        cf = d.get("cf")
-        if cf is not None and not isinstance(cf, str):
-            raise RowMalformed(f"field 'cf' must be a string or null, got {cf!r}")
+        cf = _checked_cf(d)
         try:
+            # Positional: a keyword call costs half as much again per row.
             return cls(
-                id=str(d["id"]),
-                lang=str(d["lang"]),
-                text=str(d["text"]),
-                parse=str(d["parse"]),
-                source=str(d.get("source", "")),
-                cf=cf,
+                str(d["id"]),
+                str(d["lang"]),
+                str(d["text"]),
+                str(d["parse"]),
+                str(d.get("source", "")),
+                cf,
             )
         except KeyError as exc:
             raise RowMalformed(f"missing field {exc} in record {d!r}") from exc
+
+
+def _checked_cf(d: dict[str, Any]) -> str | None:
+    """The ``cf`` field of a row, which must be a string or null."""
+    cf = d.get("cf")
+    if cf is not None and not isinstance(cf, str):
+        raise RowMalformed(f"field 'cf' must be a string or null, got {cf!r}")
+    return cf
 
 
 _EXAMPLE_FIELDS = ("id", "lang", "text", "parse")
@@ -132,9 +151,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+# The encoder of every row written; ``json.dumps`` with a non-default
+# option would build a new one for each row.
+_encode_record = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def record_line(record: dict[str, Any]) -> str:
     """The line that holds ``record`` in a JSON-lines file."""
-    return json.dumps(record, ensure_ascii=False) + "\n"
+    return _encode_record(record) + "\n"
 
 
 class RecordWriter:
@@ -195,11 +219,12 @@ def iter_records(
 ) -> Iterator[T]:
     """Yield each JSON-lines record of ``path``, or ``build`` of it, in one pass.
 
-    The file is read a line at a time, so a read holds one decoded record
-    beside the rows already built. Blank lines are skipped but counted.
-    Each other line must hold one JSON object with every one of ``fields``;
-    a line that does not, or a ``ValueError`` from ``build``, ends the read
-    with a ``RowMalformed`` naming ``<path>:<line>``.
+    The file is read a block at a time, so a read holds one block and one
+    decoded record beside the rows already built. Blank lines are skipped
+    but counted. Each other line must hold one JSON object with every one
+    of ``fields``; a line that does not, or a ``ValueError`` from
+    ``build``, ends the read with a ``RowMalformed`` naming
+    ``<path>:<line>``.
     """
     return _iter_rows(path, functools.partial(_decode_record, fields, build))
 
@@ -207,7 +232,7 @@ def iter_records(
 def _decode_record(fields: tuple[str, ...], build, line: str):
     """The record that one line of ``iter_records`` holds, or ``build`` of it."""
     try:
-        record = json.loads(line)
+        record = _json_value(line)
     except json.JSONDecodeError as exc:
         raise ValueError("invalid JSON record") from exc
     if not isinstance(record, dict):
@@ -218,34 +243,83 @@ def _decode_record(fields: tuple[str, ...], build, line: str):
     return record if build is None else build(record)
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_value(text: str) -> Any:
+    """``json.loads(text)``. A line that starts and ends with its value,
+    as every line ``record_line`` writes does, is scanned once, without
+    the whitespace matches ``json.loads`` makes; any other goes through
+    ``json.loads``, which decodes it or raises its error."""
+    try:
+        value, end = _scan_json(text, 0)
+    except StopIteration:
+        return json.loads(text)
+    return value if end == len(text) else json.loads(text)
+
+
 def _iter_rows(path: str | Path, decode: Callable[[str], T]) -> Iterator[T]:
     """``decode`` of each non-blank line of ``path``; a ``ValueError`` it
     raises becomes a ``RowMalformed`` naming ``<path>:<line>``."""
-    for n, line in _numbered_rows(path):
+    with open(path, "rb", buffering=0) as fh:
+        for n, _, _, line in _numbered_rows(path, fh):
+            try:
+                row = decode(line)
+            except ValueError as exc:
+                raise RowMalformed(f"{path}:{n}: {exc}") from exc
+            yield row
+
+
+def _numbered_rows(
+    path: str | Path, fh: BinaryIO
+) -> Iterator[tuple[int, int, int, str]]:
+    """``(number, start, stop, line)`` of each line of the file ``fh``
+    (opened from ``path``) that holds more than whitespace: the UTF-8 text
+    of the bytes ``[start, stop)``, without its line end. Blank lines are
+    skipped but counted, in every row format. A line that is not UTF-8 ends
+    the read with a ``RowMalformed`` naming ``<path>:<line>``."""
+    for n, start, raw in _numbered_lines(fh):
         try:
-            row = decode(line)
-        except ValueError as exc:
-            raise RowMalformed(f"{path}:{n}: {exc}") from exc
-        yield row
-
-
-def _numbered_rows(path: str | Path) -> Iterator[tuple[int, str]]:
-    """``(number, line)`` of each line of ``path`` that holds more than
-    whitespace. Blank lines are skipped but counted, in every row format."""
-    return ((n, line) for n, line in _numbered_lines(path) if not line.isspace())
-
-
-def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """``(number, line)`` of each line of the UTF-8 text file ``path``, read
-    a line at a time. Iterating the file splits only at LF, CRLF and CR,
-    never at the other characters ``str.splitlines`` breaks at. A
-    byte that is not UTF-8 ends the read with a ``RowMalformed`` naming the
-    file (the decoder reads ahead, so the line is not known)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, start=1)
+            line = raw.decode()
         except UnicodeDecodeError as exc:
-            raise RowMalformed(f"{path}: {exc}") from exc
+            raise RowMalformed(f"{path}:{n}: {exc}") from exc
+        if line and not line.isspace():
+            yield n, start, start + len(raw), line
+
+
+# Bytes read at a time by ``_numbered_lines``: a line reader holds one
+# block and the lines split from it.
+_READ_BYTES = 1 << 15
+
+
+def _numbered_lines(fh: BinaryIO) -> Iterator[tuple[int, int, bytes]]:
+    """``(number, start, line)`` of each line of the binary file ``fh``,
+    read from its start in blocks of ``_READ_BYTES``: ``line`` is the
+    line's bytes without its end, and ``start`` their offset in the file.
+    A line ends at LF, CRLF or CR, as in a text-mode read, and never at the
+    other characters ``str.splitlines`` breaks at; the bytes are decoded
+    by the caller, which knows each line's number."""
+    n = start = 0
+    head: list[bytes] = []  # the start of a line that runs past its block
+    while block := fh.read(_READ_BYTES):
+        while block.endswith(b"\r") and (more := fh.read(1)):
+            block += more  # so that no block splits a CRLF
+        # bytes.splitlines breaks at LF, CRLF and CR only.
+        lines = block.splitlines(keepends=True)
+        rest = None if lines[-1].endswith((b"\n", b"\r")) else lines.pop()
+        if head and lines:
+            head.append(lines[0])
+            lines[0] = b"".join(head)
+            head = []
+        if rest is not None:
+            head.append(rest)
+        for line in lines:
+            n += 1
+            yield n, start, line.rstrip(b"\r\n")
+            start += len(line)
+        del block, lines  # before the next block is read
+    if head:
+        yield n + 1, start, b"".join(head)
 
 
 def read_records(path: str | Path, *fields: str) -> list[dict[str, Any]]:
@@ -257,8 +331,77 @@ def write_jsonl(path: str | Path, examples: Iterable[Example]) -> int:
     return write_records(path, (ex.to_dict() for ex in examples))
 
 
-def read_jsonl(path: str | Path) -> list[Example]:
-    return list(iter_records(path, *_EXAMPLE_FIELDS, build=Example.from_dict))
+def read_jsonl(path: str | Path, key: str | None = None) -> "ExampleRows":
+    """The ``Example`` rows of the JSON-lines file ``path``, each read from
+    the file when it is indexed (see ``ExampleRows``).
+
+    One pass checks every row as ``iter_records`` with ``Example.from_dict``
+    would: blank lines are skipped but counted, and a row that is not an
+    ``Example`` ends the read with a ``RowMalformed`` naming
+    ``<path>:<line>``. With ``key``, one of the fields of every row, the
+    result's ``keys`` holds that field of each row, in order.
+    """
+    return ExampleRows(path, key)
+
+
+class ExampleRows(Sequence):
+    """The ``Example`` rows of a checked JSON-lines file.
+
+    Only each row's byte span is held (16 bytes a row), and ``keys`` when
+    a key field was asked for. ``rows[i]`` rereads row ``i`` with
+    ``os.pread`` and builds its ``Example``; ``pread`` moves no shared file
+    offset, so threads and forked workers can read one view at once. The
+    view reads the file it opened, even after another file is renamed onto
+    its path. It owns its descriptor: ``close()`` or the end of a ``with``
+    block closes it, and so does the view's collection.
+    """
+
+    def __init__(self, path: str | Path, key: str | None = None) -> None:
+        fd = os.open(path, os.O_RDONLY)
+        self._fd = fd
+        self._closer = weakref.finalize(self, os.close, fd)
+        self._spans = array("q")
+        self.keys: list[str] | None = None if key is None else []
+        try:
+            with open(fd, "rb", buffering=0, closefd=False) as fh:
+                self._index(path, fh, key)
+        except BaseException:
+            self.close()
+            raise
+
+    def _index(self, path, fh: BinaryIO, key: str | None) -> None:
+        append, keys = self._spans.append, self.keys
+        for n, start, stop, line in _numbered_rows(path, fh):
+            try:
+                record = _decode_record(_EXAMPLE_FIELDS, None, line)
+                _checked_cf(record)
+            except ValueError as exc:
+                raise RowMalformed(f"{path}:{n}: {exc}") from exc
+            append(start)
+            append(stop)
+            if keys is not None:
+                keys.append(str(record[key]))
+
+    def __len__(self) -> int:
+        return len(self._spans) // 2
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        # Row i's span is (spans[2i], spans[2i + 1]), for negative i too.
+        start, stop = self._spans[2 * i], self._spans[2 * i + 1]
+        line = os.pread(self._fd, stop - start, start).decode()
+        return Example.from_dict(_json_value(line))
+
+    def close(self) -> None:
+        self._closer()
+        self._fd = -1  # a later read fails, whatever file takes the number
+
+    def __enter__(self) -> "ExampleRows":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def _pizza_row(record: dict[str, Any], need_cf: bool) -> dict[str, Any]:
@@ -362,10 +505,12 @@ def map_rows(
     """
     task = functools.partial(_map_chunk, path, decode, build)
     flagged = 0
-    with closing(map_chunks(task, _chunks(_numbered_rows(path)))) as results:
-        for text, count, flags in results:
-            out.write_text(text, count)
-            flagged += flags
+    with open(path, "rb", buffering=0) as fh:
+        rows = ((n, line) for n, _, _, line in _numbered_rows(path, fh))
+        with closing(map_chunks(task, _chunks(rows))) as results:
+            for text, count, flags in results:
+                out.write_text(text, count)
+                flagged += flags
     return flagged
 
 

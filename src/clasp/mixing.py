@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .datasets import Example, RecordWriter
 
@@ -84,16 +87,49 @@ def mixed_examples(
     synthetic: Mapping[str, Sequence[Example]],
     seed: int,
     real_tag: str = "dev",
-) -> list[Example]:
+) -> Sequence[Example]:
     """Materialize the plan: duplicated real rows plus tagged synthetic rows,
-    shuffled deterministically."""
-    rows = [
-        _retag(real[i % len(real)], real_tag) for i in range(plan.real_emitted)
-    ]
+    shuffled deterministically.
+
+    The shuffle moves row numbers, not rows: row ``r`` of the unshuffled
+    order is real row ``r mod len(real)`` for ``r < plan.real_emitted``,
+    then each synthetic set's rows in turn. ``random.shuffle`` draws only
+    on the length, so the order is the one a shuffle of the rows gives.
+    Each row is read from its set, and retagged, when it is indexed.
+    """
+    parts = [(0, real, real_tag)]
+    stop = plan.real_emitted
     for tag, examples in synthetic.items():
-        rows.extend(_retag(ex, tag) for ex in examples)
-    random.Random(seed).shuffle(rows)
-    return rows
+        parts.append((stop, examples, tag))
+        stop += len(examples)
+    order = array("q", range(stop))
+    random.Random(seed).shuffle(order)
+    return _Mixed(order, parts)
+
+
+class _Mixed(Sequence):
+    """The rows of ``mixed_examples``: ``parts`` holds the first row
+    number, the rows and the tag of each set, in row-number order."""
+
+    def __init__(
+        self, order: array, parts: list[tuple[int, Sequence[Example], str]]
+    ) -> None:
+        self._order = order
+        self._parts = parts
+        self._starts = [start for start, _, _ in parts]
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, i: int) -> Example:
+        return self._row(self._order[i])
+
+    def __iter__(self) -> Iterator[Example]:
+        return map(self._row, self._order)
+
+    def _row(self, r: int) -> Example:
+        start, rows, tag = self._parts[bisect_right(self._starts, r) - 1]
+        return _retag(rows[(r - start) % len(rows)], tag)
 
 
 def _retag(ex: Example, tag: str) -> Example:
@@ -110,9 +146,10 @@ def emit_manifest(
     seed: int,
     path: str | Path,
     real_tag: str = "dev",
-) -> list[Example]:
+) -> Sequence[Example]:
     """Write the shuffled training manifest (JSONL records with weights),
-    one record at a time; the rows written, in order."""
+    one record at a time, each row read as it is written; the rows
+    written, in order (see ``mixed_examples``)."""
     rows = mixed_examples(plan, real, synthetic, seed, real_tag=real_tag)
     with RecordWriter(path) as writer:
         for ex in rows:

@@ -14,6 +14,7 @@ import logging
 import multiprocessing
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -586,6 +587,22 @@ def test_default_langs_are_the_anchor_languages(data, tmp_path, method):
     assert [r[key] for r in read_records(out)] == [langs[i % len(langs)] for i in range(6)]
 
 
+@pytest.mark.parametrize("method", ["rs", "gb", "ts"])
+def test_augment_over_its_own_dataset_writes_what_it_writes_elsewhere(
+    data, tmp_path, method
+):
+    # The pool is read through the file the run opened, which the rename
+    # of --out onto the same path does not touch.
+    elsewhere = augment_outputs(data, method, tmp_path)["out"]
+    argv = augment_argv(data, method, tmp_path / "x", *AUGMENT_RUNS[method])
+    pool = tmp_path / "over" / Path(argv[argv.index("--dataset") + 1]).name
+    pool.parent.mkdir()
+    shutil.copy(argv[argv.index("--dataset") + 1], pool)
+    argv[argv.index("--dataset") + 1] = argv[argv.index("--out") + 1] = pool
+    assert run(*argv) == 0
+    assert pool.read_bytes() == elsewhere.read_bytes()
+
+
 def test_rs_fallback_keeps_its_task_position(data, tmp_path):
     # One value per label: a task whose slots all hold that value has
     # nothing to replace, so it gets no prompt and falls back at once.
@@ -595,7 +612,7 @@ def test_rs_fallback_keeps_its_task_position(data, tmp_path):
         "Containertype": ["cans"],
     })
     pool_path = tmp_path / "pool.jsonl"
-    pool = read_jsonl(data / "pool.jsonl")
+    pool = list(read_jsonl(data / "pool.jsonl"))
     no_prompt = Example(
         id="pizza-fixed", lang="en", text="a ham pizza",
         parse="(ORDER (PIZZAORDER (NUMBER a ) (TOPPING ham ) ) )", source="dev",
@@ -1022,9 +1039,14 @@ WORK_LANGS = ("de", "es", "fr")
 _WORK_NUMBERS = ("two", "three", "four", "five")
 _WORK_TOPPINGS = ("bacon", "onions", "spinach", "mushrooms")
 _WORK_TIMES = ("today", "at 7 pm", "on friday")
-# Prompts built and real tree parses (memo misses) per task, at most.
+# Prompts built, real tree parses (memo misses) and pool rows built
+# (``Example.from_dict`` calls) per task, at most. An rs task builds its
+# row and 4 context rows, a gb task 5 context rows and the one its
+# fallback draws, and a ts/tb task its row, plus that row once more in
+# the slot n-best pass.
 MAX_PROMPTS_PER_TASK = 3
 MAX_PARSES_PER_TASK = 3
+MAX_ROWS_PER_TASK = 6
 
 
 def _work_row(method: str, j: int) -> dict:
@@ -1082,8 +1104,8 @@ def test_work_depends_on_k_not_on_the_pool_size(tmp_path, monkeypatch, method):
             assert counts["requests"] == _expected_requests(method, k)
             assert counts["prompts"] <= MAX_PROMPTS_PER_TASK * k
             assert counts["parses"] <= MAX_PARSES_PER_TASK * k
-            # Every pool row is still built; pinned until the pool is read lazily.
-            assert counts["rows"] == size
+            # Only the rows a task touches are built, not the pool.
+            assert counts["rows"] <= MAX_ROWS_PER_TASK * k
 
 
 # ------------------------------------------------------------ downstream stages
@@ -1348,6 +1370,6 @@ class TestContextPools:
         prompt = build_gb_prompt(context)
         texts = set(prompt.expected.context_texts)
         positions = _positions(pool, lambda e: e.text)
-        assert cli._gb_context_pool(pool, positions, prompt) == (
-            [e for e in pool if e.text in texts] or list(pool)
-        )
+        assert list(cli._gb_context_pool(pool, positions, prompt)) == [
+            e for e in pool if e.text in texts
+        ]

@@ -2,15 +2,20 @@ from __future__ import annotations
 
 import ast
 import gc
+import io
 import json
+import multiprocessing
+import os
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import clasp
+from clasp import datasets
 from clasp.datasets import (
     Example,
     FileMalformed,
@@ -18,6 +23,8 @@ from clasp.datasets import (
     RowMalformed,
     iter_mtop_rows,
     iter_pizza_rows,
+    iter_records,
+    map_chunks,
     map_rows,
     ordered_map,
     read_json,
@@ -35,6 +42,9 @@ def write(path, lines) -> str:
 
 def mtop_line(tokens_json: str, locale: str = "fr_XX") -> str:
     return "\t".join(["fr-1", "IN:X", "", "Bonjour", "test", locale, "[IN:X ]", tokens_json])
+
+
+GOOD_ROW = json.dumps(Example("a", "en", "t", "(ORDER )").to_dict())
 
 
 class TestReadRecords:
@@ -59,7 +69,7 @@ class TestReadJsonl:
         path = tmp_path / "r.jsonl"
         write_jsonl(path, rows)
         assert path.read_text(encoding="utf-8").count("\n") == 2
-        assert read_jsonl(path) == rows
+        assert list(read_jsonl(path)) == rows
 
     @pytest.mark.parametrize("cf", [5, ["a"], {"a": 1}, True])
     def test_a_cf_that_is_not_a_string_is_named_by_its_line(self, tmp_path, cf):
@@ -78,7 +88,7 @@ class TestReadJsonl:
         lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
         lf.write_bytes("".join(line + "\n" for line in lines).encode())
         crlf.write_bytes("".join(line + "\r\n" for line in lines).encode())
-        assert read_jsonl(crlf) == read_jsonl(lf) != []
+        assert list(read_jsonl(crlf)) == list(read_jsonl(lf)) != []
 
     def test_blank_lines_are_skipped_and_numbered(self, tmp_path):
         good = json.dumps(Example("a", "en", "t", "(ORDER )").to_dict())
@@ -103,12 +113,13 @@ class TestReadJsonl:
     def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_bytes(b'{"id": "a", "lang": "en", "text": "t\xff", "parse": "(ORDER )"}\n')
-        with pytest.raises(RowMalformed, match=r"r\.jsonl: 'utf-8' codec"):
+        with pytest.raises(RowMalformed, match=r"r\.jsonl:1: 'utf-8' codec"):
             read_jsonl(path)
 
     def test_a_read_peaks_near_what_it_returns(self, tmp_path):
-        # One pass: no list of decoded records sits beside the rows built
-        # from them, so the peak is close to what the result retains.
+        # One pass keeps each row's byte span, not its Example: a few bytes
+        # a row. Beyond them it holds one block of the file, the lines split
+        # from it, and the row being checked (well under a block here).
         path = tmp_path / "pool.jsonl"
         write_jsonl(path, (
             Example(f"pizza-{i:06d}", "en", f"i want {i} large pizza with ham",
@@ -126,7 +137,119 @@ class TestReadJsonl:
         finally:
             tracemalloc.stop()
         assert len(rows) == 5000
-        assert peak <= 1.2 * retained, (peak, retained)
+        assert retained <= 64 * 5000, retained
+        assert peak - retained <= 3 * datasets._READ_BYTES, (peak, retained)
+        assert rows[4999].id == "pizza-004999"
+        rows.close()
+
+    def test_a_cr_file_reads_as_the_lf_file(self, tmp_path):
+        lines = [json.dumps(Example(str(i), "en", f"t {i}", "(ORDER )").to_dict())
+                 for i in range(3)]
+        lf, cr = tmp_path / "lf.jsonl", tmp_path / "cr.jsonl"
+        lf.write_bytes("".join(line + "\n" for line in ["", *lines, " "]).encode())
+        cr.write_bytes("".join(line + "\r" for line in ["", *lines, " "]).encode())
+        assert list(read_jsonl(cr)) == list(read_jsonl(lf)) != []
+        for path in (lf, cr):
+            with open(path, "ab") as fh:
+                fh.write(b"[1]")
+            with pytest.raises(RowMalformed, match=r"\.jsonl:6: expected a JSON object"):
+                read_jsonl(path)
+
+    @pytest.mark.parametrize("lines", [
+        ["{not json"],
+        [GOOD_ROW, "", "  ", GOOD_ROW, "", '{"id": "b"}'],
+        [GOOD_ROW, "", "[1]"],
+        ['{"id": "a", "lang": "en", "text": "t"}'],
+        [GOOD_ROW, GOOD_ROW + " " + GOOD_ROW],
+        [GOOD_ROW, json.dumps({**json.loads(GOOD_ROW), "cf": 5})],
+        [" " + GOOD_ROW + "\t", '\ufeff' + GOOD_ROW],
+        [GOOD_ROW, "\x0c", "\u2028", "1" * 5000],
+    ], ids=["invalid-json", "missing-field", "not-an-object", "no-parse",
+            "two-values", "cf-not-a-string", "byte-order-mark", "huge-number"])
+    def test_the_view_fails_as_the_streaming_read_does(self, tmp_path, lines):
+        # One index pass checks every row as building each row would.
+        path = write(tmp_path / "r.jsonl", lines)
+        with pytest.raises(RowMalformed) as streamed:
+            list(iter_records(path, "id", "lang", "text", "parse", build=Example.from_dict))
+        with pytest.raises(RowMalformed) as viewed:
+            read_jsonl(path)
+        assert str(viewed.value) == str(streamed.value)
+        assert str(viewed.value).startswith(f"{path}:{len(lines)}: ")
+
+    def test_a_bad_byte_is_named_by_its_line_through_every_reader(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'\n \n{"id": "\xff"}\n')
+        for read in (read_jsonl, read_records, lambda p: list(iter_pizza_rows(p))):
+            with pytest.raises(RowMalformed, match=r"r\.jsonl:3: 'utf-8' codec"):
+                read(path)
+
+    def test_keys_hold_the_key_field_of_every_row(self, tmp_path):
+        rows = [Example(str(i % 2), "en", f"t {i}", "(ORDER )") for i in range(4)]
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, rows)
+        assert read_jsonl(path).keys is None
+        assert read_jsonl(path, "id").keys == ["0", "1", "0", "1"]
+        with read_jsonl(path, "text") as view:
+            assert view.keys == ["t 0", "t 1", "t 2", "t 3"]
+            assert (len(view), view[-1], view[1:3]) == (4, rows[-1], rows[1:3])
+            with pytest.raises(IndexError):
+                view[4]
+        with pytest.raises(OSError):
+            view[0]
+
+    def test_a_view_reads_the_file_it_opened(self, tmp_path):
+        # write_jsonl renames its temp file onto the path the view read.
+        path = tmp_path / "r.jsonl"
+        rows = [Example(f"r{i}", "en", f"t {i}", "(ORDER )") for i in range(3)]
+        write_jsonl(path, rows)
+        with read_jsonl(path) as view:
+            write_jsonl(path, [Example("x", "en", "x", "(ORDER )")])
+            assert list(view) == rows
+
+    def test_rows_read_in_workers_and_threads_are_the_rows_read_here(
+        self, tmp_path, monkeypatch
+    ):
+        # pread moves no shared offset: forked workers and threads read one
+        # view at once, each row whole.
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, (Example(f"r{i}", "en", f"t {i}", "(ORDER )") for i in range(40)))
+        view = read_jsonl(path)
+        here = list(view)
+        monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0, 1})
+        spans = [(0, 13), (13, 27), (27, 40)]
+        mapped = map_chunks(lambda span: (os.getpid(), view[slice(*span)]), spans)
+        pids, chunks = zip(*mapped)
+        assert os.getpid() not in pids
+        assert [ex for chunk in chunks for ex in chunk] == here
+        assert multiprocessing.active_children() == []
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            order = [i for _ in range(5) for i in reversed(range(40))]
+            assert list(pool.map(view.__getitem__, order)) == [here[i] for i in order]
+
+
+LINE_PARTS = [b"a", b" ", b"\r", b"\n", b"\r\n", b"\x0b\x0c\x1c\x1e",
+              "\u00e9\u0085\u2028".encode()]
+
+
+@given(parts=st.lists(st.sampled_from(LINE_PARTS), max_size=40),
+       block=st.integers(min_value=1, max_value=8))
+def test_lines_split_as_a_text_mode_read_does(parts, block):
+    data = b"".join(parts)
+    text_lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+    with pytest.MonkeyPatch.context() as patch:
+        # Blocks of a few bytes split lines, CRLFs and characters anywhere.
+        patch.setattr(datasets, "_READ_BYTES", block)
+        lines = list(datasets._numbered_lines(io.BytesIO(data)))
+    assert [line.decode() for _, _, line in lines] == [
+        line.removesuffix("\n") for line in text_lines
+    ]
+    assert [n for n, _, _ in lines] == list(range(1, len(text_lines) + 1))
+    for _, start, line in lines:
+        assert data[start:start + len(line)] == line
+    # Each line starts where the one before it and its line end stop.
+    starts = [start for _, start, _ in lines] + [len(data)]
+    for (_, start, line), after in zip(lines, starts[1:]):
+        assert data[start + len(line):after] in (b"\n", b"\r", b"\r\n", b"")
 
 
 class TestReadPizzaRows:
@@ -187,7 +310,7 @@ class TestReadMtopRows:
     def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_bytes(mtop_line('{"tokens": ["Bon\xe9"]}').encode("latin-1") + b"\n")
-        with pytest.raises(RowMalformed, match=r"m\.tsv: 'utf-8' codec"):
+        with pytest.raises(RowMalformed, match=r"m\.tsv:1: 'utf-8' codec"):
             list(iter_mtop_rows(path))
 
     def test_short_row_is_rejected(self, tmp_path):
