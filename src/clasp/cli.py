@@ -10,31 +10,35 @@ with underscores: dataset, method, k, seed, backend (default mock),
 mock_rules, catalog, anchors, langs (a list or a comma-separated string),
 nbest_in, nbest_out, max_inflight (default 4), prompt_templates and
 cf_templates; plus decoding, an object of DecodingConfig fields that
-override the default decoding of the method and of the slot n-best pass.
+override the default decoding of the method. The ts/tb slot n-best pass
+keeps its own decoding (beam, 4 outputs).
 A null value leaves its setting unset. Any other key, or a value that fails
 its flag's or field's type or choices, is an error. The target languages
 default to every language of the anchor file, sorted.
 
-``augment`` streams: tasks are built as the backend loop asks for them,
-at most a few per request slot ahead of the row being written, and each
-row goes in task order to a temp file beside --out that is renamed onto
---out when the run ends. --max-inflight bounds the requests in flight to
-an HTTP backend, which runs in this process on that many threads. The
-mock answers with CPU work instead, so a mock run of more than one chunk
-of tasks (``datasets._CHUNK_ROWS``, 1000) maps its chunks with
-``datasets.map_chunks`` on one forked worker per CPU, each sending one
-request at a time, and writes their rows in task order, with at most
-two chunks per worker mapped ahead of the one being written; so does the
-ts/tb slot n-best pass when its (language, value) jobs fill more than
-one chunk. A mock run of one chunk, or on one CPU, stays in this process
-with --max-inflight requests in flight. Outputs are the same bytes either
-way. When a run fails part way (a backend failure, an interrupt, a pool
-row that cannot be parsed, a lost worker), the rows finished so far are
-kept in ``<out>.partial`` and --out is not created. Errors in the
-settings (a pool too small, a language without an anchor pair or a name
-in the prompt templates, an --nbest-in file without a value the run
-renders, an unreadable file) stop the run before its first request and
-leave no ``.partial``.
+``augment`` streams: tasks are built as the generate pass asks for them,
+and each row goes in task order to a temp file beside --out that is
+renamed onto --out when the run ends. One runner, ``_pass``, serves the
+task pass and the ts/tb slot n-best pass. The mock answers with CPU work,
+so its jobs go in chunks (``datasets._CHUNK_ROWS``, 1000) through
+``datasets.map_chunks``, one request at a time: one forked worker per CPU
+maps them, at most two chunks per worker ahead of the one being written,
+and a run of one chunk, or on one CPU, stays in this process. An HTTP
+backend waits on the network, so its jobs run in this process with
+--max-inflight requests in flight, each on its own thread, at most a few
+tasks per request slot built ahead of the row being written, and each row
+is written when it is finished. --max-inflight is an HTTP setting: a mock
+run starts no thread, since request threads only add to its CPU work
+(``augment gb --k 1000`` on a 20k-row pool took 1.76 s with 4 in flight
+against 1.25 s with 1, the same rows; medians of 7 runs of the whole
+command on a 2-vCPU Xeon VM). Outputs are the same bytes either way.
+When a run fails part way (a backend failure, an interrupt, a pool row
+that cannot be parsed, a lost worker), the rows finished so far are kept
+in ``<out>.partial`` and --out is not created. Errors in the settings (a
+pool too small, a language without an anchor pair or a name in the
+prompt templates, an --nbest-in file without a value the run renders, an
+unreadable file) stop the run before its first request and leave no
+``.partial``.
 
 Row files stream (see ``datasets``). preprocess-pizza and preprocess-mtop
 map their rows with ``datasets.map_rows``: the input lines go in chunks to
@@ -62,7 +66,6 @@ the file.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import random
@@ -72,7 +75,6 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import replace as dc_replace
-from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
@@ -89,7 +91,6 @@ from .datasets import (
     iter_records,
     map_chunks,
     map_rows,
-    map_workers,
     ordered_map,
     packaged,
     pizza_line_decoder,
@@ -130,6 +131,8 @@ _AUGMENT_HELP = {
     "the slot values; it must hold every value of the rows the run renders",
     "nbest_out": "ts/tb: write the slot n-best here (default: <out>.nbest.json); "
     "it holds only the values of the rows the run renders",
+    "max_inflight": "HTTP backend: requests in flight, each on its own thread "
+    "(default 4); the mock sends one request at a time and ignores it",
 }
 
 
@@ -426,7 +429,7 @@ def _slot_anchor_pairs(
     return pairs or [(anchor_en.text, anchor_tgt.text)]
 
 
-# Jobs a generate loop reads ahead of the one being written, per request
+# Jobs an HTTP pass reads ahead of the one being written, per request
 # slot: the queued ones keep every slot busy while the main thread gates,
 # and the window bounds the prompts held in memory. Against a 20 ms HTTP
 # stub, 1 per slot was no faster than submitting every request at once;
@@ -439,15 +442,17 @@ def _task_seed(seed: int, i: int) -> int:
 
 
 def _generate(backend, jobs, cfg: DecodingConfig, max_inflight: int):
-    """Yield ``(job, outputs)`` for each ``(job, prompt)`` of ``jobs``, in
-    order; a ``None`` prompt gets None without a request.
+    """Yield ``(job, outputs)`` for each job of ``jobs``, in order; a job is
+    a tuple whose last item is its prompt, and a None prompt gets None
+    without a request.
 
-    At most ``max_inflight`` requests run at once, and ``jobs`` is read at
-    most ``_WINDOW_PER_SLOT * max_inflight`` jobs ahead of the one yielded.
+    At most ``max_inflight`` requests run at once, each on its own thread
+    when there is more than one, and ``jobs`` is read at most
+    ``_WINDOW_PER_SLOT * max_inflight`` jobs ahead of the one yielded.
     """
 
-    def call(job_prompt):
-        job, prompt = job_prompt
+    def call(job):
+        prompt = job[-1]
         return job, None if prompt is None else backend.generate(prompt, cfg)
 
     if max_inflight <= 1:
@@ -459,6 +464,39 @@ def _generate(backend, jobs, cfg: DecodingConfig, max_inflight: int):
     finally:
         # A run stopped early sends none of the queued requests.
         pool.shutdown(cancel_futures=True)
+
+
+def _pass(backend, jobs, finish, cfg: DecodingConfig, n: int, max_inflight: int):
+    """Yield ``finish(*job, outputs)`` for each job of ``jobs(0, n)``, in
+    job order: ``jobs(start, stop)`` yields the jobs ``start <= i < stop``
+    (see ``_generate``). The one generate loop of ``augment``.
+
+    The mock's jobs go through ``map_chunks`` in ``chunk_spans(n)``, one
+    request at a time, so ``map_chunks`` alone decides whether they run on
+    forked workers or here; a chunk keeps the jobs it finished before
+    whatever stopped it (a backend failure, an interrupt), and they are
+    yielded before that is raised. An HTTP backend's jobs run here with
+    ``max_inflight`` requests in flight, each yielded when it is finished.
+    """
+
+    def chunk(span):
+        done = []
+        try:
+            for job, outs in _generate(backend, jobs(*span), cfg, 1):
+                done.append(finish(*job, outs))
+        except BaseException as exc:
+            return done, exc
+        return done, None
+
+    if not isinstance(backend, MockBackend):
+        for job, outs in _generate(backend, jobs(0, n), cfg, max_inflight):
+            yield finish(*job, outs)
+        return
+    with closing(map_chunks(chunk, chunk_spans(n))) as chunks:
+        for done, error in chunks:
+            yield from done
+            if error is not None:
+                raise error
 
 
 def cmd_augment(args: argparse.Namespace) -> None:
@@ -486,22 +524,30 @@ def cmd_augment(args: argparse.Namespace) -> None:
         try:
             build = _pizza_tasks if spec.family == "pizza" else _mtop_tasks
             tasks, to_row = build(args, pool, templates, backend)
-            run = functools.partial(_run_tasks, backend, tasks, to_row, cfg)
+
+            kinds: dict[gate.GateEvent, gate.GateEvent] = {}
+
+            def finish(*task):
+                # The stats read no input id, so events are counted without
+                # it, and each kind is held once: a chunk's events then cost
+                # the kinds of outcome, not its rows (gb at k=500 on the
+                # bench pool: 6 kinds, against 578 KB as one event a row).
+                row, event = to_row(*task)
+                if event is not None:
+                    event = dc_replace(event, input_id="")
+                    event = kinds.setdefault(event, event)
+                return record_line(row), event
+
             events: Counter[gate.GateEvent] = Counter()
-            spans = _worker_spans(backend, args.k)
             partial = str(args.out) + ".partial"
             with RecordWriter(args.out, partial) as writer:
                 try:
-                    if spans is None:
-                        run(args.max_inflight, (0, args.k), _sink(writer.write, events))
-                    else:
-                        task = functools.partial(_task_chunk, run)
-                        with closing(map_chunks(task, spans)) as chunks:
-                            for text, count, chunk_events, error in chunks:
-                                writer.write_text(text, count)
-                                events.update(chunk_events)
-                                if error is not None:
-                                    raise error
+                    for line, event in _pass(
+                        backend, tasks, finish, cfg, args.k, args.max_inflight
+                    ):
+                        writer.write_text(line, 1)
+                        if event is not None:
+                            events[event] += 1
                 except BaseException:
                     # Whatever stops the run (a backend failure, an interrupt,
                     # a lost worker), the rows finished so far are kept.
@@ -513,53 +559,6 @@ def cmd_augment(args: argparse.Namespace) -> None:
         stats = gate.compile_stats(list(events.elements()))
         _write_stats(args, stats.to_record(), stats.to_table())
     log.info("wrote %d rows to %s", writer.count, args.out)
-
-
-def _worker_spans(backend, n: int) -> list[tuple[int, int]] | None:
-    """The chunk spans of ``n`` jobs when they run on forked workers, else
-    None. Only the mock forks: it answers with CPU work in the calling
-    process, while an HTTP backend waits on the network in this process,
-    with --max-inflight requests in flight."""
-    spans = chunk_spans(n)
-    if isinstance(backend, MockBackend) and map_workers(len(spans)):
-        return spans
-    return None
-
-
-def _run_tasks(backend, tasks, to_row, cfg, max_inflight, span, sink) -> None:
-    """The task loop: each task ``i`` of the span ``[start, stop)`` is
-    built, generated, and gated or falls back, and ``sink(row, event)``
-    gets its row, in task order."""
-    jobs = ((task, task[3]) for task in tasks(*span))
-    for task, outs in _generate(backend, jobs, cfg, max_inflight):
-        sink(*to_row(*task, outs))
-
-
-def _sink(write, events: Counter):
-    """A task-loop sink: ``write`` each row and count its event. The stats
-    read no input id, so events are counted without it: memory then grows
-    with the kinds of outcome, not with --k."""
-
-    def sink(row, event) -> None:
-        write(row)
-        if event is not None:
-            events[dc_replace(event, input_id="")] += 1
-
-    return sink
-
-
-def _task_chunk(run, span):
-    """``(text, rows, events, error)`` of the tasks of ``span`` run on a
-    worker, one request at a time: the rows before a task that raised, and
-    its exception, which the main process raises after writing them."""
-    lines: list[str] = []
-    events: Counter[gate.GateEvent] = Counter()
-    error = None
-    try:
-        run(1, span, _sink(lambda row: lines.append(record_line(row)), events))
-    except Exception as exc:
-        error = exc
-    return "".join(lines), len(lines), events, error
 
 
 def _pizza_tasks(args, pool, templates, backend):
@@ -756,7 +755,7 @@ def _mtop_tasks(args, pool, templates, backend):
         if args.method == "mt":
             return {"id": ex.id, "language": lang, "text": outs[0].text}, None
         verdict, event = gate.gate_mtop(
-            args.method, outs[0], prompt.expected, nbest,
+            args.method, outs, prompt.expected, nbest,
             input_id=f"{args.method}-{i:05d}", language=lang, templates=templates,
         )
         emitted = verdict.final or gate.fallback([ex], _task_seed(args.seed, i))
@@ -772,10 +771,9 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
     and written to --nbest-out. A value that got no candidate is written
     with an empty list, so the file shows that it was tried.
 
-    The (language, value) jobs are mapped like the tasks: on forked
-    workers when the backend is the mock and they fill more than one
-    chunk, else in this process. The task workers fork after the map is
-    built, so they inherit it."""
+    The (language, value) jobs run through ``_pass`` like the tasks, at the
+    pass's own decoding. Task workers fork after the map is built, so they
+    inherit it."""
     rows = {_mtop_row(i, langs, pool) for i in range(args.k)}
     values = sorted(
         {
@@ -800,29 +798,22 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
             )
         return nbest
     pairs = {lang: _slot_anchor_pairs(*anchors[lang]) for lang in langs}
-    jobs = [(lang, value) for lang in langs for value in values]
-    spec = prompts.METHODS[prompts.Method.SLOT_MT]
-    cfg = dc_replace(DecodingConfig(*spec.decoding), **args.decoding)
+    todo = [(lang, value) for lang in langs for value in values]
 
-    def translate(max_inflight, span):
-        """The candidates of each job of the span ``[start, stop)``."""
-        prompted = (
-            (None, prompts.build_slot_mt_prompt(pairs[lang], value, lang, templates))
-            for lang, value in jobs[slice(*span)]
-        )
-        return [
-            _slot_candidates(outs, templates)
-            for _, outs in _generate(backend, prompted, cfg, max_inflight)
-        ]
+    def jobs(start, stop):
+        for lang, value in todo[start:stop]:
+            prompt = prompts.build_slot_mt_prompt(pairs[lang], value, lang, templates)
+            yield lang, value, prompt
 
-    spans = _worker_spans(backend, len(jobs))
-    if spans is None:
-        candidates = translate(args.max_inflight, (0, len(jobs)))
-    else:
-        with closing(map_chunks(functools.partial(translate, 1), spans)) as chunks:
-            candidates = list(chain.from_iterable(chunks))
+    def finish(lang, value, prompt, outs):
+        return lang, value, _slot_candidates(outs, templates)
+
+    # --config decoding sets the method's decoding, not this pass's.
+    cfg = DecodingConfig(*prompts.METHODS[prompts.Method.SLOT_MT].decoding)
     mapping: dict[str, dict[str, list[str]]] = {}
-    for (lang, value), found in zip(jobs, candidates):
+    for lang, value, found in _pass(
+        backend, jobs, finish, cfg, len(todo), args.max_inflight
+    ):
         mapping.setdefault(lang, {})[value] = found
     nbest = gate.SlotNBestMap.from_mapping(mapping)
     nbest_out = args.nbest_out or str(args.out) + ".nbest.json"

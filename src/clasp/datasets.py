@@ -5,11 +5,10 @@ Row files stream. Every reader splits its file into lines with
 line's span, and a line that is not UTF-8 is named by its number.
 ``iter_records`` is the one JSON-lines reader of records: it decodes,
 checks and builds each row before the next, so no list of decoded records
-ever sits beside the rows built from them; ``iter_pizza_rows`` and
-``iter_mtop_rows`` read the native inputs the same way, each with the
-per-line decoder it shares with ``map_rows``. ``RecordWriter`` and
-``write_records`` write a row at a time, each as the line ``record_line``
-makes.
+ever sits beside the rows built from them. The native inputs are read by
+``map_rows`` with their per-line decoders, ``pizza_line_decoder`` and
+``decode_mtop_line``. ``RecordWriter`` and ``write_records`` write a row
+at a time, each as the line ``record_line`` makes.
 
 ``read_jsonl`` checks every row of an ``Example`` file in one pass but
 keeps only each row's byte span, plus one key column when the caller asks
@@ -24,13 +23,14 @@ rs, gb and project-mt index, and the id maps of ``score``.
 chunks, and the main process takes their results in order, reading at
 most a few chunks per worker ahead. One chunk, or a single CPU, is mapped
 in process with no other process started, and ``multiprocessing`` is
-imported only when a pool starts. A worker that dies ends the map with
-one ``WorkerLost``; workers ignore SIGINT, which only the main process
-acts on. ``map_rows`` maps the rows of a file with it: the main process
-reads and numbers the lines, workers decode, build and encode chunks of
-them, and the main process writes each chunk's text in input order.
-``cli`` maps a mock augment run's tasks and slot n-best jobs with it, in
-``chunk_spans`` of task indices.
+imported only when a pool starts. That choice, ``_map_workers``, is made
+here alone: no other module reads the CPUs. A worker that dies ends the
+map with one ``WorkerLost``; workers ignore SIGINT, which only the main
+process acts on. ``map_rows`` maps the rows of a file with it: the main
+process reads and numbers the lines, workers decode, build and encode
+chunks of them, and the main process writes each chunk's text in input
+order. ``cli`` maps every mock augment pass, tasks or slot n-best jobs,
+with it, in ``chunk_spans`` of job indices.
 """
 
 from __future__ import annotations
@@ -425,12 +425,6 @@ def pizza_line_decoder(need_cf: bool) -> Callable[[str], dict[str, Any]]:
     )
 
 
-def iter_pizza_rows(path: str | Path, *, need_cf: bool = False) -> Iterator[dict[str, Any]]:
-    """Yield the native pizza-ordering rows of ``path`` (see
-    ``pizza_line_decoder``), a line at a time."""
-    return _iter_rows(path, pizza_line_decoder(need_cf))
-
-
 MTOP_COLUMNS = (
     "id",
     "intent",
@@ -461,12 +455,6 @@ def decode_mtop_line(line: str) -> dict[str, Any]:
     row["tokens"] = tokens
     row["lang"] = row["locale"].split("_")[0]
     return row
-
-
-def iter_mtop_rows(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield the rows of the tab-separated file ``path`` (see
-    ``decode_mtop_line``), a line at a time."""
-    return _iter_rows(path, decode_mtop_line)
 
 
 # ------------------------------------------------------------------ row map
@@ -520,7 +508,7 @@ def chunk_spans(n: int) -> list[tuple[int, int]]:
     return [(start, min(start + _CHUNK_ROWS, n)) for start in range(0, n, _CHUNK_ROWS)]
 
 
-def map_workers(chunks: int) -> int:
+def _map_workers(chunks: int) -> int:
     """The workers ``map_chunks`` forks for ``chunks`` chunks: one per CPU,
     or none for a single chunk or a single CPU."""
     cpus = len(os.sched_getaffinity(0))
@@ -534,10 +522,11 @@ class WorkerLost(Exception):
 def map_chunks(task: Callable[[Any], T], chunks: Iterable[Any]) -> Iterator[T]:
     """Yield ``task(chunk)`` for each of ``chunks``, in order.
 
-    When ``map_workers`` gives workers for them, the chunks go to forked
+    When ``_map_workers`` gives workers for them, the chunks go to forked
     workers and at most ``_AHEAD_PER_WORKER`` chunks per worker are read
     ahead of the one yielded; otherwise each is mapped in this process,
-    which starts no other. Call it with no other thread running. An exception that ``task`` raises in a worker is raised here;
+    which starts no other. Call it with no other thread running. An
+    exception that ``task`` raises in a worker is raised here;
     a worker that dies without one (killed by a signal) raises
     ``WorkerLost``. Workers ignore SIGINT, so an interrupt reaches only
     this process, which lets the running chunks finish before it goes on.
@@ -545,7 +534,7 @@ def map_chunks(task: Callable[[Any], T], chunks: Iterable[Any]) -> Iterator[T]:
     """
     chunks = iter(chunks)
     head = list(islice(chunks, 2))
-    workers = map_workers(len(head))
+    workers = _map_workers(len(head))
     if not workers:
         yield from map(task, chain(head, chunks))
         return
@@ -556,8 +545,9 @@ def map_chunks(task: Callable[[Any], T], chunks: Iterable[Any]) -> Iterator[T]:
 
     # Fork, not spawn: a worker inherits the imported modules and ``task``,
     # whose closures need not pickle. Forking is safe because the callers
-    # run no thread (cli joins the mock's request threads before a map) and
-    # the pool forks every worker before it starts its own.
+    # run no thread (cli's mock passes start none; only HTTP runs do, and
+    # they map nothing) and the pool forks every worker before it starts
+    # its own.
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),

@@ -298,7 +298,7 @@ def gate_gb(
 
 def gate_mtop(
     method: Method | str,
-    candidate: GenOutput,
+    candidates: Sequence[GenOutput],
     expected: PromptExpectation,
     nbest: SlotNBestMap,
     *,
@@ -306,7 +306,8 @@ def gate_mtop(
     language: str | None = None,
     templates: PromptTemplates = PromptTemplates(),
 ) -> tuple[GateVerdict, GateEvent]:
-    """Gate one cross-lingual candidate, attempting both recovery passes.
+    """Gate one cross-lingual candidate batch, attempting both recovery
+    passes on each candidate.
 
     Translate-slots candidates are text-only (the parse was supplied), so
     invalid-parse and mismatch-parse cannot occur for them. Recovery order
@@ -320,7 +321,7 @@ def gate_mtop(
     if not spec.pair:
         given, signature = parse_tree(expected.target_parse or "", spec.dialect), None
     return _gate(
-        method, (candidate,), expected.context_texts, given,
+        method, candidates, expected.context_texts, given,
         signature=signature, nbest=nbest, input_id=input_id,
         language=language or expected.language, templates=templates,
     )

@@ -13,7 +13,7 @@ import pytest
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 # Folded into trees.bind_slot_spans; its metrics read 0 until the bench
-# remaps them (ROADMAP item 0).
+# remaps them (ROADMAP item 1).
 KNOWN_DEAD = {"trees.find_token_span"}
 
 

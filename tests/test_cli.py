@@ -18,6 +18,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 from collections import Counter
 from importlib import resources
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from clasp import cli, datasets, gate, prompts, trees
-from clasp.backends import BackendUnavailable, MockBackend
+from clasp.backends import BackendUnavailable, HttpBackend, MockBackend
 from clasp.datasets import Example, RecordWriter, read_jsonl, read_records
 from clasp.prompts import build_gb_prompt
 
@@ -656,60 +657,6 @@ def test_partial_holds_rows_finished_before_backend_failure(
     assert partial == read_records(full)[:2]
 
 
-def test_partial_is_the_same_with_requests_in_flight(data, tmp_path, monkeypatch):
-    full = tmp_path / "full.jsonl"
-    assert run(*augment_argv(data, "gb", full, "--k", "12", "--max-inflight", "4")) == 0
-    original = MockBackend.generate
-    prompts_seen = []
-
-    def recording(self, prompt, cfg):
-        prompts_seen.append(prompt.text)
-        return original(self, prompt, cfg)
-
-    monkeypatch.setattr(MockBackend, "generate", recording)
-    assert run(*augment_argv(data, "gb", tmp_path / "ref.jsonl", "--k", "12",
-                             "--max-inflight", "1")) == 0
-    fatal = prompts_seen[5]
-
-    def failing(self, prompt, cfg):
-        if prompt.text == fatal:
-            raise BackendUnavailable("injected failure")
-        return original(self, prompt, cfg)
-
-    monkeypatch.setattr(MockBackend, "generate", failing)
-    out = tmp_path / "out.jsonl"
-    assert run(*augment_argv(data, "gb", out, "--k", "12", "--max-inflight", "4")) == 3
-    assert not out.exists()
-    assert read_records(str(out) + ".partial") == read_records(full)[:5]
-    assert [p.name for p in tmp_path.iterdir() if p.name.startswith("out")] == [
-        "out.jsonl.partial"
-    ]
-
-
-@pytest.mark.parametrize("inflight", [1, 3])
-def test_tasks_are_built_within_the_window(data, tmp_path, monkeypatch, inflight):
-    built, ahead = [], []
-    build = prompts.build_gb_prompt
-    write = RecordWriter.write
-
-    def building(*args, **kwargs):
-        built.append(1)
-        return build(*args, **kwargs)
-
-    def writing(self, record):
-        ahead.append(len(built) - self.count)
-        write(self, record)
-
-    monkeypatch.setattr(prompts, "build_gb_prompt", building)
-    monkeypatch.setattr(RecordWriter, "write", writing)
-    out = tmp_path / "out.jsonl"
-    assert run(*augment_argv(data, "gb", out, "--k", "40",
-                             "--max-inflight", str(inflight))) == 0
-    window = 1 if inflight == 1 else cli._WINDOW_PER_SLOT * inflight + 1
-    assert len(ahead) == len(built) == 40
-    assert max(ahead) == window
-
-
 def test_early_errors_leave_no_partial(data, tmp_path, caplog):
     out = tmp_path / "out.jsonl"
     tiny = tmp_path / "tiny.jsonl"
@@ -755,6 +702,129 @@ def test_http_run_leaves_no_socket_open(data, tmp_path, monkeypatch, keepalive_s
         assert run(*_http_gb_argv(data, tmp_path / "out.jsonl", 2)) == 0
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_partial_is_the_same_with_requests_in_flight(
+    data, tmp_path, monkeypatch, keepalive_server
+):
+    _, url = keepalive_server
+    monkeypatch.setenv("CLASP_BACKEND_ENDPOINT", url)
+    full = tmp_path / "full.jsonl"
+    assert run(*_http_gb_argv(data, full, 4)) == 0
+    generate = HttpBackend.generate
+    prompts_seen = []
+
+    def recording(self, prompt, cfg):
+        prompts_seen.append(prompt.text)
+        return generate(self, prompt, cfg)
+
+    monkeypatch.setattr(HttpBackend, "generate", recording)
+    assert run(*_http_gb_argv(data, tmp_path / "ref.jsonl", 1)) == 0
+    fatal = prompts_seen[5]
+
+    def failing(self, prompt, cfg):
+        if prompt.text == fatal:
+            raise BackendUnavailable("injected failure")
+        return generate(self, prompt, cfg)
+
+    monkeypatch.setattr(HttpBackend, "generate", failing)
+    out = tmp_path / "out.jsonl"
+    assert run(*_http_gb_argv(data, out, 4)) == 3
+    assert not out.exists()
+    assert read_records(str(out) + ".partial") == read_records(full)[:5]
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith("out")] == [
+        "out.jsonl.partial"
+    ]
+
+
+@pytest.mark.parametrize("inflight", [1, 3])
+def test_tasks_are_built_within_the_window(
+    data, tmp_path, monkeypatch, keepalive_server, inflight
+):
+    server, url = keepalive_server
+    monkeypatch.setenv("CLASP_BACKEND_ENDPOINT", url)
+    built, ahead = [], []
+    build = prompts.build_gb_prompt
+    write_text = RecordWriter.write_text
+
+    def building(*args, **kwargs):
+        built.append(1)
+        return build(*args, **kwargs)
+
+    def writing(self, text, count):
+        ahead.append(len(built) - self.count)
+        write_text(self, text, count)
+
+    monkeypatch.setattr(prompts, "build_gb_prompt", building)
+    monkeypatch.setattr(RecordWriter, "write_text", writing)
+    assert run(*_http_gb_argv(data, tmp_path / "out.jsonl", inflight)) == 0
+    window = 1 if inflight == 1 else cli._WINDOW_PER_SLOT * inflight + 1
+    assert len(ahead) == len(built) == len(server.seen) == 30
+    assert max(ahead) == window
+
+
+@pytest.mark.parametrize("chunks", ["one", "many"])
+def test_a_mock_run_starts_no_thread(data, tmp_path, monkeypatch, chunks):
+    # --max-inflight is an HTTP setting: gb asks for 4 and ts takes the
+    # default, yet the mock sends one request at a time, here in process.
+    def forbidden(self):
+        raise AssertionError("a thread was started")
+
+    if chunks == "many":
+        two_workers(monkeypatch)
+        monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(threading.Thread, "start", forbidden)
+    for method in ("gb", "ts"):
+        files = augment_outputs(data, method, tmp_path)
+        assert {n: sha256(p) for n, p in files.items()} == EXPECTED_DIGESTS[method]
+
+
+def test_an_interrupt_in_an_in_process_chunk_keeps_its_finished_rows(
+    data, tmp_path, monkeypatch, caplog
+):
+    full = tmp_path / "full.jsonl"
+    assert run(*augment_argv(data, "gb", full, *AUGMENT_RUNS["gb"])) == 0
+    generate = MockBackend.generate
+    calls = []
+
+    def interrupted(self, prompt, cfg):
+        calls.append(prompt)
+        if len(calls) == 4:
+            raise KeyboardInterrupt
+        return generate(self, prompt, cfg)
+
+    monkeypatch.setattr(MockBackend, "generate", interrupted)
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        run(*augment_argv(data, "gb", out, *AUGMENT_RUNS["gb"]))
+    assert not out.exists()
+    assert read_records(f"{out}.partial") == read_records(full)[:3]
+    assert f"flushed 3 partial rows to {out}.partial" in caplog.text
+
+
+def test_the_slot_nbest_pass_runs_over_http(
+    data, tmp_path, monkeypatch, keepalive_server
+):
+    # Small chunks on two CPUs would fork a mock pass; an HTTP pass stays
+    # here, and its n-best covers every value of the rendered rows.
+    def forbidden():
+        raise AssertionError("a process was started")
+
+    two_workers(monkeypatch)
+    monkeypatch.setattr(os, "fork", forbidden)
+    server, url = keepalive_server
+    monkeypatch.setenv("CLASP_BACKEND_ENDPOINT", url)
+    out = tmp_path / "ts.jsonl"
+    assert run("augment", "--method", "ts", "--dataset", data / "mtop.jsonl",
+               "--seed", "7", "--backend", "http", "--k", "18",
+               "--langs", "de,es,fr", "--max-inflight", "3", "--out", out) == 0
+    values = {v for _, _, parse in MTOP_ROWS for v in _leaf_values(parse)}
+    written = json.loads(Path(f"{out}.nbest.json").read_text(encoding="utf-8"))
+    assert {lang: set(found) for lang, found in written.items()} == {
+        lang: values for lang in ("de", "es", "fr")
+    }
+    assert len(server.seen) == 3 * len(values) + 18
+    assert len(read_records(out)) == 18
 
 
 # ------------------------------------------------------------ augment in chunks
@@ -842,11 +912,26 @@ def test_a_worker_that_dies_is_one_error_line(
     out = tmp_path / "out" / "out.jsonl"
     if command == "augment":
         full = tmp_path / "full.jsonl"
+        generate = MockBackend.generate
+        seen = []
+
+        def recording(self, prompt, cfg):
+            seen.append(prompt.text)
+            return generate(self, prompt, cfg)
+
+        monkeypatch.setattr(MockBackend, "generate", recording)
         assert run(*augment_argv(data, "gb", full, *AUGMENT_RUNS["gb"])) == 0
     two_workers(monkeypatch)
     caplog.clear()
     if command == "augment":
-        monkeypatch.setattr(cli, "_task_chunk", dying(cli._task_chunk, 9))
+        # The worker that sends task 9's request, the first of the chunk
+        # that starts at task 9, kills itself.
+        def killing(self, prompt, cfg):
+            if prompt.text == seen[9] and os.getpid() != main:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return generate(self, prompt, cfg)
+
+        monkeypatch.setattr(MockBackend, "generate", killing)
         code = run(*augment_argv(data, "gb", out, *AUGMENT_RUNS["gb"]))
     else:
         monkeypatch.setattr(datasets, "_map_chunk", dying(datasets._map_chunk, 9))
@@ -873,20 +958,21 @@ def test_an_interrupt_stops_only_the_main_process(data, tmp_path, monkeypatch, c
     # Ctrl-C signals the whole process group: a worker goes on with its
     # chunk, and the main process keeps the chunks written before it.
     two_workers(monkeypatch)
-    main, task_chunk = os.getpid(), cli._task_chunk
+    main, generate = os.getpid(), MockBackend.generate
 
-    def interrupted(*args):
+    def interrupted(self, prompt, cfg):
         if os.getpid() != main:
             os.kill(os.getpid(), signal.SIGINT)
-        return task_chunk(*args)
+        return generate(self, prompt, cfg)
 
-    monkeypatch.setattr(cli, "_task_chunk", interrupted)
+    monkeypatch.setattr(MockBackend, "generate", interrupted)
     files = augment_outputs(data, "gb", tmp_path)
     assert sha256(files["out"]) == EXPECTED_DIGESTS["gb"]["out"]
     write_text = RecordWriter.write_text
 
     def writing(self, text, count):
-        if self.count:
+        # Each row is written on its own: stop after the first chunk's.
+        if self.count == MAP_CHUNK:
             raise KeyboardInterrupt
         write_text(self, text, count)
 
@@ -962,6 +1048,36 @@ def test_gate_binds_each_ts_candidate_once(data, tmp_path, monkeypatch):
     out = tmp_path / "out.jsonl"
     assert run(*augment_argv(data, "ts", out, *REAL_PARSES["ts"])) == 0
     assert (len(calls), sum(calls)) == (36, 6)
+
+
+def test_ts_gates_every_output(data, tmp_path):
+    # Four ts outputs: the first drops a slot word and nothing recovers it,
+    # the others bind every slot, so the task emits the best of them.
+    rules = write_json(tmp_path / "rules.json", [
+        {"pattern": r"^\[CLM\] Translation in English:"},
+        {"pattern": r"^\[CLM\] Semantic Parse:",
+         "corruptions": ["drop_slot_word"], "corrupt_count": 1},
+    ])
+    config = write_json(tmp_path / "config.json",
+                        {"decoding": {"mode": "sampling", "n": 4}})
+    out = tmp_path / "ts.jsonl"
+    assert run("augment", "--method", "ts", "--dataset", data / "mtop.jsonl",
+               "--seed", "7", "--mock-rules", rules, "--config", config,
+               "--k", "1", "--langs", "de", "--out", out) == 0
+    (row,) = read_jsonl(out)
+    assert (row.id, row.source) == ("ts-00000", "clasp-ts")
+    stats = json.loads((tmp_path / "ts.stats.json").read_text())["rows"][0]
+    assert stats["outputs"] == 4
+    assert stats["failure_modes"]["missing_slot"] > 0
+
+
+def test_config_decoding_leaves_the_slot_nbest_pass_at_its_own(data, tmp_path):
+    # decoding sets the method's decoding; the n-best pass keeps beam 4.
+    config = write_json(tmp_path / "config.json", {"decoding": {"n": 2}})
+    out = tmp_path / "ts.jsonl"
+    assert run(*augment_argv(data, "ts", out, *AUGMENT_RUNS["ts"],
+                             "--config", config)) == 0
+    assert sha256(Path(f"{out}.nbest.json")) == EXPECTED_DIGESTS["ts"]["nbest"]
 
 
 # ------------------------------------------------------------- slot n-best map

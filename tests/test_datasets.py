@@ -21,12 +21,12 @@ from clasp.datasets import (
     FileMalformed,
     RecordWriter,
     RowMalformed,
-    iter_mtop_rows,
-    iter_pizza_rows,
+    decode_mtop_line,
     iter_records,
     map_chunks,
     map_rows,
     ordered_map,
+    pizza_line_decoder,
     read_json,
     read_jsonl,
     read_records,
@@ -38,6 +38,18 @@ from clasp.datasets import (
 def write(path, lines) -> str:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
+
+
+def map_decoded(path, decode) -> list:
+    """The rows that ``map_rows`` decodes from ``path`` with ``decode``,
+    each written as the record it is and read back."""
+    out = Path(path).with_suffix(".rows.jsonl")
+    with RecordWriter(out) as writer:
+        map_rows(path, decode, lambda i, row: (row, False), writer)
+    return read_records(out)
+
+
+PIZZA = pizza_line_decoder(need_cf=False)
 
 
 def mtop_line(tokens_json: str, locale: str = "fr_XX") -> str:
@@ -179,7 +191,7 @@ class TestReadJsonl:
     def test_a_bad_byte_is_named_by_its_line_through_every_reader(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_bytes(b'\n \n{"id": "\xff"}\n')
-        for read in (read_jsonl, read_records, lambda p: list(iter_pizza_rows(p))):
+        for read in (read_jsonl, read_records, lambda p: map_decoded(p, PIZZA)):
             with pytest.raises(RowMalformed, match=r"r\.jsonl:3: 'utf-8' codec"):
                 read(path)
 
@@ -257,38 +269,41 @@ class TestReadPizzaRows:
         record = {"train.SRC": "a pizza", "train.TOP": "(ORDER )",
                   "dev.exr": "x", "cf": "y"}
         path = write(tmp_path / "p.jsonl", [json.dumps(record)])
-        assert list(iter_pizza_rows(path)) == [
+        assert map_decoded(path, PIZZA) == [
             {"SRC": "a pizza", "TOP": "(ORDER )", "EXR": "x", "CF": "y"}
         ]
 
     def test_row_without_top_is_rejected(self, tmp_path):
         path = write(tmp_path / "p.jsonl", [json.dumps({"train.SRC": "a"})])
         with pytest.raises(RowMalformed, match=r"p\.jsonl:1: row lacks SRC/TOP"):
-            list(iter_pizza_rows(path))
+            map_decoded(path, PIZZA)
 
     def test_non_object_is_rejected(self, tmp_path):
         path = write(tmp_path / "p.jsonl", ['{"SRC": "a", "TOP": "b"}', "[1, 2]"])
         with pytest.raises(RowMalformed, match=r"p\.jsonl:2: expected a JSON object"):
-            list(iter_pizza_rows(path))
+            map_decoded(path, PIZZA)
 
     def test_a_row_fault_is_numbered_by_its_file_line(self, tmp_path):
         path = write(tmp_path / "p.jsonl", ['{"SRC": "a", "TOP": "b"}', "", '{"SRC": "a"}'])
         with pytest.raises(RowMalformed, match=r"p\.jsonl:3: row lacks SRC/TOP"):
-            list(iter_pizza_rows(path))
+            map_decoded(path, PIZZA)
 
     @pytest.mark.parametrize("row", ['{"SRC": "a", "TOP": "b"}',
                                      '{"SRC": "a", "TOP": "b", "CF": 5}'])
     def test_need_cf_names_a_row_without_a_string_cf(self, tmp_path, row):
-        path = write(tmp_path / "p.jsonl", ['{"SRC": "a", "TOP": "b", "CF": "c"}', row])
-        assert next(iter_pizza_rows(path, need_cf=True))["CF"] == "c"
+        good = '{"SRC": "a", "TOP": "b", "CF": "c"}'
+        need_cf = pizza_line_decoder(need_cf=True)
+        (first,) = map_decoded(write(tmp_path / "good.jsonl", [good]), need_cf)
+        assert first["CF"] == "c"
+        path = write(tmp_path / "p.jsonl", [good, row])
         with pytest.raises(RowMalformed, match=r"p\.jsonl:2: row lacks a string CF"):
-            list(iter_pizza_rows(path, need_cf=True))
+            map_decoded(path, need_cf)
 
 
 class TestReadMtopRows:
     def test_tokens_and_language_come_from_their_columns(self, tmp_path):
         path = write(tmp_path / "m.tsv", [mtop_line('{"tokens": ["Bon", "jour"]}')])
-        (row,) = iter_mtop_rows(path)
+        (row,) = map_decoded(path, decode_mtop_line)
         assert row["tokens"] == ["Bon", "jour"]
         assert row["lang"] == "fr"
         assert row["utterance"] == "Bonjour"
@@ -300,32 +315,33 @@ class TestReadMtopRows:
     def test_bad_tokens_column(self, tmp_path, tokens_json):
         path = write(tmp_path / "m.tsv", [mtop_line('{"tokens": []}'), mtop_line(tokens_json)])
         with pytest.raises(RowMalformed, match=r"m\.tsv:2: bad tokens column"):
-            list(iter_mtop_rows(path))
+            map_decoded(path, decode_mtop_line)
 
     def test_tokens_must_be_strings(self, tmp_path):
         path = write(tmp_path / "m.tsv", [mtop_line('{"tokens": ["a", 1]}')])
         with pytest.raises(RowMalformed, match="tokens must be a list of strings"):
-            list(iter_mtop_rows(path))
+            map_decoded(path, decode_mtop_line)
 
     def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_bytes(mtop_line('{"tokens": ["Bon\xe9"]}').encode("latin-1") + b"\n")
         with pytest.raises(RowMalformed, match=r"m\.tsv:1: 'utf-8' codec"):
-            list(iter_mtop_rows(path))
+            map_decoded(path, decode_mtop_line)
 
     def test_short_row_is_rejected(self, tmp_path):
         path = write(tmp_path / "m.tsv", ["fr-1\tIN:X"])
         with pytest.raises(RowMalformed, match=r"m\.tsv:1: expected 8 tab-separated"):
-            list(iter_mtop_rows(path))
+            map_decoded(path, decode_mtop_line)
 
     def test_blank_lines_are_skipped_and_numbered(self, tmp_path):
         # A line of whitespace is blank in every row format.
         good = mtop_line('{"tokens": ["a"]}')
-        path = write(tmp_path / "m.tsv", [good, "", " \t ", good, "fr-1\tIN:X"])
-        rows = iter_mtop_rows(path)
-        assert [next(rows)["tokens"], next(rows)["tokens"]] == [["a"], ["a"]]
+        lines = [good, "", " \t ", good]
+        rows = map_decoded(write(tmp_path / "ok.tsv", lines), decode_mtop_line)
+        assert [row["tokens"] for row in rows] == [["a"], ["a"]]
+        path = write(tmp_path / "m.tsv", [*lines, "fr-1\tIN:X"])
         with pytest.raises(RowMalformed, match=r"m\.tsv:5: expected 8 tab-separated"):
-            next(rows)
+            map_decoded(path, decode_mtop_line)
 
 
 def parity(i: int, word: str) -> tuple[dict | None, bool]:

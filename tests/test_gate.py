@@ -170,7 +170,7 @@ class TestCheckVp2:
 
         verdict, _ = gate_mtop(
             "ts",
-            GenOutput(f"{text};", 0.5),
+            [GenOutput(f"{text};", 0.5)],
             PromptExpectation(language="fr", target_parse=serialize(tree)),
             SlotNBestMap(),
         )
@@ -433,7 +433,7 @@ class TestGateMtop:
             context_texts=("some anchor text",),
         )
         verdict, event = gate_mtop(
-            "ts", GenOutput(f"{NBEST_TEXT};", 0.2), expected, NBEST, input_id="ts-0"
+            "ts", [GenOutput(f"{NBEST_TEXT};", 0.2)], expected, NBEST, input_id="ts-0"
         )
         assert verdict.status == "recovered"
         assert verdict.recovery == SLOT_NBEST
@@ -448,7 +448,7 @@ class TestGateMtop:
         )
         raw = f"{CASING_PARSE}\n=> Translation in German: {CASING_TEXT};"
         verdict, event = gate_mtop(
-            "tb", GenOutput(raw, 0.2), expected, NBEST, input_id="tb-0"
+            "tb", [GenOutput(raw, 0.2)], expected, NBEST, input_id="tb-0"
         )
         assert verdict.status == "recovered"
         assert verdict.recovery == FIX_CASING
@@ -469,7 +469,7 @@ class TestGateMtop:
             f"{copied_parse}\n=> Translation in French: Fais - moi penser à mon "
             "rendez - vous de 10 h chez le médecin;"
         )
-        verdict, event = gate_mtop("tb", GenOutput(raw, 0.2), expected, NBEST)
+        verdict, event = gate_mtop("tb", [GenOutput(raw, 0.2)], expected, NBEST)
         assert verdict.status == "failed"
         assert MISMATCH_PARSE in verdict.failure_modes
 
@@ -479,7 +479,7 @@ class TestGateMtop:
         )
         text = "Quiero ver todo las alarmas para el viernes"
         verdict, event = gate_mtop(
-            "ts", GenOutput(f"{text};", 0.2), expected, NBEST
+            "ts", [GenOutput(f"{text};", 0.2)], expected, NBEST
         )
         assert verdict.status == "clean"
         assert event.success_mode == CLEAN
@@ -492,7 +492,7 @@ class TestGateMtop:
         )
         verdict, _ = gate_mtop(
             "ts",
-            GenOutput("Quiero ver todo las alarmas para el viernes;", 0.2),
+            [GenOutput("Quiero ver todo las alarmas para el viernes;", 0.2)],
             expected,
             NBEST,
         )
@@ -502,13 +502,13 @@ class TestGateMtop:
     def test_tb_invalid_parse(self):
         expected = PromptExpectation(language="de", source_signature="[IN:X ]")
         raw = "[IN:BROKEN [SL:X\n=> Translation in German: kaputt;"
-        verdict, _ = gate_mtop("tb", GenOutput(raw, 0.2), expected, NBEST)
+        verdict, _ = gate_mtop("tb", [GenOutput(raw, 0.2)], expected, NBEST)
         assert INVALID_PARSE in verdict.failure_modes
 
     def test_unrecoverable_missing_slot(self):
         expected = PromptExpectation(language="es", target_parse=NBEST_PARSE)
         verdict, event = gate_mtop(
-            "ts", GenOutput("ninguna alarma;", 0.2), expected, NBEST
+            "ts", [GenOutput("ninguna alarma;", 0.2)], expected, NBEST
         )
         assert verdict.status == "failed"
         assert MISSING_SLOT in verdict.failure_modes
@@ -519,7 +519,7 @@ class TestGateMtop:
             language="es", target_parse=NBEST_PARSE, context_texts=(NBEST_TEXT,)
         )
         verdict, event = gate_mtop(
-            "ts", GenOutput(f"{NBEST_TEXT};", 0.2), expected, NBEST
+            "ts", [GenOutput(f"{NBEST_TEXT};", 0.2)], expected, NBEST
         )
         assert verdict.status == "failed"
         assert event.candidate_modes == (frozenset({COPY_EXAMPLE}),)
@@ -530,7 +530,7 @@ class TestGateMtop:
             source_signature=structure_signature(parse("[IN:GET_ALARM ]", MTOP)),
         )
         raw = f"{CASING_PARSE}\n=> Translation in German: {CASING_TEXT};"
-        verdict, event = gate_mtop("tb", GenOutput(raw, 0.2), expected, NBEST)
+        verdict, event = gate_mtop("tb", [GenOutput(raw, 0.2)], expected, NBEST)
         assert verdict.status == "failed"
         assert event.candidate_modes == (frozenset({MISMATCH_PARSE}),)
 
@@ -724,7 +724,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         )
         backend = MockBackend([MockRule(corruptions=("mismatch_parse",))])
         outs = backend.generate(prompt, DecodingConfig("greedy"))
-        verdict, event = gate_mtop("tb", outs[0], prompt.expected, SlotNBestMap())
+        verdict, event = gate_mtop("tb", [outs[0]], prompt.expected, SlotNBestMap())
         assert verdict.status == "failed"
         assert MISMATCH_PARSE in verdict.failure_modes
 
@@ -743,7 +743,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         out = MockBackend([MockRule(corruptions=(flag,))]).generate(
             prompt, DecodingConfig("greedy")
         )[0]
-        verdict, _ = gate_mtop("tb", out, prompt.expected, SlotNBestMap())
+        verdict, _ = gate_mtop("tb", [out], prompt.expected, SlotNBestMap())
         assert verdict.status == status
 
     def test_tb_flip_casing_skips_an_uncased_first_character(self):
@@ -757,7 +757,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         out = MockBackend([MockRule(corruptions=("flip_casing",))]).generate(
             prompt, DecodingConfig("greedy")
         )[0]
-        verdict, _ = gate_mtop("tb", out, prompt.expected, SlotNBestMap())
+        verdict, _ = gate_mtop("tb", [out], prompt.expected, SlotNBestMap())
         assert verdict.status == "recovered"
         assert verdict.recovery == FIX_CASING
 
@@ -771,7 +771,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         )
         backend = MockBackend([MockRule(corruptions=("flip_casing",))])
         outs = backend.generate(prompt, DecodingConfig("greedy"))
-        verdict, event = gate_mtop("ts", outs[0], prompt.expected, SlotNBestMap())
+        verdict, event = gate_mtop("ts", [outs[0]], prompt.expected, SlotNBestMap())
         assert verdict.status == "recovered"
         assert verdict.recovery == FIX_CASING
 
@@ -788,7 +788,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         )
         nbest = SlotNBestMap.from_mapping({"fr": {"my": ["mon", "ma"]}})
         outs = backend.generate(prompt, DecodingConfig("greedy"))
-        verdict, event = gate_mtop("ts", outs[0], prompt.expected, nbest)
+        verdict, event = gate_mtop("ts", [outs[0]], prompt.expected, nbest)
         assert verdict.status == "recovered"
         assert verdict.recovery == SLOT_NBEST
 
@@ -816,7 +816,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         out = MockBackend([MockRule()]).generate(prompt, DecodingConfig("greedy"))[0]
         assert "=> Text in French: " in out.text
         verdict, event = gate_mtop(
-            "tb", out, prompt.expected, SlotNBestMap(), templates=templates
+            "tb", [out], prompt.expected, SlotNBestMap(), templates=templates
         )
         assert verdict.status == "clean"
         assert event.candidate_modes == (frozenset(),)
@@ -849,7 +849,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         backend = MockBackend([MockRule(corruptions=(flag,))])
         out = backend.generate(prompt, DecodingConfig("greedy"))[0]
         verdict, event = gate_mtop(
-            "tb", out, prompt.expected, SlotNBestMap(), templates=templates
+            "tb", [out], prompt.expected, SlotNBestMap(), templates=templates
         )
         assert verdict.status == "failed"
         assert mode in verdict.failure_modes
@@ -955,7 +955,7 @@ def _generate_and_gate(prompt, rule, catalog):
         return outs, gate_rs(outs, target, exp.context_texts, catalog, templates=t)
     if prompt.method is Method.GENERATE_BOTH:
         return outs, gate_gb(outs, exp.context_texts, catalog, templates=t)
-    return outs, gate_mtop(prompt.method, outs[0], exp, SlotNBestMap(), templates=t)
+    return outs, gate_mtop(prompt.method, [outs[0]], exp, SlotNBestMap(), templates=t)
 
 
 def _first_slot_unedited(prompt, flag, clean_text):

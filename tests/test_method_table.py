@@ -43,7 +43,7 @@ def _gate_rs(outs, prompt, catalog):
 
 
 def _gate_mtop(outs, prompt, catalog):
-    return gate_mtop(prompt.method, outs[0], prompt.expected, SlotNBestMap())
+    return gate_mtop(prompt.method, outs, prompt.expected, SlotNBestMap())
 
 
 # For each method with a dialect: a prompt of it and the gate that reads it.
@@ -99,7 +99,7 @@ def test_mock_clean_rule_gates_clean(catalog, method):
 )
 def test_gate_mtop_refuses_a_method_without_an_mtop_parse(method):
     with pytest.raises(GateError):
-        gate_mtop(method, GenOutput("x;", 0.1), PromptExpectation(), SlotNBestMap())
+        gate_mtop(method, [GenOutput("x;", 0.1)], PromptExpectation(), SlotNBestMap())
 
 
 @pytest.mark.parametrize("method", list(METHODS), ids=lambda m: m.value)
