@@ -2,9 +2,7 @@
 
 The template grammar covers Order, Pizzaorder, Drinkorder, Number, Size,
 Style, Topping, Complex_topping(Quantity), Not, Containertype and
-Drinktype. Rendering preserves the sibling order of slots exactly, and
-the same templates parse canonical-form text back into the tree, which is
-what makes round-trip testing possible.
+Drinktype. Rendering preserves the sibling order of slots exactly.
 
 The exact phrasing for negation, quantities and container types is a
 repo convention (see the shipped CF template file); slot values are
@@ -15,12 +13,12 @@ keywords ("pizza", "with", "no", "of", "style").
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .datasets import packaged, read_json
-from .trees import Dialect, Intent, Node, ParseTree, Slot, Token, serialize_node
+from .trees import Node, ParseTree, Token
 
 
 class CatalogError(ValueError):
@@ -41,10 +39,6 @@ class TemplateError(ValueError):
 
 class UncoveredConstruct(TemplateError):
     """A tree node has no rendering template."""
-
-
-class TemplateMismatch(TemplateError):
-    """Canonical-form text does not fit the template grammar."""
 
 
 FUNCTION_WORDS_KEY = "_function_words"
@@ -182,7 +176,7 @@ def sample_replacement(
 
 @dataclass(frozen=True)
 class CfTemplateSet:
-    """Declarative templates driving canonical-form rendering and parsing."""
+    """Declarative templates driving canonical-form rendering."""
 
     order_prefix: str = "i want"
     order_joiner: str = "and"
@@ -194,25 +188,22 @@ class CfTemplateSet:
     negation_word: str = "no"
     negated_style_marker: str = "style"
     number_words: tuple[tuple[str, str], ...] = (("a", "one"),)
-    size_values: tuple[str, ...] = ()
-    quantity_values: tuple[str, ...] = ()
-    labels: tuple[tuple[str, str], ...] = ()
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "CfTemplateSet":
-        """Build from the JSON shape: objects for ``number_words`` and
-        ``labels``, lists for the value lists, strings elsewhere."""
+        """Build from the JSON shape: an object for ``number_words``,
+        strings elsewhere; a key left out keeps its default."""
+        data = dict(data)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise TemplateError(f"unknown CF template key {unknown[0]!r}")
         kwargs = {}
-        for key, value in dict(data).items():
-            if key in ("number_words", "labels"):
+        for key, value in data.items():
+            if key == "number_words":
                 if not isinstance(value, dict):
                     raise TemplateError(f"CF template {key!r} must be an object")
                 value = tuple(sorted(value.items()))
                 strings = [x for pair in value for x in pair]
-            elif key in ("size_values", "quantity_values"):
-                if not isinstance(value, list):
-                    raise TemplateError(f"CF template {key!r} must be a list")
-                value = strings = tuple(value)
             else:
                 strings = [value]
             if not all(isinstance(x, str) for x in strings):
@@ -226,23 +217,11 @@ class CfTemplateSet:
         """The shipped CF templates, read on first use."""
         return read_json(packaged("cf_templates.json"), cls.from_mapping)
 
-    def canonical_label(self, name: str) -> str:
-        for key, label in self.labels:
-            if key == name:
-                return label
-        return name.capitalize()
-
     def render_number(self, value: str) -> str:
         for word, rendered in self.number_words:
             if value.lower() == word:
                 return rendered
         return value
-
-    def unrender_number(self, rendered: str) -> str:
-        for word, out in self.number_words:
-            if rendered.lower() == out:
-                return word
-        return rendered
 
 
 def _label(node: Node) -> str:
@@ -363,152 +342,3 @@ def _join_list(items: Sequence[str], t: CfTemplateSet) -> str:
         return items[0]
     head = f" {t.list_separator} ".join(items[:-1])
     return f"{head} {t.list_separator} {t.list_final_joiner} {items[-1]}"
-
-
-def from_canonical_form(
-    s: str, templates: CfTemplateSet | None = None
-) -> ParseTree:
-    """Parse canonical-form text produced by these templates back to a tree."""
-    t = templates or CfTemplateSet.default()
-    tokens = s.split()
-    prefix = t.order_prefix.split()
-    if tokens[: len(prefix)] != prefix:
-        raise TemplateMismatch(f"text does not start with {t.order_prefix!r}")
-    rest = tokens[len(prefix) :]
-    if not rest:
-        raise TemplateMismatch("no order content after prefix")
-    chunks = _split_on_joiner(rest, t)
-    suborders = []
-    for chunk in chunks:
-        if t.pizza_word in chunk:
-            suborders.append(_parse_pizza(chunk, t))
-        else:
-            suborders.append(_parse_drink(chunk, t))
-    root = Intent(t.canonical_label("order"), tuple(suborders))
-    return ParseTree(root, Dialect.PIZZA_PAREN)
-
-
-def _split_on_joiner(tokens: Sequence[str], t: CfTemplateSet) -> list[list[str]]:
-    # A bare joiner separates suborders; "<sep> <joiner>" belongs to an
-    # item list and stays inside the chunk.
-    chunks: list[list[str]] = [[]]
-    for i, tok in enumerate(tokens):
-        if (
-            tok == t.order_joiner
-            and chunks[-1]
-            and chunks[-1][-1] != t.list_separator
-        ):
-            chunks.append([])
-            continue
-        chunks[-1].append(tok)
-    if any(not c for c in chunks):
-        raise TemplateMismatch("dangling order joiner")
-    return chunks
-
-
-def _take_number(chunk: Sequence[str], t: CfTemplateSet) -> tuple[str, int]:
-    if not chunk:
-        raise TemplateMismatch("empty suborder")
-    return t.unrender_number(chunk[0]), 1
-
-
-def _take_listed(
-    chunk: Sequence[str], i: int, values: Sequence[str]
-) -> tuple[str | None, int]:
-    """Longest match of any lexicon value starting at position i."""
-    best: str | None = None
-    for value in values:
-        vt = value.split()
-        if list(chunk[i : i + len(vt)]) == vt:
-            if best is None or len(vt) > len(best.split()):
-                best = value
-    if best is None:
-        return None, i
-    return best, i + len(best.split())
-
-
-def _slot(t: CfTemplateSet, name: str, value_tokens: Sequence[str]) -> Slot:
-    if not value_tokens:
-        raise TemplateMismatch(f"empty {name} value")
-    return Slot(t.canonical_label(name), tuple(value_tokens))
-
-
-def _parse_pizza(chunk: Sequence[str], t: CfTemplateSet) -> Intent:
-    number, i = _take_number(chunk, t)
-    kids: list[Node] = [_slot(t, "number", number.split())]
-    size, i = _take_listed(chunk, i, t.size_values)
-    if size is not None:
-        kids.append(_slot(t, "size", size.split()))
-    try:
-        p = list(chunk).index(t.pizza_word, i)
-    except ValueError:
-        raise TemplateMismatch(f"missing {t.pizza_word!r} keyword") from None
-    if p > i:
-        kids.append(_slot(t, "style", chunk[i:p]))
-    i = p + 1
-    if i < len(chunk):
-        if chunk[i] != t.with_word:
-            raise TemplateMismatch(f"expected {t.with_word!r} after {t.pizza_word!r}")
-        kids.extend(_parse_item_list(chunk[i + 1 :], t))
-    return Intent(t.canonical_label("pizzaorder"), tuple(kids))
-
-
-def _parse_item_list(tokens: Sequence[str], t: CfTemplateSet) -> list[Node]:
-    if not tokens:
-        raise TemplateMismatch("empty item list")
-    segments: list[list[str]] = [[]]
-    for tok in tokens:
-        if tok == t.list_separator:
-            segments.append([])
-        else:
-            segments[-1].append(tok)
-    if len(segments) > 1:
-        last = segments[-1]
-        if not last or last[0] != t.list_final_joiner:
-            raise TemplateMismatch("item list missing final joiner")
-        segments[-1] = last[1:]
-    if any(not seg for seg in segments):
-        raise TemplateMismatch("empty item in list")
-    return [_parse_item(seg, t) for seg in segments]
-
-
-def _parse_item(segment: Sequence[str], t: CfTemplateSet) -> Node:
-    if segment[0] == t.negation_word:
-        inner = segment[1:]
-        if not inner:
-            raise TemplateMismatch("negation without content")
-        if len(inner) > 1 and inner[-1] == t.negated_style_marker:
-            wrapped: Node = _slot(t, "style", inner[:-1])
-        else:
-            wrapped = _parse_positive_item(inner, t)
-        return Intent(t.canonical_label("not"), (wrapped,))
-    return _parse_positive_item(segment, t)
-
-
-def _parse_positive_item(segment: Sequence[str], t: CfTemplateSet) -> Node:
-    quantity, j = _take_listed(segment, 0, t.quantity_values)
-    if quantity is not None and j < len(segment):
-        return Intent(
-            t.canonical_label("complex_topping"),
-            (
-                _slot(t, "quantity", quantity.split()),
-                _slot(t, "topping", segment[j:]),
-            ),
-        )
-    return _slot(t, "topping", segment)
-
-
-def _parse_drink(chunk: Sequence[str], t: CfTemplateSet) -> Intent:
-    number, i = _take_number(chunk, t)
-    kids: list[Node] = [_slot(t, "number", number.split())]
-    size, i = _take_listed(chunk, i, t.size_values)
-    if size is not None:
-        kids.append(_slot(t, "size", size.split()))
-    if t.container_word in chunk[i:]:
-        j = list(chunk).index(t.container_word, i)
-        kids.append(_slot(t, "containertype", chunk[i:j]))
-        i = j + 1
-    if i >= len(chunk):
-        raise TemplateMismatch("drink order missing drink type")
-    kids.append(_slot(t, "drinktype", chunk[i:]))
-    return Intent(t.canonical_label("drinkorder"), tuple(kids))

@@ -528,13 +528,11 @@ def cmd_augment(args: argparse.Namespace) -> None:
             kinds: dict[gate.GateEvent, gate.GateEvent] = {}
 
             def finish(*task):
-                # The stats read no input id, so events are counted without
-                # it, and each kind is held once: a chunk's events then cost
+                # Each kind of event is held once: a chunk's events then cost
                 # the kinds of outcome, not its rows (gb at k=500 on the
                 # bench pool: 6 kinds, against 578 KB as one event a row).
                 row, event = to_row(*task)
                 if event is not None:
-                    event = dc_replace(event, input_id="")
                     event = kinds.setdefault(event, event)
                 return record_line(row), event
 
@@ -600,7 +598,7 @@ def _pizza_tasks(args, pool, templates, backend):
         seed = _task_seed(args.seed, i)
         if prompt is None:
             # No replaceable slot: the task falls back without a request.
-            event = gate.GateEvent(args.method, lang, input_id, (), None)
+            event = gate.GateEvent(args.method, lang, (), None)
             emitted = gate.fallback([original], seed)
         elif args.method == "rs":
             expected_tree = parse_tree(

@@ -114,7 +114,6 @@ class GateEvent:
 
     method: str
     language: str
-    input_id: str
     candidate_modes: tuple[frozenset[str], ...]
     success_mode: str | None
 
@@ -409,7 +408,7 @@ def _gate(
     else:
         verdict = GateVerdict("failed", frozenset().union(*all_modes))
         success = None
-    event = GateEvent(method.value, language, input_id, tuple(all_modes), success)
+    event = GateEvent(method.value, language, tuple(all_modes), success)
     return verdict, event
 
 

@@ -1386,6 +1386,7 @@ NOT_JSON_FLAGS = (
     ("--mock-rules", "rs", [{"responses": "hi;"}]),
     ("--mock-rules", "rs", [{"responses": [1]}]),
     ("--cf-templates", "rs", {"order_prefix": 1}),
+    ("--cf-templates", "rs", {"size_values": ["small"]}),
     ("--catalog", "rs", [1, 2]),
     ("--prompt-templates", "rs", [1]),
     ("--catalog", "rs", {"Number": [None, 2]}),
@@ -1399,7 +1400,7 @@ NOT_JSON_FLAGS = (
 ], ids=["cf-templates-unknown-key", "mock-rules-not-objects", "anchors-without-tgt",
         "nbest-not-a-map", "nbest-string-not-a-list", "catalog-string-not-a-list",
         "mock-rules-string-responses", "mock-rules-number-response",
-        "cf-templates-number-value", "catalog-not-a-map", "prompt-templates-not-a-map",
+        "cf-templates-number-value", "cf-templates-retired-key", "catalog-not-a-map", "prompt-templates-not-a-map",
         "catalog-non-string-values", "mock-rules-bad-pattern", "anchors-parse-not-a-string",
         "mock-rules-unknown-key", "mock-rules-responses-with-a-field-corruption",
         *(f"{flag[2:]}-not-json" for flag, _ in NOT_JSON_FLAGS)])
@@ -1409,6 +1410,9 @@ def test_malformed_setting_file_is_a_one_line_error(
     bad = write_json(tmp_path / "bad.json", content)
     code = run(*augment_argv(data, method, tmp_path / "out.jsonl", "--k", "2", flag, bad))
     assert_one_line_error(caplog, code, bad)
+    if flag == "--cf-templates" and "size_values" in content:
+        # A key that is no template field is named, not type-checked.
+        assert "unknown CF template key 'size_values'" in caplog.text
 
 
 @pytest.mark.parametrize("method", ["ts", "tb", "mt"])

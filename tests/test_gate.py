@@ -561,7 +561,7 @@ class TestCompileStats:
             else:
                 modes = (frozenset(),) * 4
                 success = CLEAN
-            events.append(GateEvent("rs", "en", f"rs-{i}", modes, success))
+            events.append(GateEvent("rs", "en", modes, success))
         stats = compile_stats(events)
         row = stats.row("rs", "en")
         assert row.success_rate_inputs == 80.0
@@ -570,7 +570,7 @@ class TestCompileStats:
 
     def test_all_clean(self):
         events = [
-            GateEvent("gb", "en", str(i), (frozenset(),) * 4, CLEAN)
+            GateEvent("gb", "en", (frozenset(),) * 4, CLEAN)
             for i in range(5)
         ]
         row = compile_stats(events).row("gb", "en")
@@ -586,7 +586,6 @@ class TestCompileStats:
                     GateEvent(
                         "ts",
                         lang,
-                        f"{lang}-{i}",
                         (frozenset() if ok else frozenset({MISSING_SLOT}),),
                         CLEAN if ok else None,
                     )
@@ -599,7 +598,7 @@ class TestCompileStats:
         assert avg.failure_modes[MISSING_SLOT] is None
 
     def test_ts_structural_dashes(self):
-        events = [GateEvent("ts", "de", "x", (frozenset(),), CLEAN)]
+        events = [GateEvent("ts", "de", (frozenset(),), CLEAN)]
         row = compile_stats(events).row("ts", "de")
         assert row.failure_modes[INVALID_PARSE] is None
         assert row.failure_modes[MISMATCH_PARSE] is None
@@ -611,8 +610,8 @@ class TestCompileStats:
 
     def test_table_headers_match_expected_columns(self):
         events = [
-            GateEvent("rs", "en", "a", ((frozenset()),), CLEAN),
-            GateEvent("ts", "de", "b", ((frozenset()),), CLEAN),
+            GateEvent("rs", "en", ((frozenset()),), CLEAN),
+            GateEvent("ts", "de", ((frozenset()),), CLEAN),
         ]
         table = compile_stats(events).to_table()
         assert "SR inputs" in table and "SR outputs" in table
