@@ -49,12 +49,12 @@ parse is parsed, so a row that does not decode or whose parse is
 malformed ends the run with one error line naming ``<file>:<line>`` and
 no output. project-mt, mix and the augment loop write a row at a time. The
 augment pool, the real and synthetic rows of mix and the source rows of
-project-mt are read with ``datasets.read_jsonl``: one pass checks every
-row and keeps its byte span (and, for rs, gb and project-mt, the id or
-text it is indexed by), and a row is built only when a task, the manifest
-or a projection uses it. A command holds a whole file only where it must:
-project-mt the MT records and the alignments, and score the hyp and ref
-rows by id.
+project-mt are read with ``datasets.read_jsonl``, and project-mt's MT
+and alignment records with the ``datasets.RecordRows`` view it returns:
+one pass checks every row and keeps its byte span (and, for rs, gb and
+project-mt, the key it is indexed by), and a row is reread only when a
+task, the manifest or a projection uses it. A command holds a whole file
+only where it must: score the parses of the hyp and ref rows by id.
 
 Every JSON file a command reads (the setting files of ``augment``, its
 --config, and the record given to ``report --in``) is read by
@@ -82,6 +82,7 @@ from . import backends, canonical, gate, metrics, mixing, projection, prompts, s
 from .backends import BackendError, DecodingConfig, MockBackend, MockRule
 from .datasets import (
     Example,
+    RecordRows,
     RecordWriter,
     RowMalformed,
     WorkerLost,
@@ -96,7 +97,6 @@ from .datasets import (
     pizza_line_decoder,
     read_json,
     read_jsonl,
-    read_records,
     record_line,
     write_jsonl,
 )
@@ -726,9 +726,13 @@ def _mtop_tasks(args, pool, templates, backend):
         nbest = _load_or_build_nbest(args, backend, pool, langs, anchors, templates)
 
     def tasks(start, stop):
+        j = None
         for i in range(start, stop):
             lang = langs[i % len(langs)]
-            ex = pool[_mtop_row(i, langs, pool)]
+            # Consecutive tasks render one row, each in its own language:
+            # the row is built once for them.
+            if (row := _mtop_row(i, langs, pool)) != j:
+                j, ex = row, pool[row]
             anchor_en, anchor_tgt = anchors[lang]
             if args.method == "mt":
                 prompt = prompts.build_sent_mt_prompt(
@@ -770,13 +774,20 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
     with an empty list, so the file shows that it was tried.
 
     The (language, value) jobs run through ``_pass`` like the tasks, at the
-    pass's own decoding. Task workers fork after the map is built, so they
-    inherit it."""
-    rows = {_mtop_row(i, langs, pool) for i in range(args.k)}
+    pass's own decoding. Each rendered row is reread from the pool once, to
+    collect its values. Job n is ``values[n % len(values)]`` in
+    ``langs[n // len(values)]``, so no list of jobs is held; the pass
+    yields each job's deduplicated candidates in job order, and they go
+    straight into the map's lists, keyed by the one string of each value.
+    Beyond the map, what is held is the sorted values and the candidates of
+    the chunk being taken. The file is streamed from the lists by
+    ``json.dump`` into a ``RecordWriter`` temp file, so the write holds
+    neither a copy of the map nor the file's text. Task workers fork after
+    the map is built, so they inherit it."""
     values = sorted(
         {
             ref.value_text
-            for j in rows
+            for j in {_mtop_row(i, langs, pool) for i in range(args.k)}
             for ref in leaf_slots(parse_tree(pool[j].parse, Dialect.MTOP_BRACKET))
         }
     )
@@ -796,34 +807,31 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
             )
         return nbest
     pairs = {lang: _slot_anchor_pairs(*anchors[lang]) for lang in langs}
-    todo = [(lang, value) for lang in langs for value in values]
 
+    # Job n translates values[n % len(values)] into langs[n // len(values)].
     def jobs(start, stop):
-        for lang, value in todo[start:stop]:
-            prompt = prompts.build_slot_mt_prompt(pairs[lang], value, lang, templates)
-            yield lang, value, prompt
+        for n in range(start, stop):
+            lang, value = langs[n // len(values)], values[n % len(values)]
+            yield (prompts.build_slot_mt_prompt(pairs[lang], value, lang, templates),)
 
-    def finish(lang, value, prompt, outs):
-        return lang, value, _slot_candidates(outs, templates)
+    def finish(prompt, outs):
+        return _slot_candidates(outs, templates)
 
     # --config decoding sets the method's decoding, not this pass's.
     cfg = DecodingConfig(*prompts.METHODS[prompts.Method.SLOT_MT].decoding)
-    mapping: dict[str, dict[str, list[str]]] = {}
-    for lang, value, found in _pass(
-        backend, jobs, finish, cfg, len(todo), args.max_inflight
-    ):
-        mapping.setdefault(lang, {})[value] = found
-    nbest = gate.SlotNBestMap.from_mapping(mapping)
+    lists: dict[str, dict[str, tuple[str, ...]]] = {}
+    found = _pass(backend, jobs, finish, cfg, len(langs) * len(values), args.max_inflight)
+    for n, candidates in enumerate(found):
+        lists.setdefault(langs[n // len(values)], {})[values[n % len(values)]] = candidates
     nbest_out = args.nbest_out or str(args.out) + ".nbest.json"
-    atomic_write_text(
-        nbest_out, json.dumps(nbest.to_mapping(), ensure_ascii=False, indent=2)
-    )
+    with RecordWriter(nbest_out) as out:
+        json.dump(lists, out.file, ensure_ascii=False, indent=2)
     log.info("wrote slot n-best lists for %d values to %s", len(values), nbest_out)
-    return nbest
+    return gate.SlotNBestMap(lists)
 
 
-def _slot_candidates(outs, templates) -> list[str]:
-    """The non-empty translations of a slot value, in output order."""
+def _slot_candidates(outs, templates) -> tuple[str, ...]:
+    """The distinct non-empty translations of a slot value, in output order."""
     candidates = []
     for out in outs:
         try:
@@ -832,7 +840,7 @@ def _slot_candidates(outs, templates) -> list[str]:
             continue
         if cand.text:
             candidates.append(cand.text)
-    return candidates
+    return tuple(dict.fromkeys(candidates))
 
 
 def _write_stats(args, record: dict, table: str) -> None:
@@ -847,73 +855,95 @@ def _write_stats(args, record: dict, table: str) -> None:
 
 
 def cmd_project_mt(args: argparse.Namespace) -> None:
-    mt_rows = read_records(args.mt, "id", "language", "text")
-    if not mt_rows:
-        raise MissingInput(f"MT output file {args.mt} is empty")
-    aligned: dict[tuple[str, str | None], list] = {
-        (str(row["id"]), row.get("language")): row["pairs"]
-        for row in iter_records(args.align, "id", "pairs")
-    }
-    if not aligned:
-        raise MissingInput(f"alignment file {args.align} is empty")
-    verdicts: list[tuple[str, projection.ProjectionVerdict]] = []
-    unbound = 0
+    """Project the parse of each MT row's source example through the row's
+    word alignment, and write the projected rows and their ``mt_stats``.
 
-    def projected(src, src_at):
-        nonlocal unbound
-        for row in mt_rows:
-            j = src_at.get(str(row["id"]))
-            if j is None:
-                raise IdMismatch(f"MT output id {row['id']!r} not in {args.dataset}")
-            ex = src[j]
-            lang = str(row["language"])
-            raw = str(row["text"])
-            if args.check_sentence_marker and projection.check_sentence_marker(raw):
-                verdicts.append(
-                    (lang, projection.ProjectionVerdict(
-                        frozenset({projection.CONTAINS_SENTENCE})))
-                )
-                continue
-            text = raw.strip()
-            if text.endswith(";"):
-                text = text[:-1].strip()
-            pairs = aligned.get((str(row["id"]), lang)) or aligned.get(
-                (str(row["id"]), None)
-            )
-            if pairs is None:
-                raise MissingInput(
-                    f"no alignment for id {row['id']!r} language {lang!r}"
-                )
-            try:
-                alignment = projection.WordAlignment.from_pairs(pairs)
-            except (TypeError, ValueError) as exc:
-                raise RowMalformed(
-                    f"{args.align}: bad pairs for id {row['id']!r}: {exc}"
-                ) from exc
-            try:
-                verdict = projection.project_parse(ex, text, alignment)
-            except UnmatchableSlot:
-                unbound += 1
-                continue
-            verdicts.append((lang, verdict))
-            if verdict.parse is not None:
-                yield Example(
-                    id=ex.id,
-                    lang=lang,
-                    text=text,
-                    parse=serialize(verdict.parse),
-                    source=args.source_tag,
-                )
-
-    with read_jsonl(args.dataset, "id") as src:
-        # The position of each source id; a later row of one id wins.
+    The MT file is checked in full, then the alignment file, then the
+    dataset; each is held as a ``RecordRows`` view of byte spans, plus the
+    ``(id, language)`` key of each alignment row and the id of each source
+    row. An MT row is reread when it is projected, and an alignment row,
+    whose ``pairs`` are decoded only then, when it is looked up. A
+    projection is counted by its (language, failure modes), and its tree
+    is dropped once its row is written.
+    """
+    with ExitStack() as views:
+        mt = views.enter_context(RecordRows(args.mt, ("id", "language", "text")))
+        if not mt:
+            raise MissingInput(f"MT output file {args.mt} is empty")
+        aligned = views.enter_context(
+            RecordRows(args.align, ("id", "pairs"), key=_alignment_key)
+        )
+        if not aligned:
+            raise MissingInput(f"alignment file {args.align} is empty")
+        src = views.enter_context(read_jsonl(args.dataset, "id"))
+        # The position of each alignment key and source id; a later row of
+        # one key wins.
+        align_at = {key: j for j, key in enumerate(aligned.keys)}
         src_at = {key: j for j, key in enumerate(src.keys)}
-        written = write_jsonl(args.out, projected(src, src_at))
+        verdicts: Counter[tuple[str, frozenset[str]]] = Counter()
+        unbound = 0
+
+        def pairs_of(key):
+            j = align_at.get(key)
+            return None if j is None else aligned[j]["pairs"]
+
+        def projected():
+            nonlocal unbound
+            for row in mt:
+                j = src_at.get(str(row["id"]))
+                if j is None:
+                    raise IdMismatch(f"MT output id {row['id']!r} not in {args.dataset}")
+                ex = src[j]
+                lang = str(row["language"])
+                raw = str(row["text"])
+                if args.check_sentence_marker and projection.check_sentence_marker(raw):
+                    verdicts[lang, frozenset({projection.CONTAINS_SENTENCE})] += 1
+                    continue
+                text = raw.strip()
+                if text.endswith(";"):
+                    text = text[:-1].strip()
+                # An empty or null ``pairs`` of the language falls back to
+                # the id's row without a language.
+                pairs = pairs_of((str(row["id"]), lang)) or pairs_of(
+                    (str(row["id"]), None)
+                )
+                if pairs is None:
+                    raise MissingInput(
+                        f"no alignment for id {row['id']!r} language {lang!r}"
+                    )
+                try:
+                    alignment = projection.WordAlignment.from_pairs(pairs)
+                except (TypeError, ValueError) as exc:
+                    raise RowMalformed(
+                        f"{args.align}: bad pairs for id {row['id']!r}: {exc}"
+                    ) from exc
+                try:
+                    verdict = projection.project_parse(ex, text, alignment)
+                except UnmatchableSlot:
+                    unbound += 1
+                    continue
+                verdicts[lang, verdict.failure_modes] += 1
+                if verdict.parse is not None:
+                    yield Example(
+                        id=ex.id,
+                        lang=lang,
+                        text=text,
+                        parse=serialize(verdict.parse),
+                        source=args.source_tag,
+                    )
+
+        written = write_jsonl(args.out, projected())
     stats = projection.mt_stats(verdicts)
     _write_stats(args, stats.to_record(), stats.to_table())
     if unbound:
         log.info("skipped %d rows whose source slots were not contiguous", unbound)
     log.info("wrote %d projected examples to %s", written, args.out)
+
+
+def _alignment_key(record) -> tuple[str, object]:
+    """The key of an alignment row: its id and language, None for a row
+    without one, which serves every language of the id."""
+    return str(record["id"]), record.get("language")
 
 
 # ----------------------------------------------------------------------- mix
@@ -946,22 +976,20 @@ def cmd_mix(args: argparse.Namespace) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> None:
-    hyp_rows = {str(r["id"]): r for r in iter_records(args.hyp, "id", "parse")}
-    ref_rows = {str(r["id"]): r for r in iter_records(args.ref, "id", "parse")}
-    if set(hyp_rows) != set(ref_rows):
-        only_hyp = sorted(set(hyp_rows) - set(ref_rows))[:3]
-        only_ref = sorted(set(ref_rows) - set(hyp_rows))[:3]
+    # Only what scoring reads: the parse of each hyp row, and the parse and
+    # language of each ref row.
+    hyp = {str(r["id"]): str(r["parse"]) for r in iter_records(args.hyp, "id", "parse")}
+    ref = {
+        str(r["id"]): (str(r["parse"]), str(r.get("lang", "")))
+        for r in iter_records(args.ref, "id", "parse")
+    }
+    if hyp.keys() != ref.keys():
+        only_hyp = sorted(hyp.keys() - ref.keys())[:3]
+        only_ref = sorted(ref.keys() - hyp.keys())[:3]
         raise IdMismatch(
             f"hyp/ref ids differ (hyp-only {only_hyp}, ref-only {only_ref})"
         )
-    pairs = [
-        (
-            str(hyp_rows[i]["parse"]),
-            str(ref_rows[i]["parse"]),
-            str(ref_rows[i].get("lang", "")),
-        )
-        for i in sorted(ref_rows)
-    ]
+    pairs = [(hyp[i], *ref[i]) for i in sorted(ref)]
     dialect = (
         Dialect.PIZZA_PAREN if args.dialect == "pizza" else Dialect.MTOP_BRACKET
     )

@@ -10,14 +10,15 @@ ever sits beside the rows built from them. The native inputs are read by
 ``decode_mtop_line``. ``RecordWriter`` and ``write_records`` write a row
 at a time, each as the line ``record_line`` makes.
 
-``read_jsonl`` checks every row of an ``Example`` file in one pass but
-keeps only each row's byte span, plus one key column when the caller asks
-for it; indexing the ``ExampleRows`` it returns rereads that row and
-builds its ``Example``. So the augment pool, which rs and gb sample by
-index, the real and synthetic sets of ``mix`` and the source rows of
-``project-mt`` cost a few bytes per row until a row is used. What a
-command holds whole is what it must keep: the id or text positions that
-rs, gb and project-mt index, and the id maps of ``score``.
+``RecordRows`` checks every row of a JSON-lines file in one pass but
+keeps only each row's byte span, plus the key of each row when the caller
+asks for one; indexing it rereads that row and builds what the caller
+asked for. ``read_jsonl`` is the view of an ``Example`` file. So the
+augment pool, which rs and gb sample by index, the real and synthetic sets
+of ``mix``, and the source, MT and alignment rows of ``project-mt`` cost a
+few bytes per row until a row is used. What a command holds whole is what
+it must keep: the id or text positions that rs, gb and project-mt index,
+and the parses that ``score`` pairs by id.
 
 ``map_chunks`` maps chunks of work on every CPU: forked workers map the
 chunks, and the main process takes their results in order, reading at
@@ -138,17 +139,8 @@ _EXAMPLE_FIELDS = ("id", "lang", "text", "parse")
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write a file via temp-file rename so readers never see partial content."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with RecordWriter(path) as out:
+        out.file.write(text)
 
 
 # The encoder of every row written; ``json.dumps`` with a non-default
@@ -168,6 +160,8 @@ class RecordWriter:
     ``path``; an exception renames it to ``partial``, the records written so
     far, when one is given, and deletes it otherwise. ``path`` itself is
     never seen half-written. ``count`` is the number of records written.
+    ``file`` is the open temp file, for text that is not a record, such as
+    a JSON document that ``json.dump`` streams into it.
     """
 
     def __init__(self, path: str | Path, partial: str | Path | None = None) -> None:
@@ -180,7 +174,7 @@ class RecordWriter:
         fd, self._tmp = tempfile.mkstemp(
             dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
         )
-        self._fh = os.fdopen(fd, "w", encoding="utf-8")
+        self.file = os.fdopen(fd, "w", encoding="utf-8")
         return self
 
     def write(self, record: dict[str, Any]) -> None:
@@ -188,12 +182,12 @@ class RecordWriter:
 
     def write_text(self, text: str, count: int) -> None:
         """Write ``count`` records already encoded by ``record_line``."""
-        self._fh.write(text)
+        self.file.write(text)
         self.count += count
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            self._fh.close()
+            self.file.close()
             if exc_type is None:
                 os.replace(self._tmp, self.path)
                 return
@@ -322,65 +316,78 @@ def _numbered_lines(fh: BinaryIO) -> Iterator[tuple[int, int, bytes]]:
         yield n + 1, start, b"".join(head)
 
 
-def read_records(path: str | Path, *fields: str) -> list[dict[str, Any]]:
-    """The records of ``path``, each a JSON object holding every field."""
-    return list(iter_records(path, *fields))
-
-
 def write_jsonl(path: str | Path, examples: Iterable[Example]) -> int:
     return write_records(path, (ex.to_dict() for ex in examples))
 
 
-def read_jsonl(path: str | Path, key: str | None = None) -> "ExampleRows":
+def read_jsonl(path: str | Path, key: str | None = None) -> "RecordRows":
     """The ``Example`` rows of the JSON-lines file ``path``, each read from
-    the file when it is indexed (see ``ExampleRows``).
+    the file when it is indexed (see ``RecordRows``).
 
     One pass checks every row as ``iter_records`` with ``Example.from_dict``
     would: blank lines are skipped but counted, and a row that is not an
     ``Example`` ends the read with a ``RowMalformed`` naming
     ``<path>:<line>``. With ``key``, one of the fields of every row, the
-    result's ``keys`` holds that field of each row, in order.
+    result's ``keys`` holds that field of each row, as a string, in order.
     """
-    return ExampleRows(path, key)
+    return RecordRows(
+        path, _EXAMPLE_FIELDS, Example.from_dict,
+        None if key is None else lambda record: str(record[key]), _checked_cf,
+    )
 
 
-class ExampleRows(Sequence):
-    """The ``Example`` rows of a checked JSON-lines file.
+class RecordRows(Sequence):
+    """The records of a checked JSON-lines file, each reread when indexed.
 
-    Only each row's byte span is held (16 bytes a row), and ``keys`` when
-    a key field was asked for. ``rows[i]`` rereads row ``i`` with
-    ``os.pread`` and builds its ``Example``; ``pread`` moves no shared file
+    One pass checks every row: it must be a JSON object with each of
+    ``fields``, and ``check``, when given, must not raise a ``ValueError``
+    for it; blank lines are skipped but counted, and a row that fails ends
+    the read with a ``RowMalformed`` naming ``<path>:<line>``.
+
+    Only each row's byte span is held (16 bytes a row), and ``keys``, the
+    ``key`` of each row's record in order, when ``key`` is given.
+    ``rows[i]`` rereads row ``i`` with ``os.pread`` and returns ``build``
+    of its record, or the record itself; ``pread`` moves no shared file
     offset, so threads and forked workers can read one view at once. The
     view reads the file it opened, even after another file is renamed onto
     its path. It owns its descriptor: ``close()`` or the end of a ``with``
     block closes it, and so does the view's collection.
     """
 
-    def __init__(self, path: str | Path, key: str | None = None) -> None:
+    def __init__(
+        self,
+        path: str | Path,
+        fields: tuple[str, ...],
+        build: Callable[[dict[str, Any]], Any] | None = None,
+        key: Callable[[dict[str, Any]], Any] | None = None,
+        check: Callable[[dict[str, Any]], Any] | None = None,
+    ) -> None:
         fd = os.open(path, os.O_RDONLY)
         self._fd = fd
         self._closer = weakref.finalize(self, os.close, fd)
+        self._build = build
         self._spans = array("q")
-        self.keys: list[str] | None = None if key is None else []
+        self.keys: list | None = None if key is None else []
         try:
             with open(fd, "rb", buffering=0, closefd=False) as fh:
-                self._index(path, fh, key)
+                self._index(path, fh, fields, key, check)
         except BaseException:
             self.close()
             raise
 
-    def _index(self, path, fh: BinaryIO, key: str | None) -> None:
+    def _index(self, path, fh: BinaryIO, fields, key, check) -> None:
         append, keys = self._spans.append, self.keys
         for n, start, stop, line in _numbered_rows(path, fh):
             try:
-                record = _decode_record(_EXAMPLE_FIELDS, None, line)
-                _checked_cf(record)
+                record = _decode_record(fields, None, line)
+                if check is not None:
+                    check(record)
+                if keys is not None:
+                    keys.append(key(record))
             except ValueError as exc:
                 raise RowMalformed(f"{path}:{n}: {exc}") from exc
             append(start)
             append(stop)
-            if keys is not None:
-                keys.append(str(record[key]))
 
     def __len__(self) -> int:
         return len(self._spans) // 2
@@ -390,14 +397,14 @@ class ExampleRows(Sequence):
             return [self[j] for j in range(*i.indices(len(self)))]
         # Row i's span is (spans[2i], spans[2i + 1]), for negative i too.
         start, stop = self._spans[2 * i], self._spans[2 * i + 1]
-        line = os.pread(self._fd, stop - start, start).decode()
-        return Example.from_dict(_json_value(line))
+        record = _json_value(os.pread(self._fd, stop - start, start).decode())
+        return record if self._build is None else self._build(record)
 
     def close(self) -> None:
         self._closer()
         self._fd = -1  # a later read fails, whatever file takes the number
 
-    def __enter__(self) -> "ExampleRows":
+    def __enter__(self) -> "RecordRows":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -147,12 +147,6 @@ class SlotNBestMap:
                 lists.setdefault(lang, {})[en_value] = tuple(dict.fromkeys(candidates))
         return cls(lists)
 
-    def to_mapping(self) -> dict[str, dict[str, list[str]]]:
-        return {
-            lang: {en_value: list(cands) for en_value, cands in values.items()}
-            for lang, values in self.lists.items()
-        }
-
     @cached_property
     def _by_candidate(self) -> dict[str, dict[str, tuple[str, ...]]]:
         """{language: {candidate: the first list holding it, in map order}}."""

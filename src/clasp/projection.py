@@ -155,24 +155,26 @@ class MtStats:
         return format_table(headers, rows)
 
 
-def mt_stats(verdicts: Sequence[tuple[str, ProjectionVerdict]]) -> MtStats:
-    """Per-language success rate and failure-mode occurrence percentages."""
+def mt_stats(verdicts: Mapping[tuple[str, frozenset[str]], int]) -> MtStats:
+    """Per-language success rate and failure-mode occurrence percentages,
+    from the number of projections of each (language, failure modes)."""
     if not verdicts:
         raise EmptyEvents("no projection verdicts")
-    groups: dict[str, list[ProjectionVerdict]] = {}
-    for lang, verdict in verdicts:
-        groups.setdefault(lang, []).append(verdict)
+    groups: dict[str, list[tuple[frozenset[str], int]]] = {}
+    for (lang, modes), n in verdicts.items():
+        groups.setdefault(lang, []).append((modes, n))
     rows = []
-    for lang, vs in sorted(groups.items()):
+    for lang, kinds in sorted(groups.items()):
+        total = sum(n for _, n in kinds)
         failures: dict[str, float | None] = {
-            mode: rate(sum(mode in v.failure_modes for v in vs), len(vs))
+            mode: rate(sum(n for modes, n in kinds if mode in modes), total)
             for mode in FAILURE_COLUMNS
         }
         rows.append(
             MtStatsRow(
                 language=lang,
-                total=len(vs),
-                success_rate=rate(sum(v.ok for v in vs), len(vs)),
+                total=total,
+                success_rate=rate(sum(n for modes, n in kinds if not modes), total),
                 failure_modes=failures,
             )
         )

@@ -7,6 +7,7 @@ the pinned digests cover the whole generate -> gate -> write path.
 
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
 import json
@@ -19,6 +20,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 from importlib import resources
@@ -28,8 +30,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from clasp import cli, datasets, gate, prompts, trees
-from clasp.backends import BackendUnavailable, HttpBackend, MockBackend
-from clasp.datasets import Example, RecordWriter, read_jsonl, read_records
+from clasp.backends import BackendUnavailable, HttpBackend, MockBackend, MockRule
+from clasp.datasets import Example, RecordWriter, iter_records, read_jsonl
 from clasp.prompts import build_gb_prompt
 
 PIZZA_ROWS = [
@@ -134,6 +136,10 @@ EXPECTED_DIGESTS = {
         "nbest": "3b66e7f4f23e216c32938698b1a8fe7261815f102f547b54b0fac22cf576fd3d",
     },
 }
+
+
+def read_records(path) -> list[dict]:
+    return list(iter_records(path))
 
 
 def sha256(path: Path) -> str:
@@ -1157,12 +1163,21 @@ _WORK_TOPPINGS = ("bacon", "onions", "spinach", "mushrooms")
 _WORK_TIMES = ("today", "at 7 pm", "on friday")
 # Prompts built, real tree parses (memo misses) and pool rows built
 # (``Example.from_dict`` calls) per task, at most. An rs task builds its
-# row and 4 context rows, a gb task 5 context rows and the one its
-# fallback draws, and a ts/tb task its row, plus that row once more in
-# the slot n-best pass.
+# row and 4 context rows, and a gb task 5 context rows and the one its
+# fallback draws. ts and tb build rows by pass, not by task: see
+# ``_max_mtop_rows``.
 MAX_PROMPTS_PER_TASK = 3
 MAX_PARSES_PER_TASK = 3
 MAX_ROWS_PER_TASK = 6
+
+
+def _max_mtop_rows(k: int) -> int:
+    """The pool rows a ts/tb run of ``k`` tasks builds, at most: each row
+    its tasks render once in the slot n-best pass and once in the task
+    pass, where a chunk boundary that splits a row's tasks builds it once
+    more."""
+    rendered = len({i // len(WORK_LANGS) for i in range(k)})
+    return 2 * rendered + len(datasets.chunk_spans(k)) - 1
 
 
 def _work_row(method: str, j: int) -> dict:
@@ -1221,7 +1236,88 @@ def test_work_depends_on_k_not_on_the_pool_size(tmp_path, monkeypatch, method):
             assert counts["prompts"] <= MAX_PROMPTS_PER_TASK * k
             assert counts["parses"] <= MAX_PARSES_PER_TASK * k
             # Only the rows a task touches are built, not the pool.
-            assert counts["rows"] <= MAX_ROWS_PER_TASK * k
+            if method in ("ts", "tb"):
+                assert counts["rows"] <= _max_mtop_rows(k)
+            else:
+                assert counts["rows"] <= MAX_ROWS_PER_TASK * k
+
+
+# ----------------------------------------------------------------- memory
+
+
+def _traced_peak(fn):
+    """``(result, peak, after)``: ``fn()`` and the bytes tracemalloc saw
+    allocated at the call's peak and at its end."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, after
+
+
+# Bytes project-mt may hold per MT row and its alignment row, at most: the
+# byte spans of both rows, the alignment's (id, language) key and its entry
+# in the key map, about 290 bytes; not the rows' records, pairs or trees.
+MAX_PROJECT_BYTES_PER_ROW = 512
+
+
+def test_project_mt_holds_a_few_bytes_per_mt_row(tmp_path):
+    dataset = write_jsonl(tmp_path / "dataset.jsonl",
+                          [_work_row("ts", j) for j in range(1000)])
+    peaks = {}
+    for n in (300, 3000):
+        mt, align = [], []
+        for i in range(n):
+            row, lang = _work_row("ts", i % 1000), WORK_LANGS[i // 1000]
+            words = row["text"].split()
+            mt.append({"id": row["id"], "language": lang,
+                       "text": " ".join(f"{w}_{lang}" for w in words) + " ;"})
+            align.append({"id": row["id"], "language": lang,
+                          "pairs": [[k, k] for k in range(len(words))]})
+        argv = ["project-mt", "--dataset", dataset,
+                "--mt", write_jsonl(tmp_path / f"mt{n}.jsonl", mt),
+                "--align", write_jsonl(tmp_path / f"align{n}.jsonl", align),
+                "--out", tmp_path / f"proj{n}.jsonl"]
+        if not peaks:
+            assert run(*argv) == 0  # fills every cache the command keeps
+        code, peaks[n], _ = _traced_peak(lambda: run(*argv))
+        assert code == 0
+        assert len(read_records(tmp_path / f"proj{n}.jsonl")) == n
+    per_row = (peaks[3000] - peaks[300]) / 2700
+    assert per_row <= MAX_PROJECT_BYTES_PER_ROW, per_row
+
+
+def test_the_nbest_write_holds_little_beyond_the_map(tmp_path, monkeypatch):
+    # Building the slot n-best holds, beyond the map it returns, the sorted
+    # values and a chunk's candidates; the file is streamed from the map,
+    # so neither a copy of the map nor the file's text is held.
+    monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0})
+    rows = [dict(_work_row("ts", j), text=f"call doctor bob{j} of the yearly planning "
+                 f"meeting {_WORK_TIMES[j % 3]}",
+                 parse=f"[IN:CREATE_CALL [SL:CONTACT doctor bob{j} of the yearly "
+                 f"planning meeting ] [SL:DATE_TIME {_WORK_TIMES[j % 3]} ] ]")
+            for j in range(600)]
+    anchors = datasets.read_json(datasets.packaged("mtop_anchors.json"), cli._anchor_pairs)
+    nbest = tmp_path / "nbest.json"
+
+    def build(k):
+        args = argparse.Namespace(k=k, nbest_in=None, nbest_out=nbest,
+                                  out=tmp_path / "out.jsonl", max_inflight=1)
+        return cli._load_or_build_nbest(
+            args, MockBackend([MockRule()], seed=7), pool, list(WORK_LANGS), anchors,
+            prompts.PromptTemplates())
+
+    with read_jsonl(write_jsonl(tmp_path / "pool.jsonl", rows)) as pool:
+        build(3)
+        built, peak, after = _traced_peak(lambda: build(3 * len(rows)))
+    size = nbest.stat().st_size
+    assert len(built.lists["de"]) == len(rows) + 3
+    assert json.loads(nbest.read_text(encoding="utf-8")) == json.loads(
+        json.dumps(built.lists))
+    assert peak - after < 0.25 * size, (peak - after, size)
 
 
 # ------------------------------------------------------------ downstream stages
@@ -1255,6 +1351,83 @@ def test_project_mt_projects_aligned_translations(data, tmp_path):
     rendered = tmp_path / "report.txt"
     assert run("report", "--in", stats, "--out", rendered) == 0
     assert rendered.read_bytes() == (tmp_path / "proj.stats.txt").read_bytes()
+
+
+# How project-mt joins an MT row to its alignment, on row en-0 ("please
+# call david from the yearly meeting") translated word for word into de:
+# the alignment IDENTITY projects CONTACT onto "david_de", SWAP onto
+# "from_de".
+_MT_WORDS = MTOP_ROWS[0][1].split()
+_MT_ROW = {"id": "en-0", "language": "de",
+           "text": " ".join(f"{w}_de" for w in _MT_WORDS) + " ;"}
+IDENTITY = [[i, i] for i in range(len(_MT_WORDS))]
+SWAP = [[i, {2: 3, 3: 2}.get(i, i)] for i in range(len(_MT_WORDS))]
+
+
+def _project(data, tmp_path, mt_rows, align_rows) -> tuple[int, list[str]]:
+    """project-mt's exit code and the CONTACT value of each projected row."""
+    out = tmp_path / "proj.jsonl"
+    code = run("project-mt", "--dataset", data / "mtop.jsonl",
+               "--mt", write_jsonl(tmp_path / "mt.jsonl", mt_rows),
+               "--align", write_jsonl(tmp_path / "align.jsonl", align_rows),
+               "--out", out)
+    if code:
+        return code, []
+    return code, [ex.parse.split()[2] for ex in read_jsonl(out)]
+
+
+@pytest.mark.parametrize("align, contact", [
+    ([{"id": "en-0", "pairs": IDENTITY}], "david_de"),
+    ([{"id": "en-0", "language": None, "pairs": SWAP}], "from_de"),
+    ([{"id": "en-0", "pairs": SWAP}, {"id": "en-0", "language": "de", "pairs": IDENTITY}],
+     "david_de"),
+    ([{"id": "en-0", "language": "de", "pairs": []}, {"id": "en-0", "pairs": SWAP}],
+     "from_de"),
+    ([{"id": "en-0", "language": "de", "pairs": None}, {"id": "en-0", "pairs": SWAP}],
+     "from_de"),
+    ([{"id": "en-0", "language": "de", "pairs": IDENTITY},
+      {"id": "en-0", "language": "de", "pairs": SWAP}], "from_de"),
+    ([{"id": "en-0", "pairs": IDENTITY}, {"id": "en-0", "pairs": SWAP}], "from_de"),
+    ([{"id": "en-0", "language": "fr", "pairs": SWAP}, {"id": "en-0", "pairs": IDENTITY}],
+     "david_de"),
+], ids=["id-only", "null-language-is-id-only", "language-row-first",
+        "empty-pairs-fall-back", "null-pairs-fall-back", "later-language-row-wins",
+        "later-id-only-row-wins", "other-language-ignored"])
+def test_project_mt_joins_each_mt_row_to_its_alignment(data, tmp_path, align, contact):
+    assert _project(data, tmp_path, [_MT_ROW], align) == (0, [contact])
+
+
+def _one_error(caplog) -> str:
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.exc_info is None
+    return record.getMessage()
+
+
+@pytest.mark.parametrize("mt, align, message", [
+    ([{**_MT_ROW, "id": "en-9"}], [{"id": "en-9", "pairs": IDENTITY}],
+     "MT output id 'en-9' not in "),
+    ([_MT_ROW], [{"id": "en-0", "language": "fr", "pairs": IDENTITY}],
+     "no alignment for id 'en-0' language 'de'"),
+    ([_MT_ROW], [{"id": "en-0", "language": "de", "pairs": []}],
+     "no alignment for id 'en-0' language 'de'"),
+    ([_MT_ROW], [{"id": "en-0", "pairs": None}],
+     "no alignment for id 'en-0' language 'de'"),
+    ([], [{"id": "en-0", "pairs": IDENTITY}], "MT output file {mt} is empty"),
+    ([_MT_ROW], [], "alignment file {align} is empty"),
+    ([_MT_ROW, {"id": "en-1", "text": "x ;"}], [{"id": "en-0"}],
+     "{mt}:2: record lacks field 'language'"),
+    ([_MT_ROW], [{"id": "en-0", "pairs": IDENTITY}, "x", {"id": "en-1"}],
+     "{align}:2: expected a JSON object"),
+    ([], [{"id": "en-0"}], "MT output file {mt} is empty"),
+], ids=["id-not-in-dataset", "no-alignment", "only-empty-pairs", "only-null-pairs",
+        "empty-mt", "empty-align", "malformed-mt", "malformed-align",
+        "empty-mt-before-malformed-align"])
+def test_project_mt_join_errors_are_one_line(data, tmp_path, caplog, mt, align, message):
+    code, _ = _project(data, tmp_path, mt, align)
+    assert code == 1
+    assert _one_error(caplog).startswith(
+        message.format(mt=tmp_path / "mt.jsonl", align=tmp_path / "align.jsonl"))
+    assert not (tmp_path / "proj.jsonl").exists()
 
 
 def test_mix_writes_manifest_and_plan(data, tmp_path):

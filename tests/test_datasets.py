@@ -29,10 +29,13 @@ from clasp.datasets import (
     pizza_line_decoder,
     read_json,
     read_jsonl,
-    read_records,
     record_line,
     write_jsonl,
 )
+
+
+def read_records(path, *fields) -> list:
+    return list(iter_records(path, *fields))
 
 
 def write(path, lines) -> str:
