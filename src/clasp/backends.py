@@ -7,7 +7,7 @@ real model. Substitutions and field corruptions edit the fields, which
 ``prompts.continuation_for`` (the renderer of the prompt's own examples)
 then renders; only ``SEPARATOR_CORRUPTIONS`` act on the rendered string,
 and they are all that a rule's literal ``responses`` take. Outputs are
-fully determined by (prompt, config, seed).
+fully determined by (rules, prompt, config).
 
 The HTTP backend speaks a single-shot JSON protocol:
 
@@ -205,9 +205,8 @@ _FILLERS = ("please get me", "kindly send over", "we would enjoy", "now preparin
 class MockBackend:
     """Deterministic responder; first matching rule wins, no rules echo ''."""
 
-    def __init__(self, rules: Sequence[MockRule] = (), seed: int = 0) -> None:
+    def __init__(self, rules: Sequence[MockRule] = ()) -> None:
         self.rules = list(rules)
-        self.seed = seed
 
     def generate(self, prompt: Prompt, cfg: DecodingConfig) -> list[GenOutput]:
         n = cfg.num_outputs

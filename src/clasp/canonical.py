@@ -53,7 +53,7 @@ class SlotCatalog:
     The reserved key ``"_function_words"`` lists catalog values that are
     also ordinary function words ("a", "can"): the gate does not flag them
     as untagged slot mentions. Each must be a value of some slot. The key
-    is not a slot label, so ``labels``, ``values``, ``iter_values`` and
+    is not a slot label, so ``entries``, ``values``, ``iter_values`` and
     ``has_value`` never see it.
 
     Lookups go through indexes built on first use and kept with the
@@ -93,9 +93,6 @@ class SlotCatalog:
     def default(cls) -> "SlotCatalog":
         """The shipped pizza catalog, read on first use."""
         return read_json(packaged("pizza_catalog.json"), cls.from_mapping)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.entries)
 
     @cached_property
     def _by_label(self) -> dict[str, tuple[tuple[str, ...], frozenset[str]]]:

@@ -392,7 +392,7 @@ def _load_backend(args: argparse.Namespace):
             if args.mock_rules
             else [MockRule()]
         )
-        return MockBackend(rules, seed=args.seed)
+        return MockBackend(rules)
     return backends.HttpBackend()
 
 
@@ -585,21 +585,21 @@ def _pizza_tasks(args, pool, templates, backend):
             original = pool[i % len(pool)]
             rng = random.Random(_task_seed(args.seed, i))
             if args.method == "rs":
-                others = _Without(pool, positions[original.id])
-                prompt = _build_rs_task(others, original, catalog, rng,
+                context = _rs_context(pool, positions[original.id], rng)
+                prompt = _build_rs_task(context, original, catalog, rng,
                                         _task_seed(args.seed, i), templates)
             else:
                 arity = min(5, len(pool))
-                prompt = prompts.build_gb_prompt(rng.sample(pool, arity), templates)
+                context = [pool[j] for j in rng.sample(range(len(pool)), arity)]
+                prompt = prompts.build_gb_prompt(context, templates)
             yield i, original, original.lang, prompt
 
     def to_row(i, original, lang, prompt, outs):
         input_id = f"{args.method}-{i:05d}"
-        seed = _task_seed(args.seed, i)
         if prompt is None:
             # No replaceable slot: the task falls back without a request.
             event = gate.GateEvent(args.method, lang, (), None)
-            emitted = gate.fallback([original], seed)
+            emitted = gate.fallback(original)
         elif args.method == "rs":
             expected_tree = parse_tree(
                 prompt.expected.target_parse, Dialect.PIZZA_PAREN
@@ -608,45 +608,41 @@ def _pizza_tasks(args, pool, templates, backend):
                 outs, expected_tree, prompt.expected.context_texts, catalog,
                 input_id=input_id, language=lang, templates=templates,
             )
-            emitted = verdict.final or gate.fallback([original], seed)
+            emitted = verdict.final or gate.fallback(original)
         else:
             verdict, event = gate.gate_gb(
                 outs, prompt.expected.context_texts, catalog,
                 input_id=input_id, language=lang, templates=templates,
             )
-            emitted = verdict.final or gate.fallback(
-                _gb_context_pool(pool, positions, prompt), seed
-            )
+            emitted = verdict.final or gate.fallback(_gb_fallback_row(
+                pool, positions, prompt.expected.context_texts,
+                random.Random(_task_seed(args.seed, i)),
+            ))
         return _with_cf(emitted, cf_templates).to_dict(), event
 
     return tasks, to_row
 
 
-class _Without(Sequence):
-    """Read-only view of ``pool`` without the rows at the sorted positions
-    ``skip``; ``random.sample`` draws from it as from the filtered list."""
-
-    def __init__(self, pool: Sequence[Example], skip: Sequence[int]) -> None:
-        self._pool = pool
-        self._skip = skip
-
-    def __len__(self) -> int:
-        return len(self._pool) - len(self._skip)
-
-    def __getitem__(self, i: int) -> Example:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        for j in self._skip:
+def _rs_context(pool, skip: Sequence[int], rng) -> list[Example]:
+    """4 rows of ``pool`` drawn with ``rng``, none at the sorted positions
+    ``skip``. ``rng.sample`` picks positions in the pool without those
+    rows, and each is mapped past the skipped positions before its row is
+    read: ``sample`` uses a population only through its length and the
+    positions it draws, so the rows and the state of ``rng`` are those of
+    a sample of the filtered rows."""
+    rows = []
+    for i in rng.sample(range(len(pool) - len(skip)), 4):
+        for j in skip:
             if j > i:
                 break
             i += 1
-        return self._pool[i]
+        rows.append(pool[i])
+    return rows
 
 
-def _build_rs_task(others, original, catalog, rng, task_seed, prompt_templates):
-    """The rs prompt for ``original`` with 4 context rows drawn from
-    ``others``, or None when no slot of it has a catalog alternative."""
-    context = rng.sample(others, 4)
+def _build_rs_task(context, original, catalog, rng, task_seed, prompt_templates):
+    """The rs prompt for ``original`` with the 4 rows ``context``, or None
+    when no slot of it has a catalog alternative."""
     tree = parse_tree(original.parse, Dialect.PIZZA_PAREN)
     refs = list(leaf_slots(tree))
     rng.shuffle(refs)
@@ -662,29 +658,16 @@ def _build_rs_task(others, original, catalog, rng, task_seed, prompt_templates):
     return None
 
 
-class _At(Sequence):
-    """Read-only view of the rows of ``pool`` at ``positions``: the
-    fallback draws one of them, and only that row is read."""
-
-    def __init__(self, pool: Sequence[Example], positions: Sequence[int]) -> None:
-        self._pool = pool
-        self._positions = positions
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def __getitem__(self, i: int) -> Example:
-        return self._pool[self._positions[i]]
-
-
-def _gb_context_pool(pool, positions, prompt) -> Sequence[Example]:
-    """The pool rows, in pool order, whose text is one of the prompt's
-    context texts; ``positions`` maps each text to its pool positions.
-    The context rows come from the pool, so every text has some."""
+def _gb_fallback_row(pool, positions, context_texts, rng) -> Example:
+    """The pool row a failed gb task falls back on: ``rng.choice`` of the
+    pool positions, in pool order, of the rows whose text is one of the
+    prompt's ``context_texts``; only the chosen row is read. ``positions``
+    maps each text to its pool positions; the context rows come from the
+    pool, so every text has some."""
     found = set()
-    for text in set(prompt.expected.context_texts):
+    for text in set(context_texts):
         found.update(positions[text])
-    return _At(pool, sorted(found))
+    return pool[rng.choice(sorted(found))]
 
 
 def _with_cf(ex: Example, cf_templates) -> Example:
@@ -760,7 +743,7 @@ def _mtop_tasks(args, pool, templates, backend):
             args.method, outs, prompt.expected, nbest,
             input_id=f"{args.method}-{i:05d}", language=lang, templates=templates,
         )
-        emitted = verdict.final or gate.fallback([ex], _task_seed(args.seed, i))
+        emitted = verdict.final or gate.fallback(ex)
         return emitted.to_dict(), event
 
     return tasks, to_row
@@ -940,10 +923,14 @@ def cmd_project_mt(args: argparse.Namespace) -> None:
     log.info("wrote %d projected examples to %s", written, args.out)
 
 
-def _alignment_key(record) -> tuple[str, object]:
+def _alignment_key(record) -> tuple[str, str | None]:
     """The key of an alignment row: its id and language, None for a row
-    without one, which serves every language of the id."""
-    return str(record["id"]), record.get("language")
+    without one, which serves every language of the id. A language that
+    is neither a string nor null is a ``ValueError``."""
+    language = record.get("language")
+    if language is not None and not isinstance(language, str):
+        raise ValueError(f"language must be a string or null, got {language!r}")
+    return str(record["id"]), language
 
 
 # ----------------------------------------------------------------------- mix
@@ -957,18 +944,20 @@ def cmd_mix(args: argparse.Namespace) -> None:
             tag, _, path = spec.partition("=")
             if not path:
                 raise CliError(f"--synthetic takes TAG=PATH, got {spec!r}")
+            if tag in synthetic:
+                raise CliError(f"--synthetic tag {tag!r} is given more than once")
             synthetic[tag] = views.enter_context(read_jsonl(path))
         plan = mixing.plan_mix(real, synthetic, updates=args.updates,
                                batch_size=args.batch)
-        rows = mixing.emit_manifest(plan, real, synthetic, seed=args.seed,
-                                    path=args.out, real_tag=args.real_tag)
+        lines = mixing.emit_manifest(plan, real, synthetic, seed=args.seed,
+                                     path=args.out, real_tag=args.real_tag)
     plan_path = args.plan_out or str(Path(args.out).with_suffix("")) + ".plan.json"
     atomic_write_text(
         plan_path, json.dumps(plan.to_record(), ensure_ascii=False, indent=2) + "\n"
     )
     log.info(
         "manifest %s: %d rows (%.4f real mass), epochs=%d",
-        args.out, len(rows), plan.real_fraction, plan.epochs,
+        args.out, len(lines), plan.real_fraction, plan.epochs,
     )
 
 

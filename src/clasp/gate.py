@@ -17,10 +17,11 @@ candidate loop, ``_gate``, which checks each candidate in this order:
 6. duplicate output: the same raw output came earlier in the batch.
 
 A recovery clears no other mode. Of the candidates with no mode the
-lowest score wins, the earliest on a tie; when none survives, a fallback
-example is duplicated from the prompt. rs, ts and tb fall back on a
-one-row pool, the task's own row, which keeps the per-class distribution
-of the emitted dataset that of the input task list.
+lowest score wins, the earliest on a tie. When none survives, the caller
+duplicates a prompt example back into the training set, tagged by
+``fallback``: rs, ts and tb re-emit the task's own row, which keeps the
+per-class distribution of the emitted dataset that of the input task
+list, and gb draws one of its context rows with the task seed.
 
 Every check takes its slot spans from ``trees.bind_slot_spans`` (see
 ``trees``): VP2 binds exact case, so two slots with the value "a" need two
@@ -35,7 +36,6 @@ so occurrence percentages can sum above 100.
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -98,14 +98,11 @@ class GateError(ValueError):
 
 @dataclass(frozen=True)
 class GateVerdict:
-    status: str  # "clean" | "recovered" | "failed"
-    failure_modes: frozenset[str] = frozenset()
-    recovery: str | None = None  # "slot_nbest" | "fix_casing"
-    final: Example | None = None
+    """The row a batch emits: its best survivor, or None when every
+    candidate failed. What made it pass or fail is in the ``GateEvent``
+    returned beside it (``bench/tracer.py`` reads ``final`` here)."""
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "failed"
+    final: Example | None
 
 
 @dataclass(frozen=True)
@@ -390,31 +387,22 @@ def _gate(
         if not modes:
             survivors.append((out.score, i, text, tree, recovery))
 
+    final, success = None, None
     if survivors:
         # The lowest score wins, the earliest candidate on a tie.
         _, _, text, tree, recovery = min(survivors, key=lambda s: s[:2])
         final = Example(
             input_id, language, text, serialize(tree), f"clasp-{method.value}"
         )
-        status = "recovered" if recovery else "clean"
-        verdict = GateVerdict(status, recovery=recovery, final=final)
         success = recovery or CLEAN
-    else:
-        verdict = GateVerdict("failed", frozenset().union(*all_modes))
-        success = None
     event = GateEvent(method.value, language, tuple(all_modes), success)
-    return verdict, event
+    return GateVerdict(final), event
 
 
-def fallback(prompt_examples: Sequence[Example], seed: int) -> Example:
-    """Duplicate a prompt example, drawn with ``seed``, back into the
-    training set. The caller's pool keeps the per-class distribution: a
-    one-row pool of the task's own row (rs, ts, tb) always gives that row.
-    """
-    if not prompt_examples:
-        raise GateError("fallback needs at least one prompt example")
-    pick = random.Random(seed).choice(prompt_examples)
-    return replace(pick, source="fallback")
+def fallback(example: Example) -> Example:
+    """``example`` duplicated back into the training set, tagged
+    ``source="fallback"``."""
+    return replace(example, source="fallback")
 
 
 @dataclass(frozen=True)
@@ -435,12 +423,6 @@ class GateStatsRow:
 @dataclass(frozen=True)
 class GateStats:
     rows: tuple[GateStatsRow, ...]
-
-    def row(self, method: str, language: str) -> GateStatsRow:
-        for r in self.rows:
-            if r.method == method and r.language == language:
-                return r
-        raise KeyError((method, language))
 
     def to_record(self) -> dict:
         return {"kind": "gate_stats", "rows": [r.to_dict() for r in self.rows]}

@@ -39,10 +39,6 @@ class MixPlan:
     epochs: int
 
     @property
-    def synthetic_total(self) -> int:
-        return sum(self.synthetic_counts.values())
-
-    @property
     def real_fraction(self) -> float:
         return self.real_emitted / self.total
 
@@ -87,7 +83,7 @@ def mixed_examples(
     synthetic: Mapping[str, Sequence[Example]],
     seed: int,
     real_tag: str = "dev",
-) -> Sequence[Example]:
+) -> Iterator[Example]:
     """Materialize the plan: duplicated real rows plus tagged synthetic rows,
     shuffled deterministically.
 
@@ -95,41 +91,20 @@ def mixed_examples(
     order is real row ``r mod len(real)`` for ``r < plan.real_emitted``,
     then each synthetic set's rows in turn. ``random.shuffle`` draws only
     on the length, so the order is the one a shuffle of the rows gives.
-    Each row is read from its set, and retagged, when it is indexed.
+    The rows of the shuffled row numbers are yielded in order, each read
+    from its set, and retagged, as it is yielded.
     """
     parts = [(0, real, real_tag)]
     stop = plan.real_emitted
     for tag, examples in synthetic.items():
         parts.append((stop, examples, tag))
         stop += len(examples)
+    starts = [start for start, _, _ in parts]
     order = array("q", range(stop))
     random.Random(seed).shuffle(order)
-    return _Mixed(order, parts)
-
-
-class _Mixed(Sequence):
-    """The rows of ``mixed_examples``: ``parts`` holds the first row
-    number, the rows and the tag of each set, in row-number order."""
-
-    def __init__(
-        self, order: array, parts: list[tuple[int, Sequence[Example], str]]
-    ) -> None:
-        self._order = order
-        self._parts = parts
-        self._starts = [start for start, _, _ in parts]
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, i: int) -> Example:
-        return self._row(self._order[i])
-
-    def __iter__(self) -> Iterator[Example]:
-        return map(self._row, self._order)
-
-    def _row(self, r: int) -> Example:
-        start, rows, tag = self._parts[bisect_right(self._starts, r) - 1]
-        return _retag(rows[(r - start) % len(rows)], tag)
+    for r in order:
+        start, rows, tag = parts[bisect_right(starts, r) - 1]
+        yield _retag(rows[(r - start) % len(rows)], tag)
 
 
 def _retag(ex: Example, tag: str) -> Example:
@@ -146,12 +121,11 @@ def emit_manifest(
     seed: int,
     path: str | Path,
     real_tag: str = "dev",
-) -> Sequence[Example]:
-    """Write the shuffled training manifest (JSONL records with weights),
-    one record at a time, each row read as it is written; the rows
-    written, in order (see ``mixed_examples``)."""
-    rows = mixed_examples(plan, real, synthetic, seed, real_tag=real_tag)
+) -> range:
+    """Write the rows of ``mixed_examples`` as the training manifest
+    (JSONL records with weights), one record at a time; the line numbers
+    written, ``range(count)``."""
     with RecordWriter(path) as writer:
-        for ex in rows:
+        for ex in mixed_examples(plan, real, synthetic, seed, real_tag=real_tag):
             writer.write({**ex.to_dict(), "weight": 1.0})
-    return rows
+    return range(writer.count)

@@ -75,7 +75,7 @@ class TestDecodingConfig:
 
 class TestMockBackend:
     def test_sampling_returns_n_stable_outputs(self):
-        backend = MockBackend([MockRule()], seed=3)
+        backend = MockBackend([MockRule()])
         cfg = DecodingConfig("sampling", 4)
         first = backend.generate(rs_prompt(), cfg)
         second = backend.generate(rs_prompt(), cfg)

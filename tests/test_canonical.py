@@ -114,7 +114,7 @@ class TestCanonicalFormIsInjective:
     def test_equal_text_means_equal_trees(self, catalog, cf_templates, seed):
         # Three values a label make near-equal trees common.
         small = SlotCatalog(
-            {label: catalog.values(label)[:3] for label in catalog.labels()}
+            {label: catalog.values(label)[:3] for label in catalog.entries}
         )
         rng = random.Random(seed)
         seen: dict[str, ParseTree] = {}
@@ -165,7 +165,7 @@ class TestFunctionWords:
         assert catalog.function_words == frozenset({"a", "can"})
 
     def test_reserved_key_is_no_slot_label(self, catalog):
-        assert FUNCTION_WORDS_KEY not in catalog.labels()
+        assert FUNCTION_WORDS_KEY not in tuple(catalog.entries)
         assert all(label != FUNCTION_WORDS_KEY for label, _ in catalog.iter_values())
         with pytest.raises(SlotUnknown):
             catalog.values(FUNCTION_WORDS_KEY)
@@ -174,7 +174,7 @@ class TestFunctionWords:
     def test_catalog_without_key_has_no_function_words(self):
         catalog = SlotCatalog.from_mapping({"Number": ["a"], "Topping": ["ham"]})
         assert catalog.function_words == frozenset()
-        assert catalog.labels() == ("Number", "Topping")
+        assert tuple(catalog.entries) == ("Number", "Topping")
 
     def test_listed_word_must_be_a_slot_value(self):
         with pytest.raises(CatalogError):

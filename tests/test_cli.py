@@ -1307,7 +1307,7 @@ def test_the_nbest_write_holds_little_beyond_the_map(tmp_path, monkeypatch):
         args = argparse.Namespace(k=k, nbest_in=None, nbest_out=nbest,
                                   out=tmp_path / "out.jsonl", max_inflight=1)
         return cli._load_or_build_nbest(
-            args, MockBackend([MockRule()], seed=7), pool, list(WORK_LANGS), anchors,
+            args, MockBackend([MockRule()]), pool, list(WORK_LANGS), anchors,
             prompts.PromptTemplates())
 
     with read_jsonl(write_jsonl(tmp_path / "pool.jsonl", rows)) as pool:
@@ -1419,9 +1419,17 @@ def _one_error(caplog) -> str:
     ([_MT_ROW], [{"id": "en-0", "pairs": IDENTITY}, "x", {"id": "en-1"}],
      "{align}:2: expected a JSON object"),
     ([], [{"id": "en-0"}], "MT output file {mt} is empty"),
+    ([_MT_ROW], [{"id": "en-0", "language": ["de"], "pairs": IDENTITY}],
+     "{align}:1: language must be a string or null, got ['de']"),
+    ([_MT_ROW], [{"id": "en-0", "pairs": IDENTITY},
+                 {"id": "en-0", "language": {"de": 1}, "pairs": IDENTITY}],
+     "{align}:2: language must be a string or null, got {{'de': 1}}"),
+    ([_MT_ROW], [{"id": "en-0", "language": 5, "pairs": IDENTITY}],
+     "{align}:1: language must be a string or null, got 5"),
 ], ids=["id-not-in-dataset", "no-alignment", "only-empty-pairs", "only-null-pairs",
         "empty-mt", "empty-align", "malformed-mt", "malformed-align",
-        "empty-mt-before-malformed-align"])
+        "empty-mt-before-malformed-align", "list-language", "object-language",
+        "number-language"])
 def test_project_mt_join_errors_are_one_line(data, tmp_path, caplog, mt, align, message):
     code, _ = _project(data, tmp_path, mt, align)
     assert code == 1
@@ -1442,6 +1450,19 @@ def test_mix_writes_manifest_and_plan(data, tmp_path):
     assert len(rows) == plan["total"] == 2 * 24
     assert all(r["weight"] == 1.0 for r in rows)
     assert run("report", "--in", tmp_path / "manifest.plan.json") == 0
+
+
+def test_mix_rejects_a_repeated_synthetic_tag(data, tmp_path, caplog):
+    rows = read_records(data / "pool.jsonl")
+    first = write_jsonl(tmp_path / "a.jsonl", rows[:3])
+    second = write_jsonl(tmp_path / "b.jsonl", rows[3:4])
+    out = tmp_path / "manifest.jsonl"
+    code = run("mix", "--real", data / "pool.jsonl", "--synthetic", f"t={first}",
+               "--synthetic", f"t={second}", "--updates", "10", "--batch", "2",
+               "--seed", "1", "--out", out)
+    assert code == 1
+    assert _one_error(caplog) == "--synthetic tag 't' is given more than once"
+    assert not out.exists() and not (tmp_path / "manifest.plan.json").exists()
 
 
 def test_score_reports_exact_match(data, tmp_path, capsys):
@@ -1602,7 +1623,8 @@ def test_malformed_anchor_parse_is_a_one_line_error(data, tmp_path, caplog, meth
     assert not out.exists() and not Path(str(out) + ".partial").exists()
 
 
-# The rs and gb context pools against the list comprehensions they replace.
+# The rs context draw and the gb fallback draw against draws over the list
+# comprehensions they replace.
 
 _ROW_IDS = ("p0", "p1", "p2", "p3")
 
@@ -1620,6 +1642,19 @@ def _positions(pool, key) -> dict[str, list[int]]:
     for j, ex in enumerate(pool):
         positions.setdefault(key(ex), []).append(j)
     return positions
+
+
+class _TakeAll:
+    """Stands in for ``random.Random``: keeps the population it is asked
+    to draw from and draws all of it in order (``choice``: its first)."""
+
+    def sample(self, population, k):
+        self.population = population
+        return list(population)
+
+    def choice(self, population):
+        self.population = population
+        return population[0]
 
 
 class TestContextPools:
@@ -1640,13 +1675,15 @@ class TestContextPools:
         pool = _pool_rows(ids)
         original = pool[pick % len(pool)]
         others = [e for e in pool if e.id != original.id]
-        view = cli._Without(pool, _positions(pool, lambda e: e.id)[original.id])
-        assert len(view) == len(others)
-        assert list(view) == others
+        skip = _positions(pool, lambda e: e.id)[original.id]
+        every = _TakeAll()
+        # Each position of the filtered pool maps to its row.
+        assert cli._rs_context(pool, skip, every) == others
+        assert len(every.population) == len(others)
         if len(others) < 4:
             return
         want, got = random.Random(seed), random.Random(seed)
-        assert got.sample(view, 4) == want.sample(others, 4)
+        assert cli._rs_context(pool, skip, got) == want.sample(others, 4)
         assert got.getstate() == want.getstate()
 
     @given(
@@ -1660,9 +1697,12 @@ class TestContextPools:
     def test_gb_context_pool_equals_the_scan(self, ids, period, seed):
         pool = _pool_rows(ids, period)
         context = random.Random(seed).sample(pool, min(5, len(pool)))
-        prompt = build_gb_prompt(context)
-        texts = set(prompt.expected.context_texts)
+        texts = build_gb_prompt(context).expected.context_texts
+        scan = [e for e in pool if e.text in set(texts)]
         positions = _positions(pool, lambda e: e.text)
-        assert list(cli._gb_context_pool(pool, positions, prompt)) == [
-            e for e in pool if e.text in texts
-        ]
+        every = _TakeAll()
+        cli._gb_fallback_row(pool, positions, texts, every)
+        assert [pool[j] for j in every.population] == scan
+        want, got = random.Random(seed), random.Random(seed)
+        assert cli._gb_fallback_row(pool, positions, texts, got) == want.choice(scan)
+        assert got.getstate() == want.getstate()

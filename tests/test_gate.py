@@ -124,10 +124,10 @@ class TestCheckVp2:
             ("a ham pizza and coke", {MISSING_SLOT}),
             ("a ham pizza and a coke", set()),
         ]:
-            verdict, _ = gate_rs(
+            _, event = gate_rs(
                 [GenOutput(f"{text};", 0.5)], tree, RS_PROMPT_TEXTS, catalog
             )
-            assert verdict.failure_modes == modes
+            assert _failure_modes(event) == modes
 
     @settings(max_examples=200)
     @given(
@@ -174,11 +174,16 @@ class TestCheckVp2:
             PromptExpectation(language="fr", target_parse=serialize(tree)),
             SlotNBestMap(),
         )
-        assert verdict.ok == ok
-        if verdict.ok:
-            row = verdict.final
+        row = verdict.final
+        assert (row is not None) == ok
+        if ok:
             bound = bind_slot_spans(parse(row.parse, MTOP), row.text.split())
             assert all(span is not None for _, span in bound)
+
+
+def _failure_modes(event: GateEvent) -> frozenset[str]:
+    """Every mode any candidate of the batch carries."""
+    return frozenset().union(*event.candidate_modes)
 
 
 def _disjoint_spans_exist(values, tokens) -> bool:
@@ -215,7 +220,7 @@ class TestGateRs:
     def test_all_figure_outputs_survive_min_score_selected(self, catalog):
         scores = [0.42, 0.17, 0.33, 0.58, 0.29]
         verdict, event = self.gate(RS_FIG_OUTPUTS, catalog, scores)
-        assert verdict.status == "clean"
+        assert event.success_mode == CLEAN
         assert verdict.final.text == RS_FIG_OUTPUTS[1]
         assert verdict.final.parse == RS_EXPECTED
         assert verdict.final.source == "clasp-rs"
@@ -226,7 +231,7 @@ class TestGateRs:
         verdict, event = self.gate(
             ("order me a medium supreme pizza and a sprite",), catalog
         )
-        assert verdict.status == "failed"
+        assert verdict.final is None
         assert COPY_EXAMPLE in event.candidate_modes[0]
 
     def test_missing_slot_flagged(self, catalog):
@@ -267,7 +272,7 @@ class TestGateRs:
             "thanks a lot"
         )
         verdict, event = self.gate((text,), catalog)
-        assert verdict.status == "clean"
+        assert event.success_mode == CLEAN
         assert event.candidate_modes[0] == frozenset()
 
     def test_function_word_exemption_comes_from_catalog(self, catalog):
@@ -285,7 +290,7 @@ class TestGateRs:
         verdict, event = self.gate(
             ("Five small spinach and bacon pizzas with a pepsi",), catalog
         )
-        assert verdict.status == "failed"
+        assert verdict.final is None
         assert event.candidate_modes == (frozenset({MISSING_SLOT}),)
 
     def test_bad_separators_are_the_only_mode(self, catalog):
@@ -309,7 +314,7 @@ class TestGateGb:
             "mushroom pies please no thin crust;"
         )
         verdict, event = self.gate([raw], catalog)
-        assert verdict.status == "clean"
+        assert event.success_mode == CLEAN
         assert verdict.final.parse.startswith("(Order")
         assert verdict.final.source == "clasp-gb"
 
@@ -320,7 +325,7 @@ class TestGateGb:
             "a can of coke;"
         )
         verdict, event = self.gate([raw], catalog)
-        assert verdict.status == "clean"
+        assert event.success_mode == CLEAN
         assert event.candidate_modes[0] == frozenset()
 
     def test_untagged_extra_cheese_discarded(self, catalog):
@@ -330,7 +335,7 @@ class TestGateGb:
             "mushroom and cheese thanks;"
         )
         verdict, event = self.gate([raw], catalog)
-        assert verdict.status == "failed"
+        assert verdict.final is None
         assert UNTAGGED_SLOT in event.candidate_modes[0]
 
     def test_unknown_entity(self, catalog):
@@ -435,10 +440,8 @@ class TestGateMtop:
         verdict, event = gate_mtop(
             "ts", [GenOutput(f"{NBEST_TEXT};", 0.2)], expected, NBEST, input_id="ts-0"
         )
-        assert verdict.status == "recovered"
-        assert verdict.recovery == SLOT_NBEST
-        assert verdict.final.parse == NBEST_RECOVERED
         assert event.success_mode == SLOT_NBEST
+        assert verdict.final.parse == NBEST_RECOVERED
 
     def test_tb_fix_casing_recovery(self):
         expected = PromptExpectation(
@@ -450,8 +453,7 @@ class TestGateMtop:
         verdict, event = gate_mtop(
             "tb", [GenOutput(raw, 0.2)], expected, NBEST, input_id="tb-0"
         )
-        assert verdict.status == "recovered"
-        assert verdict.recovery == FIX_CASING
+        assert event.success_mode == FIX_CASING
         assert verdict.final.parse == CASING_RECOVERED
 
     def test_tb_mismatch_parse_from_copied_structure(self):
@@ -470,8 +472,8 @@ class TestGateMtop:
             "rendez - vous de 10 h chez le médecin;"
         )
         verdict, event = gate_mtop("tb", [GenOutput(raw, 0.2)], expected, NBEST)
-        assert verdict.status == "failed"
-        assert MISMATCH_PARSE in verdict.failure_modes
+        assert verdict.final is None
+        assert MISMATCH_PARSE in _failure_modes(event)
 
     def test_ts_clean(self):
         expected = PromptExpectation(
@@ -481,7 +483,6 @@ class TestGateMtop:
         verdict, event = gate_mtop(
             "ts", [GenOutput(f"{text};", 0.2)], expected, NBEST
         )
-        assert verdict.status == "clean"
         assert event.success_mode == CLEAN
 
     def test_ts_copy_example(self):
@@ -490,28 +491,28 @@ class TestGateMtop:
             target_parse=NBEST_PARSE,
             context_texts=("Quiero ver todo las alarmas para el viernes",),
         )
-        verdict, _ = gate_mtop(
+        verdict, event = gate_mtop(
             "ts",
             [GenOutput("Quiero ver todo las alarmas para el viernes;", 0.2)],
             expected,
             NBEST,
         )
-        assert verdict.status == "failed"
-        assert COPY_EXAMPLE in verdict.failure_modes
+        assert verdict.final is None
+        assert COPY_EXAMPLE in _failure_modes(event)
 
     def test_tb_invalid_parse(self):
         expected = PromptExpectation(language="de", source_signature="[IN:X ]")
         raw = "[IN:BROKEN [SL:X\n=> Translation in German: kaputt;"
-        verdict, _ = gate_mtop("tb", [GenOutput(raw, 0.2)], expected, NBEST)
-        assert INVALID_PARSE in verdict.failure_modes
+        _, event = gate_mtop("tb", [GenOutput(raw, 0.2)], expected, NBEST)
+        assert INVALID_PARSE in _failure_modes(event)
 
     def test_unrecoverable_missing_slot(self):
         expected = PromptExpectation(language="es", target_parse=NBEST_PARSE)
         verdict, event = gate_mtop(
             "ts", [GenOutput("ninguna alarma;", 0.2)], expected, NBEST
         )
-        assert verdict.status == "failed"
-        assert MISSING_SLOT in verdict.failure_modes
+        assert verdict.final is None
+        assert MISSING_SLOT in _failure_modes(event)
 
     def test_ts_recovered_copy_is_a_copy(self):
         # The n-best pass repairs the missing slot, so only the copy fails it.
@@ -521,7 +522,7 @@ class TestGateMtop:
         verdict, event = gate_mtop(
             "ts", [GenOutput(f"{NBEST_TEXT};", 0.2)], expected, NBEST
         )
-        assert verdict.status == "failed"
+        assert verdict.final is None
         assert event.candidate_modes == (frozenset({COPY_EXAMPLE}),)
 
     def test_tb_recovered_mismatch_is_a_mismatch(self):
@@ -531,24 +532,22 @@ class TestGateMtop:
         )
         raw = f"{CASING_PARSE}\n=> Translation in German: {CASING_TEXT};"
         verdict, event = gate_mtop("tb", [GenOutput(raw, 0.2)], expected, NBEST)
-        assert verdict.status == "failed"
+        assert verdict.final is None
         assert event.candidate_modes == (frozenset({MISMATCH_PARSE}),)
 
 
 class TestFallback:
     def test_rs_failure_reemits_original(self):
         original = Example("o1", "en", "text", "(Order (Pizzaorder (Number a ) ) )", "dev")
-        out = fallback([original], seed=5)
+        out = fallback(original)
         assert out.text == original.text
         assert out.source == "fallback"
 
-    def test_seeded_pick_among_context(self):
-        pool = [
-            Example(str(i), "en", f"t{i}", "(Order (Pizzaorder (Number a ) ) )", "dev")
-            for i in range(5)
-        ]
-        first = fallback(pool, seed=9)
-        assert fallback(pool, seed=9) == first
+
+def _row(stats, method: str, language: str):
+    """The one row of ``stats`` for (method, language)."""
+    (row,) = [r for r in stats.rows if (r.method, r.language) == (method, language)]
+    return row
 
 
 class TestCompileStats:
@@ -563,7 +562,7 @@ class TestCompileStats:
                 success = CLEAN
             events.append(GateEvent("rs", "en", modes, success))
         stats = compile_stats(events)
-        row = stats.row("rs", "en")
+        row = _row(stats, "rs", "en")
         assert row.success_rate_inputs == 80.0
         assert row.success_rate_outputs == 80.0
         assert row.failure_modes[MISSING_SLOT] == 20.0
@@ -573,7 +572,7 @@ class TestCompileStats:
             GateEvent("gb", "en", (frozenset(),) * 4, CLEAN)
             for i in range(5)
         ]
-        row = compile_stats(events).row("gb", "en")
+        row = _row(compile_stats(events), "gb", "en")
         assert row.success_rate_inputs == 100.0
         assert row.success_rate_outputs == 100.0
 
@@ -591,15 +590,15 @@ class TestCompileStats:
                     )
                 )
         stats = compile_stats(events)
-        assert stats.row("ts", "de").success_rate_inputs == 75.0
-        assert stats.row("ts", "fr").success_rate_inputs == 25.0
-        avg = stats.row("ts", "avg")
+        assert _row(stats, "ts", "de").success_rate_inputs == 75.0
+        assert _row(stats, "ts", "fr").success_rate_inputs == 25.0
+        avg = _row(stats, "ts", "avg")
         assert avg.success_rate_inputs == 50.0
         assert avg.failure_modes[MISSING_SLOT] is None
 
     def test_ts_structural_dashes(self):
         events = [GateEvent("ts", "de", (frozenset(),), CLEAN)]
-        row = compile_stats(events).row("ts", "de")
+        row = _row(compile_stats(events), "ts", "de")
         assert row.failure_modes[INVALID_PARSE] is None
         assert row.failure_modes[MISMATCH_PARSE] is None
         assert row.failure_modes[MISSING_SLOT] == 0.0
@@ -678,7 +677,7 @@ class TestMockCorruptionsTriggerIntendedModes:
             prompt.expected.context_texts,
             catalog,
         )
-        assert verdict.status == "failed"
+        assert verdict.final is None
         assert all(mode in modes for modes in event.candidate_modes)
 
     def test_rs_duplicate_corruption(self, catalog):
@@ -691,7 +690,7 @@ class TestMockCorruptionsTriggerIntendedModes:
             prompt.expected.context_texts,
             catalog,
         )
-        assert verdict.status == "clean"  # first copy is kept
+        assert event.success_mode == CLEAN  # first copy is kept
         assert all(
             DUPLICATE_OUTPUT in modes for modes in event.candidate_modes[1:]
         )
@@ -714,7 +713,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         verdict, event = gate_gb(
             outs, prompt.expected.context_texts, catalog
         )
-        assert verdict.status == "failed"
+        assert verdict.final is None
         assert all(mode in modes for modes in event.candidate_modes)
 
     def test_tb_mismatch_corruption(self):
@@ -724,13 +723,15 @@ class TestMockCorruptionsTriggerIntendedModes:
         backend = MockBackend([MockRule(corruptions=("mismatch_parse",))])
         outs = backend.generate(prompt, DecodingConfig("greedy"))
         verdict, event = gate_mtop("tb", [outs[0]], prompt.expected, SlotNBestMap())
-        assert verdict.status == "failed"
-        assert MISMATCH_PARSE in verdict.failure_modes
+        assert verdict.final is None
+        assert MISMATCH_PARSE in _failure_modes(event)
 
     @pytest.mark.parametrize(
-        "flag,status", [("drop_slot_word", "failed"), ("flip_casing", "recovered")]
+        "flag,success",
+        [("drop_slot_word", None), ("flip_casing", FIX_CASING)],
+        ids=["drop_slot_word-failed", "flip_casing-recovered"],
     )
-    def test_tb_corruption_edits_a_slot_the_filler_could_realize(self, flag, status):
+    def test_tb_corruption_edits_a_slot_the_filler_could_realize(self, flag, success):
         # "me" is a slot value here and a word of the filler "please get me";
         # the corruption must hit the slot, so the candidate cannot gate clean.
         source = Example(
@@ -742,8 +743,9 @@ class TestMockCorruptionsTriggerIntendedModes:
         out = MockBackend([MockRule(corruptions=(flag,))]).generate(
             prompt, DecodingConfig("greedy")
         )[0]
-        verdict, _ = gate_mtop("tb", [out], prompt.expected, SlotNBestMap())
-        assert verdict.status == status
+        verdict, event = gate_mtop("tb", [out], prompt.expected, SlotNBestMap())
+        assert event.success_mode == success
+        assert (verdict.final is None) == (success is None)
 
     def test_tb_flip_casing_skips_an_uncased_first_character(self):
         # The value starts with a digit, which has no case: the flip must
@@ -756,9 +758,8 @@ class TestMockCorruptionsTriggerIntendedModes:
         out = MockBackend([MockRule(corruptions=("flip_casing",))]).generate(
             prompt, DecodingConfig("greedy")
         )[0]
-        verdict, _ = gate_mtop("tb", [out], prompt.expected, SlotNBestMap())
-        assert verdict.status == "recovered"
-        assert verdict.recovery == FIX_CASING
+        _, event = gate_mtop("tb", [out], prompt.expected, SlotNBestMap())
+        assert event.success_mode == FIX_CASING
 
     def test_ts_flip_casing_recovered(self):
         prompt = build_ts_prompt(
@@ -771,8 +772,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         backend = MockBackend([MockRule(corruptions=("flip_casing",))])
         outs = backend.generate(prompt, DecodingConfig("greedy"))
         verdict, event = gate_mtop("ts", [outs[0]], prompt.expected, SlotNBestMap())
-        assert verdict.status == "recovered"
-        assert verdict.recovery == FIX_CASING
+        assert event.success_mode == FIX_CASING
 
     def test_ts_substitution_recovered_via_nbest(self):
         prompt = build_ts_prompt(
@@ -788,8 +788,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         nbest = SlotNBestMap.from_mapping({"fr": {"my": ["mon", "ma"]}})
         outs = backend.generate(prompt, DecodingConfig("greedy"))
         verdict, event = gate_mtop("ts", [outs[0]], prompt.expected, nbest)
-        assert verdict.status == "recovered"
-        assert verdict.recovery == SLOT_NBEST
+        assert event.success_mode == SLOT_NBEST
 
     def test_gb_mock_follows_a_renamed_translation_cue(self, catalog):
         from test_prompts import GB_CONTEXT
@@ -804,7 +803,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         verdict, event = gate_gb(
             outs, prompt.expected.context_texts, catalog, templates=templates
         )
-        assert verdict.status == "clean"
+        assert event.success_mode == CLEAN
         assert event.candidate_modes == (frozenset(),) * 4
 
     def test_tb_mock_follows_a_renamed_translation_cue(self):
@@ -817,7 +816,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         verdict, event = gate_mtop(
             "tb", [out], prompt.expected, SlotNBestMap(), templates=templates
         )
-        assert verdict.status == "clean"
+        assert event.success_mode == CLEAN
         assert event.candidate_modes == (frozenset(),)
 
 
@@ -835,7 +834,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         verdict, event = gate_gb(
             outs, prompt.expected.context_texts, catalog, templates=templates
         )
-        assert verdict.status == "failed"
+        assert verdict.final is None
         assert all(mode in modes for modes in event.candidate_modes)
 
     @pytest.mark.parametrize(
@@ -850,8 +849,8 @@ class TestMockCorruptionsTriggerIntendedModes:
         verdict, event = gate_mtop(
             "tb", [out], prompt.expected, SlotNBestMap(), templates=templates
         )
-        assert verdict.status == "failed"
-        assert mode in verdict.failure_modes
+        assert verdict.final is None
+        assert mode in _failure_modes(event)
 
 
 # What candidate 0 carries under a rule with one corruption flag: its
@@ -987,7 +986,7 @@ class TestMockCorruptionProperty:
                 clean_outs, (verdict, event) = _generate_and_gate(
                     prompt, MockRule(), catalog
                 )
-                assert verdict.status == "clean", clean_outs
+                assert event.success_mode == CLEAN, clean_outs
                 assert set().union(*event.candidate_modes) == set()
                 clean = clean_outs[0].text
                 split = split_generation(prompt.method, clean, templates)
@@ -1003,7 +1002,7 @@ class TestMockCorruptionProperty:
                     if expected is None or unedited:
                         assert outs[0].text == clean, where
                         continue
-                    observed = event.candidate_modes[0] | {verdict.recovery} - {None}
+                    observed = event.candidate_modes[0] | {event.success_mode} - {None, CLEAN}
                     assert expected <= observed, where
                     if flag not in _WHOLE_FIELD_FLAGS:
                         assert observed == expected, where

@@ -11,7 +11,7 @@ import pytest
 import clasp
 from clasp import cli
 from clasp.backends import DecodingConfig, GenOutput, MockBackend, MockRule
-from clasp.gate import GateError, SlotNBestMap, gate_gb, gate_mtop, gate_rs
+from clasp.gate import CLEAN, GateError, SlotNBestMap, gate_gb, gate_mtop, gate_rs
 from clasp.prompts import (
     METHODS,
     Method,
@@ -88,8 +88,8 @@ def test_mock_clean_rule_gates_clean(catalog, method):
     build, gate = CLEAN_CASES[method]
     prompt = build(spec.dialect)
     outs = MockBackend([MockRule()]).generate(prompt, DecodingConfig(*spec.decoding))
-    verdict, _ = gate(outs, prompt, catalog)
-    assert verdict.status == "clean"
+    _, event = gate(outs, prompt, catalog)
+    assert event.success_mode == CLEAN
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ class TestPlanMix:
                         updates=100, batch_size=4)
         assert plan.synthetic_counts == {"rs": 7, "gb": 3}
         assert plan.duplication_factor == 4  # ceil(10 / 3)
-        assert plan.real_emitted == plan.synthetic_total == 10
+        assert plan.real_emitted == sum(plan.synthetic_counts.values()) == 10
         assert plan.total == 20
         assert plan.real_fraction == 0.5
         assert plan.epochs == 20  # round(100 * 4 / 20)
@@ -97,14 +97,18 @@ class TestMixedExamples:
         path = tmp_path / "manifest.jsonl"
         written = emit_manifest(plan, real, synthetic, seed=5, path=path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["id"] for r in records] == [ex.id for ex in written]
+        mixed = list(mixed_examples(plan, real, synthetic, seed=5))
+        assert written == range(len(records)) == range(len(mixed))
+        assert [r["id"] for r in records] == [ex.id for ex in mixed]
+        assert [{k: v for k, v in r.items() if k != "weight"} for r in records] == [
+            ex.to_dict() for ex in mixed
+        ]
         assert all(r["weight"] == 1.0 for r in records)
-        assert list(written) == list(mixed_examples(plan, real, synthetic, seed=5))
 
 
 def test_emit_manifest_streams_its_records(tmp_path):
-    # Records are written one at a time: beyond the rows it returns, the
-    # manifest write holds a buffer, not the file's lines or their join.
+    # Records are written one at a time: the manifest write holds the
+    # shuffled row numbers and a buffer, not the file's lines or their join.
     real = rows("r", 500, "dev")
     synthetic = {"rs": rows("s", 4000), "gb": rows("g", 4000)}
     plan = plan_mix(real, synthetic, updates=100, batch_size=8)

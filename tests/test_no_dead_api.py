@@ -1,6 +1,7 @@
 """Every public module-level function and class of ``clasp`` is read
-somewhere in ``clasp``: a name that only tests call is dead code, and
-git history keeps it for whoever needs it again."""
+somewhere in ``clasp``, and so is every public method and property of
+its classes: a name that only tests call is dead code, and git history
+keeps it for whoever needs it again."""
 
 from __future__ import annotations
 
@@ -10,6 +11,12 @@ from pathlib import Path
 import clasp
 
 SOURCES = Path(clasp.__file__).parent
+
+# Members read only outside ``clasp``, each with its reader.
+READ_OUTSIDE = {
+    # bench/tracer.py counts the projections that pass by it.
+    "ProjectionVerdict.ok",
+}
 
 
 def public_definitions(path: Path) -> list[tuple[str, int]]:
@@ -45,6 +52,36 @@ def unreferenced(paths: list[Path]) -> list[str]:
     ]
 
 
+def public_members(path: Path) -> list[tuple[str, int]]:
+    """``(Class.name, line)`` of each public method or property of each
+    class defined in ``path``."""
+    return [
+        (f"{cls.name}.{node.name}", node.lineno)
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def unread_members(paths: list[Path]) -> list[str]:
+    """``file:line Class.name`` of each public member whose name no
+    attribute read in ``paths`` uses."""
+    used = {
+        sub.attr
+        for path in paths
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(sub, ast.Attribute)
+    }
+    return [
+        f"{path.name}:{line} {member}"
+        for path in paths
+        for member, line in public_members(path)
+        if member.split(".")[1] not in used and member not in READ_OUTSIDE
+    ]
+
+
 def test_every_public_name_has_a_reader():
     sources = sorted(SOURCES.rglob("*.py"))
     assert len(sources) > 1 and public_definitions(SOURCES / "cli.py")
@@ -72,3 +109,31 @@ def test_guard_sees_a_violation(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced([lib, user]) == ["lib.py:4 dead"]
+
+
+def test_every_public_member_has_a_reader():
+    sources = sorted(SOURCES.rglob("*.py"))
+    assert public_members(SOURCES / "gate.py")
+    assert unread_members(sources) == []
+
+
+def test_member_guard_sees_a_violation(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text(
+        "class Box:\n"
+        "    def used(self):\n"
+        "        return self._hidden()\n"
+        "    def _hidden(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def dead(self):\n"
+        "        return 1\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def used():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    # A name read as a bare name is no attribute read of a member.
+    user.write_text("import lib\nlib.Box().used()\ndead = 1\n", encoding="utf-8")
+    assert unread_members([lib, user]) == ["lib.py:7 Box.dead"]
