@@ -41,20 +41,24 @@ unreadable file) stop the run before its first request and leave no
 ``.partial``.
 
 Row files stream (see ``datasets``). preprocess-pizza and preprocess-mtop
-map their rows with ``datasets.map_rows``: the input lines go in chunks to
-one forked worker per CPU, only a few chunks per worker are read ahead of
-the one being written, and the rows are written in input order. An input
-that fits in one chunk, or a single CPU, is mapped in process. Each row's
-parse is parsed, so a row that does not decode or whose parse is
-malformed ends the run with one error line naming ``<file>:<line>`` and
-no output. project-mt, mix and the augment loop write a row at a time. The
-augment pool, the real and synthetic rows of mix and the source rows of
-project-mt are read with ``datasets.read_jsonl``, and project-mt's MT
-and alignment records with the ``datasets.RecordRows`` view it returns:
-one pass checks every row and keeps its byte span (and, for rs, gb and
-project-mt, the key it is indexed by), and a row is reread only when a
-task, the manifest or a projection uses it. A command holds a whole file
-only where it must: score the parses of the hyp and ref rows by id.
+map their rows with ``datasets.map_rows``: this process numbers the input
+lines and hands them in chunks, each the byte span of its rows, to one
+forked worker per CPU, which reads its span itself; only a few chunks per
+worker are handed out ahead of the one being written, and the rows are
+written in input order. An input that fits in one chunk, or a single CPU,
+is mapped in process. Each row's parse is parsed, so a row that does not
+decode or whose parse is malformed ends the run with one error line
+naming ``<file>:<line>`` and no output. project-mt, mix and the augment
+loop write a row at a time. The augment pool, the real and synthetic rows
+of mix and the source rows of project-mt are read with
+``datasets.read_jsonl``, and project-mt's MT and alignment records with
+the ``datasets.RecordRows`` view it returns: one pass checks every row
+and keeps its byte span, and a row is reread only when a task, the
+manifest or a projection uses it. rs, gb and project-mt look rows up by
+id, text or (id, language) through the view's hashed key index
+(``RecordRows.find``), which holds a hash a row, not the key, and
+compares each found row's own key. A command holds a whole file only
+where it must: score the parses of the hyp and ref rows by id.
 
 Every JSON file a command reads (the setting files of ``augment``, its
 --config, and the record given to ``report --in``) is read by
@@ -504,8 +508,8 @@ def cmd_augment(args: argparse.Namespace) -> None:
     gated or falls back, and its row written, in task order."""
     _merge_config(args)
     spec = prompts.METHODS[prompts.Method(args.method)]
-    # rs indexes its pool by id and gb by text (``_pizza_tasks``); the mtop
-    # methods index it by position only.
+    # rs looks its pool up by id and gb by text (``_pizza_tasks``); the
+    # mtop methods index it by position only.
     key = ("id" if args.method == "rs" else "text") if spec.family == "pizza" else None
     with read_jsonl(args.dataset, key) as pool:
         if not pool:
@@ -569,33 +573,31 @@ def _pizza_tasks(args, pool, templates, backend):
         else canonical.SlotCatalog.default()
     )
     cf_templates = _cf_templates(args.cf_templates)
-    # Pool positions by id (rs: the original's rows leave the context
-    # pool) or by text (gb: the fallback draws from the context rows),
-    # from the pool's key column: no row is built to index the pool.
-    positions: dict[str, list[int]] = {}
-    for j, key in enumerate(pool.keys):
-        positions.setdefault(key, []).append(j)
-    if args.method == "rs" and any(
-        len(pool) - len(positions[key]) < 4 for key in pool.keys[: args.k]
-    ):
+    if args.method == "rs" and not _has_rs_context(pool, args.k):
         raise CliError("replace-slots needs at least 5 distinct dataset examples")
 
     def tasks(start, stop):
         for i in range(start, stop):
-            original = pool[i % len(pool)]
+            j = i % len(pool)
+            original = pool[j]
             rng = random.Random(_task_seed(args.seed, i))
             if args.method == "rs":
-                context = _rs_context(pool, positions[original.id], rng)
+                # The original's rows leave the context pool; its own row
+                # is held, so only other rows of its id are reread.
+                skip = [at for at, _ in pool.find(original.id, {j: original})]
+                context = _rs_context(pool, skip, rng)
                 prompt = _build_rs_task(context, original, catalog, rng,
                                         _task_seed(args.seed, i), templates)
+                held = {}
             else:
                 arity = min(5, len(pool))
-                context = [pool[j] for j in rng.sample(range(len(pool)), arity)]
-                prompt = prompts.build_gb_prompt(context, templates)
-            yield i, original, original.lang, prompt
+                held = {at: pool[at] for at in rng.sample(range(len(pool)), arity)}
+                prompt = prompts.build_gb_prompt(list(held.values()), templates)
+            yield i, original, held, prompt
 
-    def to_row(i, original, lang, prompt, outs):
+    def to_row(i, original, held, prompt, outs):
         input_id = f"{args.method}-{i:05d}"
+        lang = original.lang
         if prompt is None:
             # No replaceable slot: the task falls back without a request.
             event = gate.GateEvent(args.method, lang, (), None)
@@ -615,12 +617,27 @@ def _pizza_tasks(args, pool, templates, backend):
                 input_id=input_id, language=lang, templates=templates,
             )
             emitted = verdict.final or gate.fallback(_gb_fallback_row(
-                pool, positions, prompt.expected.context_texts,
-                random.Random(_task_seed(args.seed, i)),
+                pool, held, random.Random(_task_seed(args.seed, i))
             ))
         return _with_cf(emitted, cf_templates).to_dict(), event
 
     return tasks, to_row
+
+
+def _has_rs_context(pool, k: int) -> bool:
+    """Whether each row that rs tasks ``i < k`` start from has at least 4
+    pool rows of another id, as its context needs. Five distinct ids settle
+    it for every row, so rows are read in order only until five show; a
+    pool with fewer is read whole and its ids counted."""
+    counts: Counter[str] = Counter()
+    starts = set()  # the ids of the rows tasks start from
+    for j, ex in enumerate(pool):
+        counts[ex.id] += 1
+        if len(counts) == 5:
+            return True
+        if j < k:
+            starts.add(ex.id)
+    return all(len(pool) - counts[key] >= 4 for key in starts)
 
 
 def _rs_context(pool, skip: Sequence[int], rng) -> list[Example]:
@@ -658,16 +675,17 @@ def _build_rs_task(context, original, catalog, rng, task_seed, prompt_templates)
     return None
 
 
-def _gb_fallback_row(pool, positions, context_texts, rng) -> Example:
+def _gb_fallback_row(pool, held: dict[int, Example], rng) -> Example:
     """The pool row a failed gb task falls back on: ``rng.choice`` of the
-    pool positions, in pool order, of the rows whose text is one of the
-    prompt's ``context_texts``; only the chosen row is read. ``positions``
-    maps each text to its pool positions; the context rows come from the
-    pool, so every text has some."""
-    found = set()
-    for text in set(context_texts):
-        found.update(positions[text])
-    return pool[rng.choice(sorted(found))]
+    pool positions, in pool order, of the rows whose text is that of one
+    of the task's context rows ``held`` ({pool position: row}). Each text
+    is looked up with ``pool.find``, which rereads no context row, and the
+    chosen row is the one that lookup read."""
+    found: dict[int, Example] = {}
+    for text in {ex.text for ex in held.values()}:
+        mine = {j: ex for j, ex in held.items() if ex.text == text}
+        found.update(pool.find(text, mine))
+    return found[rng.choice(sorted(found))]
 
 
 def _with_cf(ex: Example, cf_templates) -> Example:
@@ -842,10 +860,12 @@ def cmd_project_mt(args: argparse.Namespace) -> None:
     word alignment, and write the projected rows and their ``mt_stats``.
 
     The MT file is checked in full, then the alignment file, then the
-    dataset; each is held as a ``RecordRows`` view of byte spans, plus the
-    ``(id, language)`` key of each alignment row and the id of each source
-    row. An MT row is reread when it is projected, and an alignment row,
-    whose ``pairs`` are decoded only then, when it is looked up. A
+    dataset; each is held as a ``RecordRows`` view of byte spans, the
+    alignments with a key index of each row's ``(id, language)`` and the
+    source rows with one of each id. An MT row is reread when it is
+    projected, and the alignment and source rows of its key, the
+    alignment's ``pairs`` decoded only then, when they are looked up; the
+    read that checks a row's key is the read used. A
     projection is counted by its (language, failure modes), and its tree
     is dropped once its row is written.
     """
@@ -859,24 +879,23 @@ def cmd_project_mt(args: argparse.Namespace) -> None:
         if not aligned:
             raise MissingInput(f"alignment file {args.align} is empty")
         src = views.enter_context(read_jsonl(args.dataset, "id"))
-        # The position of each alignment key and source id; a later row of
-        # one key wins.
-        align_at = {key: j for j, key in enumerate(aligned.keys)}
-        src_at = {key: j for j, key in enumerate(src.keys)}
         verdicts: Counter[tuple[str, frozenset[str]]] = Counter()
         unbound = 0
 
         def pairs_of(key):
-            j = align_at.get(key)
-            return None if j is None else aligned[j]["pairs"]
+            record = _last(aligned.find(key))
+            return None if record is None else record["pairs"]
 
         def projected():
             nonlocal unbound
+            ex = None
             for row in mt:
-                j = src_at.get(str(row["id"]))
-                if j is None:
+                # The MT rows of one id, one per language, are usually
+                # consecutive: they share one read of the source row.
+                if ex is None or ex.id != str(row["id"]):
+                    ex = _last(src.find(str(row["id"])))
+                if ex is None:
                     raise IdMismatch(f"MT output id {row['id']!r} not in {args.dataset}")
-                ex = src[j]
                 lang = str(row["language"])
                 raw = str(row["text"])
                 if args.check_sentence_marker and projection.check_sentence_marker(raw):
@@ -923,6 +942,15 @@ def cmd_project_mt(args: argparse.Namespace) -> None:
     log.info("wrote %d projected examples to %s", written, args.out)
 
 
+def _last(found):
+    """The row of the last ``(position, row)`` of ``found``, or None: a
+    later row of one key wins."""
+    row = None
+    for _, row in found:
+        pass
+    return row
+
+
 def _alignment_key(record) -> tuple[str, str | None]:
     """The key of an alignment row: its id and language, None for a row
     without one, which serves every language of the id. A language that
@@ -937,6 +965,9 @@ def _alignment_key(record) -> tuple[str, str | None]:
 
 
 def cmd_mix(args: argparse.Namespace) -> None:
+    for flag, value in (("--updates", args.updates), ("--batch", args.batch)):
+        if value <= 0:
+            raise CliError(f"{flag} must be positive, got {value}")
     with ExitStack() as views:
         real = views.enter_context(read_jsonl(args.real))
         synthetic: dict[str, Sequence[Example]] = {}

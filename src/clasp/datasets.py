@@ -11,14 +11,16 @@ ever sits beside the rows built from them. The native inputs are read by
 at a time, each as the line ``record_line`` makes.
 
 ``RecordRows`` checks every row of a JSON-lines file in one pass but
-keeps only each row's byte span, plus the key of each row when the caller
-asks for one; indexing it rereads that row and builds what the caller
-asked for. ``read_jsonl`` is the view of an ``Example`` file. So the
-augment pool, which rs and gb sample by index, the real and synthetic sets
-of ``mix``, and the source, MT and alignment rows of ``project-mt`` cost a
-few bytes per row until a row is used. What a command holds whole is what
-it must keep: the id or text positions that rs, gb and project-mt index,
-and the parses that ``score`` pairs by id.
+keeps only each row's byte span; indexing it rereads that row and builds
+what the caller asked for. Given a key, the pass also keeps a hashed key
+index, 8 bytes a row whatever the key's length, and ``find`` yields the
+rows whose key equals a value, each reread to compare its key.
+``read_jsonl`` is the view of an ``Example`` file. So the augment pool,
+which rs and gb sample by index and look up by id or text, the real and
+synthetic sets of ``mix``, and the source, MT and alignment rows of
+``project-mt`` cost a few bytes per row until a row is used. What a
+command holds whole is what it must keep: the parses that ``score`` pairs
+by id.
 
 ``map_chunks`` maps chunks of work on every CPU: forked workers map the
 chunks, and the main process takes their results in order, reading at
@@ -28,20 +30,23 @@ imported only when a pool starts. That choice, ``_map_workers``, is made
 here alone: no other module reads the CPUs. A worker that dies ends the
 map with one ``WorkerLost``; workers ignore SIGINT, which only the main
 process acts on. ``map_rows`` maps the rows of a file with it: the main
-process reads and numbers the lines, workers decode, build and encode
-chunks of them, and the main process writes each chunk's text in input
-order. ``cli`` maps every mock augment pass, tasks or slot n-best jobs,
-with it, in ``chunk_spans`` of job indices.
+process numbers the lines and hands each chunk out as the byte span of
+its rows, holding none of their text; a worker reads its span, then
+decodes, builds and encodes the rows, and the main process writes each
+chunk's text in input order. ``cli`` maps every mock augment pass, tasks
+or slot n-best jobs, with it, in ``chunk_spans`` of job indices.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
 import tempfile
 import weakref
 from array import array
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
 from contextlib import closing
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, islice
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, TypeVar
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, TypeVar
 
 T = TypeVar("T")
 
@@ -328,7 +333,7 @@ def read_jsonl(path: str | Path, key: str | None = None) -> "RecordRows":
     would: blank lines are skipped but counted, and a row that is not an
     ``Example`` ends the read with a ``RowMalformed`` naming
     ``<path>:<line>``. With ``key``, one of the fields of every row, the
-    result's ``keys`` holds that field of each row, as a string, in order.
+    result's ``find`` looks rows up by that field, as a string.
     """
     return RecordRows(
         path, _EXAMPLE_FIELDS, Example.from_dict,
@@ -344,14 +349,15 @@ class RecordRows(Sequence):
     for it; blank lines are skipped but counted, and a row that fails ends
     the read with a ``RowMalformed`` naming ``<path>:<line>``.
 
-    Only each row's byte span is held (16 bytes a row), and ``keys``, the
-    ``key`` of each row's record in order, when ``key`` is given.
-    ``rows[i]`` rereads row ``i`` with ``os.pread`` and returns ``build``
-    of its record, or the record itself; ``pread`` moves no shared file
-    offset, so threads and forked workers can read one view at once. The
-    view reads the file it opened, even after another file is renamed onto
-    its path. It owns its descriptor: ``close()`` or the end of a ``with``
-    block closes it, and so does the view's collection.
+    Only each row's byte span is held (16 bytes a row), and, when ``key``
+    is given, a hashed index of each row's ``key(record)`` (8 bytes a row,
+    whatever the key's length) that ``find`` reads. ``rows[i]`` rereads row
+    ``i`` with ``os.pread`` and returns ``build`` of its record, or the
+    record itself; ``pread`` moves no shared file offset, so threads and
+    forked workers can read one view at once. The view reads the file it
+    opened, even after another file is renamed onto its path. It owns its
+    descriptor: ``close()`` or the end of a ``with`` block closes it, and
+    so does the view's collection.
     """
 
     def __init__(
@@ -366,8 +372,8 @@ class RecordRows(Sequence):
         self._fd = fd
         self._closer = weakref.finalize(self, os.close, fd)
         self._build = build
+        self._key = key
         self._spans = array("q")
-        self.keys: list | None = None if key is None else []
         try:
             with open(fd, "rb", buffering=0, closefd=False) as fh:
                 self._index(path, fh, fields, key, check)
@@ -376,18 +382,28 @@ class RecordRows(Sequence):
             raise
 
     def _index(self, path, fh: BinaryIO, fields, key, check) -> None:
-        append, keys = self._spans.append, self.keys
+        append = self._spans.append
+        hashes = array("q")
         for n, start, stop, line in _numbered_rows(path, fh):
             try:
                 record = _decode_record(fields, None, line)
                 if check is not None:
                     check(record)
-                if keys is not None:
-                    keys.append(key(record))
+                if key is not None:
+                    hashes.append(hash(key(record)))
             except ValueError as exc:
                 raise RowMalformed(f"{path}:{n}: {exc}") from exc
             append(start)
             append(stop)
+        # Each entry of the key index is a row's key hash with its low bits
+        # replaced by the row's position, so the sorted entries of one hash
+        # prefix are its rows in file order.
+        self._mask = mask = (1 << len(hashes).bit_length()) - 1
+        high = ~mask
+        entries = [(h & high) | j for j, h in enumerate(hashes)]
+        del hashes
+        entries.sort()
+        self._keyed = array("q", entries)
 
     def __len__(self) -> int:
         return len(self._spans) // 2
@@ -395,10 +411,44 @@ class RecordRows(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
+        record = self._record(i)
+        return record if self._build is None else self._build(record)
+
+    def _record(self, i: int) -> Any:
         # Row i's span is (spans[2i], spans[2i + 1]), for negative i too.
         start, stop = self._spans[2 * i], self._spans[2 * i + 1]
-        record = _json_value(os.pread(self._fd, stop - start, start).decode())
-        return record if self._build is None else self._build(record)
+        return _json_value(os.pread(self._fd, stop - start, start).decode())
+
+    def find(
+        self, value: Any, held: Mapping[int, Any] = {}
+    ) -> Iterator[tuple[int, Any]]:
+        """``(position, row)`` of each row whose key equals ``value``, in
+        file order; the view must have been given a ``key``.
+
+        The index gives the rows whose key hash has the prefix of
+        ``value``'s; each is reread and its own key compared with
+        ``value``, so a hash collision never changes the result, and the
+        row yielded is built from that read. ``held`` maps positions to
+        rows the caller already holds and knows to have this key: such a
+        row is yielded as it is, without a reread. The hashes are this
+        process's (``PYTHONHASHSEED``), which forked workers share.
+        """
+        if self._key is None:
+            raise TypeError("find needs a view indexed by a key")
+        mask, keyed = self._mask, self._keyed
+        prefix = hash(value) & ~mask
+        # The entries of the prefix run from the first at or above it to
+        # the last at or below it with every low bit set.
+        i, last, end = bisect_left(keyed, prefix), prefix | mask, len(keyed)
+        while i < end and (entry := keyed[i]) <= last:
+            i += 1
+            j = entry & mask
+            if j in held:
+                yield j, held[j]
+                continue
+            record = self._record(j)
+            if self._key(record) == value:
+                yield j, record if self._build is None else self._build(record)
 
     def close(self) -> None:
         self._closer()
@@ -468,12 +518,13 @@ def decode_mtop_line(line: str) -> dict[str, Any]:
 
 # Items in one chunk of ``map_chunks``: rows of ``map_rows``, augment tasks
 # or slot n-best jobs. A worker maps 1000 of the benchmark's pizza rows in
-# about 0.1 s on a 2-vCPU Xeon VM, against about a millisecond to send
-# their lines and fetch back their text, so the hand-off costs about 1%;
-# each chunk read ahead holds about 250 KB of lines; and a 20k-row input
-# still splits evenly over the workers. 1000-task augment chunks were also
-# faster than 64-task ones, and a mock augment run of at most 1000 tasks
-# stays in one process, where a patched backend sees every request.
+# about 0.1 s on a 2-vCPU Xeon VM, against about a millisecond to read
+# their byte span (about 250 KB) and send back their text, so the hand-off
+# costs about 1%; a chunk queued ahead is four integers, so the main
+# process holds no line of it; and a 20k-row input still splits evenly
+# over the workers. 1000-task augment chunks were also faster than 64-task
+# ones, and a mock augment run of at most 1000 tasks stays in one process,
+# where a patched backend sees every request.
 _CHUNK_ROWS = 1000
 # Chunks queued per worker ahead of the one being written: one to map and
 # one waiting, so no worker idles while the main process writes.
@@ -494,15 +545,15 @@ def map_rows(
     ``decode`` or ``build`` ends the map with a ``RowMalformed`` naming
     ``<path>:<line>``.
 
-    The main process reads and numbers the lines and ``map_chunks`` hands
-    them out in chunks of ``_CHUNK_ROWS``; a worker decodes, builds and
+    The main process numbers the lines, checking that each is UTF-8, and
+    ``map_chunks`` hands out each run of ``_CHUNK_ROWS`` rows as the byte
+    span that holds them; a worker reads its span and decodes, builds and
     encodes each row, and the text of each chunk is written in input order.
     """
     task = functools.partial(_map_chunk, path, decode, build)
     flagged = 0
     with open(path, "rb", buffering=0) as fh:
-        rows = ((n, line) for n, _, _, line in _numbered_rows(path, fh))
-        with closing(map_chunks(task, _chunks(rows))) as results:
+        with closing(map_chunks(task, _chunks(_numbered_rows(path, fh)))) as results:
             for text, count, flags in results:
                 out.write_text(text, count)
                 flagged += flags
@@ -587,25 +638,37 @@ def ordered_map(
 
 
 def _chunks(
-    rows: Iterator[tuple[int, str]],
-) -> Iterator[tuple[int, list[tuple[int, str]]]]:
-    """``(index of the first row, rows)`` of each run of ``_CHUNK_ROWS`` rows."""
-    start = 0
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        yield start, chunk
-        start += len(chunk)
+    rows: Iterator[tuple[int, int, int, str]],
+) -> Iterator[tuple[int, int, int, int]]:
+    """``(index of the first row, lines before it, start, stop)`` of each
+    run of ``_CHUNK_ROWS`` of the ``_numbered_rows`` ``rows``: the run's
+    rows are the non-blank lines of the bytes ``[start, stop)``."""
+    first = 0
+    for n, start, stop, _ in rows:
+        count = 1
+        for _, _, stop, _ in islice(rows, _CHUNK_ROWS - 1):
+            count += 1
+        yield first, n - 1, start, stop
+        first += count
 
 
 def _map_chunk(path, decode, build, chunk) -> tuple[str, int, int]:
-    """(text, records, flagged rows) of one chunk of ``map_rows``."""
-    start, rows = chunk
+    """(text, records, flagged rows) of one chunk of ``map_rows``, read
+    from the chunk's byte span of ``path``."""
+    first, before, start, stop = chunk
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = os.pread(fd, stop - start, start)
+    finally:
+        os.close(fd)
     lines: list[str] = []
     flagged = 0
-    for i, (n, line) in enumerate(rows, start):
+    rows = _numbered_rows(path, io.BytesIO(data))
+    for i, (n, _, _, line) in enumerate(rows, first):
         try:
             record, flag = build(i, decode(line))
         except ValueError as exc:
-            raise RowMalformed(f"{path}:{n}: {exc}") from exc
+            raise RowMalformed(f"{path}:{before + n}: {exc}") from exc
         flagged += flag
         if record is not None:
             lines.append(record_line(record))

@@ -19,6 +19,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -32,7 +33,6 @@ from hypothesis import example, given, strategies as st
 from clasp import cli, datasets, gate, prompts, trees
 from clasp.backends import BackendUnavailable, HttpBackend, MockBackend, MockRule
 from clasp.datasets import Example, RecordWriter, iter_records, read_jsonl
-from clasp.prompts import build_gb_prompt
 
 PIZZA_ROWS = [
     ("i want two pizza with bacon",
@@ -1259,9 +1259,10 @@ def _traced_peak(fn):
 
 
 # Bytes project-mt may hold per MT row and its alignment row, at most: the
-# byte spans of both rows, the alignment's (id, language) key and its entry
-# in the key map, about 290 bytes; not the rows' records, pairs or trees.
-MAX_PROJECT_BYTES_PER_ROW = 512
+# byte spans of both rows and the alignment's entry in the key index, about
+# 47 bytes at the peak, while the index is sorted; not the rows' keys,
+# records, pairs or trees.
+MAX_PROJECT_BYTES_PER_ROW = 64
 
 
 def test_project_mt_holds_a_few_bytes_per_mt_row(tmp_path):
@@ -1465,6 +1466,19 @@ def test_mix_rejects_a_repeated_synthetic_tag(data, tmp_path, caplog):
     assert not out.exists() and not (tmp_path / "manifest.plan.json").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("flag", ["--updates", "--batch"])
+def test_mix_rejects_a_count_that_is_not_positive(tmp_path, caplog, flag, value):
+    # Checked before any file is read: the real set does not exist.
+    counts = {"--updates": "10", "--batch": "2", flag: value}
+    code = run("mix", "--real", tmp_path / "missing.jsonl",
+               *(item for pair in counts.items() for item in pair),
+               "--seed", "1", "--out", tmp_path / "manifest.jsonl")
+    assert code == 1
+    assert _one_error(caplog) == f"{flag} must be positive, got {value}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_score_reports_exact_match(data, tmp_path, capsys):
     ref = data / "mtop.jsonl"
     hyp_rows = read_records(ref)
@@ -1623,8 +1637,8 @@ def test_malformed_anchor_parse_is_a_one_line_error(data, tmp_path, caplog, meth
     assert not out.exists() and not Path(str(out) + ".partial").exists()
 
 
-# The rs context draw and the gb fallback draw against draws over the list
-# comprehensions they replace.
+# The rs context draw, the gb fallback draw and the rs pool check against
+# the draws and counts over the list comprehensions they replace.
 
 _ROW_IDS = ("p0", "p1", "p2", "p3")
 
@@ -1695,14 +1709,63 @@ class TestContextPools:
     @example(ids=["p0"] * 80, period=37, seed=1)
     @example(ids=["p0"] * 80, period=23, seed=2)
     def test_gb_context_pool_equals_the_scan(self, ids, period, seed):
-        pool = _pool_rows(ids, period)
-        context = random.Random(seed).sample(pool, min(5, len(pool)))
-        texts = build_gb_prompt(context).expected.context_texts
-        scan = [e for e in pool if e.text in set(texts)]
-        positions = _positions(pool, lambda e: e.text)
-        every = _TakeAll()
-        cli._gb_fallback_row(pool, positions, texts, every)
-        assert [pool[j] for j in every.population] == scan
-        want, got = random.Random(seed), random.Random(seed)
-        assert cli._gb_fallback_row(pool, positions, texts, got) == want.choice(scan)
-        assert got.getstate() == want.getstate()
+        rows = _pool_rows(ids, period)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pool.jsonl"
+            write_jsonl(path, [e.to_dict() for e in rows])
+            with read_jsonl(path, "text") as pool:
+                picks = random.Random(seed).sample(range(len(rows)), min(5, len(rows)))
+                held = {j: rows[j] for j in picks}
+                scan = [e for e in rows if e.text in {ex.text for ex in held.values()}]
+                reads = _count_reads(pool)
+                every = _TakeAll()
+                cli._gb_fallback_row(pool, held, every)
+                assert [rows[j] for j in every.population] == scan
+                # The context rows are held and the chosen row was read by
+                # the lookup: only the other rows of the context texts are read.
+                assert reads[0] == len(scan) - len(held)
+                want, got = random.Random(seed), random.Random(seed)
+                assert cli._gb_fallback_row(pool, held, got) == want.choice(scan)
+                assert got.getstate() == want.getstate()
+
+    @given(
+        ids=st.lists(st.sampled_from(_ROW_IDS + ("p4", "p5")), min_size=1, max_size=40),
+        k=st.integers(min_value=1, max_value=50),
+    )
+    @example(ids=["a", "b", "c", "d", "e"], k=5)  # 4 others each: enough
+    @example(ids=["a", "b", "c", "d"], k=4)  # 3 others each: too few
+    @example(ids=["a", "a", "a", "a", "b"] * 2, k=4)  # a has 2 others, b 8
+    @example(ids=["b", *["a"] * 8, "c"], k=1)  # only b starts a task
+    def test_the_rs_pool_check_is_the_count_over_every_row(self, ids, k):
+        # The check replaces a count of each starting row's id over the pool.
+        counts = Counter(ids)
+        want = all(len(ids) - counts[key] >= 4 for key in ids[:k])
+        assert cli._has_rs_context(_pool_rows(ids), k) == want
+
+
+def _count_reads(view) -> list[int]:
+    """A counter of the rows ``view`` reads from its file from now on."""
+    reads, record = [0], view._record
+
+    def counting(i):
+        reads[0] += 1
+        return record(i)
+
+    view._record = counting
+    return reads
+
+
+@pytest.mark.parametrize("method", ["rs", "gb"])
+def test_augment_outputs_do_not_depend_on_the_hash_seed(data, tmp_path, method):
+    # The key index of rs and gb orders the pool by str hashes, which
+    # PYTHONHASHSEED changes; the rows it finds must not change with them.
+    src = Path(cli.__file__).resolve().parents[1]
+    for seed in ("1", "2"):
+        out = tmp_path / f"{seed}.jsonl"
+        argv = augment_argv(data, method, out, *AUGMENT_RUNS[method])
+        subprocess.run(
+            [sys.executable, "-m", "clasp.cli", *map(str, argv)],
+            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True, check=True, timeout=120,
+        )
+        assert sha256(out) == EXPECTED_DIGESTS[method]["out"]

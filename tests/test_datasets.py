@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import tempfile
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -202,15 +203,41 @@ class TestReadJsonl:
         rows = [Example(str(i % 2), "en", f"t {i}", "(ORDER )") for i in range(4)]
         path = tmp_path / "r.jsonl"
         write_jsonl(path, rows)
-        assert read_jsonl(path).keys is None
-        assert read_jsonl(path, "id").keys == ["0", "1", "0", "1"]
+        with read_jsonl(path) as unkeyed, pytest.raises(TypeError, match="key"):
+            next(unkeyed.find("0"))
+        with read_jsonl(path, "id") as by_id:
+            assert list(by_id.find("0")) == [(0, rows[0]), (2, rows[2])]
+            assert list(by_id.find("2")) == []
         with read_jsonl(path, "text") as view:
-            assert view.keys == ["t 0", "t 1", "t 2", "t 3"]
+            assert [list(view.find(f"t {i}")) for i in range(4)] == [
+                [(i, row)] for i, row in enumerate(rows)
+            ]
             assert (len(view), view[-1], view[1:3]) == (4, rows[-1], rows[1:3])
             with pytest.raises(IndexError):
                 view[4]
         with pytest.raises(OSError):
             view[0]
+
+    def test_a_keyed_read_holds_the_same_bytes_a_row_for_any_key_length(self, tmp_path):
+        # The key index holds a hash a row, not the key: 200-character
+        # texts cost what 6-character ones do.
+        retained = {}
+        for length in (6, 200):
+            path = tmp_path / f"{length}.jsonl"
+            write_jsonl(path, (Example(f"r{i}", "en", f"{i:0{length}d}", "(ORDER )")
+                               for i in range(4000)))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                view = read_jsonl(path, "text")
+                retained[length] = (tracemalloc.get_traced_memory()[0] - base) / 4000
+            finally:
+                tracemalloc.stop()
+            assert list(view.find(f"{17:0{length}d}"))[0][0] == 17
+            view.close()
+        # 16 bytes of span and 8 of index a row, and the array's slack.
+        assert retained[200] <= retained[6] + 1 and retained[200] <= 32, retained
 
     def test_a_view_reads_the_file_it_opened(self, tmp_path):
         # write_jsonl renames its temp file onto the path the view read.
@@ -240,6 +267,69 @@ class TestReadJsonl:
         with ThreadPoolExecutor(max_workers=4) as pool:
             order = [i for _ in range(5) for i in reversed(range(40))]
             assert list(pool.map(view.__getitem__, order)) == [here[i] for i in order]
+
+
+def _id_key(record):
+    return str(record["id"])
+
+
+def _id_language_key(record):
+    return str(record["id"]), record.get("language")
+
+
+def _number_key(record):
+    return record["n"]
+
+
+class TestKeyIndex:
+    """``RecordRows.find`` against a scan of every row."""
+
+    @staticmethod
+    def _check(tmp: Path, records: list[dict], key, held_every: int) -> None:
+        path = tmp / "rows.jsonl"
+        path.write_text("".join(record_line(r) for r in records), encoding="utf-8")
+        with datasets.RecordRows(path, ("id",), key=key) as view:
+            reads, record = [], view._record
+
+            def recording(i):
+                reads.append(i)
+                return record(i)
+
+            view._record = recording
+            for value in [*{key(r): None for r in records}, ("absent", None), "absent", 7]:
+                scan = [(j, r) for j, r in enumerate(records) if key(r) == value]
+                assert list(view.find(value)) == scan
+                # Held rows come back as they are, unread; each other match
+                # is read once.
+                held = {j: object() for j, _ in scan[::held_every]}
+                reads.clear()
+                assert list(view.find(value, held)) == [(j, held.get(j, r)) for j, r in scan]
+                assert len(set(reads)) == len(reads)
+                assert set(reads) >= {j for j, _ in scan} - held.keys()
+                assert not set(reads) & held.keys()
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c", 5]),
+                      st.sampled_from([None, "de", "fr", "absent"])),
+            max_size=40,
+        ),
+        held_every=st.integers(min_value=1, max_value=3),
+    )
+    def test_find_equals_a_scan_of_id_and_language_keys(self, rows, held_every):
+        records = [{"id": i} if lang == "absent" else {"id": i, "language": lang}
+                   for i, lang in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            for key in (_id_key, _id_language_key):
+                self._check(Path(tmp), records, key, held_every)
+
+    @given(numbers=st.lists(st.sampled_from([-1, -2, 3]), max_size=40),
+           held_every=st.integers(min_value=1, max_value=3))
+    def test_a_hash_collision_changes_no_result(self, numbers, held_every):
+        assert hash(-1) == hash(-2)  # CPython's int hash
+        records = [{"id": f"r{j}", "n": n} for j, n in enumerate(numbers)]
+        with tempfile.TemporaryDirectory() as tmp:
+            self._check(Path(tmp), records, _number_key, held_every)
 
 
 LINE_PARTS = [b"a", b" ", b"\r", b"\n", b"\r\n", b"\x0b\x0c\x1c\x1e",
@@ -375,6 +465,65 @@ class TestMapRows:
             with RecordWriter(out) as writer:
                 map_rows(path, str.strip, build, writer)
         assert list(tmp_path.iterdir()) == [Path(path)]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_workers_number_their_spans_as_the_file(self, tmp_path, monkeypatch, end):
+        # Each worker splits its own span, blank lines and a last line
+        # without an end included, and names a fault by its file line.
+        monkeypatch.setattr(datasets, "_CHUNK_ROWS", 3)
+        monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0, 1})
+        lines = []
+        for i in range(20):
+            lines += [f"w{i}", *(["  "] if i % 4 == 1 else []), *([""] if i % 5 == 2 else [])]
+        path = tmp_path / "w.txt"
+        path.write_bytes(end.join(lines).encode())
+
+        with RecordWriter(tmp_path / "out.jsonl") as out:
+            map_rows(path, str.strip, lambda i, word: ({"i": i, "word": word}, False), out)
+        assert read_records(tmp_path / "out.jsonl") == [
+            {"i": i, "word": f"w{i}"} for i in range(20)
+        ]
+
+        def failing(i, word):
+            if word == "w17":
+                raise ValueError("no good")
+            return {"word": word}, False
+
+        line = lines.index("w17") + 1
+        with pytest.raises(RowMalformed, match=rf"w\.txt:{line}: no good"):
+            with RecordWriter(tmp_path / "bad.jsonl") as out:
+                map_rows(path, str.strip, failing, out)
+        assert multiprocessing.active_children() == []
+
+    def test_the_main_process_holds_no_line_of_a_chunk(self, tmp_path, monkeypatch):
+        # With workers, the main process numbers the lines and sends each
+        # chunk as a byte span, so its peak does not grow with the lines'
+        # length; holding the lines of the chunks in flight (five of 50
+        # rows here) would cost a megabyte more for the 4000-byte lines.
+        monkeypatch.setattr(datasets, "_CHUNK_ROWS", 50)
+        monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def mapped(length):
+            with RecordWriter(tmp_path / f"{length}.jsonl") as out:
+                map_rows(tmp_path / f"{length}.txt", str.strip,
+                         lambda i, line: ({"i": int(line)}, False), out)
+
+        peaks = {}
+        for length in (100, 4000):
+            write(tmp_path / f"{length}.txt", [f"{i:0{length}d}" for i in range(600)])
+            if not peaks:
+                mapped(length)  # imports what a pool loads
+            gc.collect()
+            tracemalloc.start()
+            try:
+                mapped(length)
+                peaks[length] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert read_records(tmp_path / f"{length}.jsonl") == [{"i": i} for i in range(600)]
+        assert multiprocessing.active_children() == []
+        # The block being split into lines is the same size for both.
+        assert peaks[4000] - peaks[100] <= datasets._READ_BYTES, peaks
 
     def test_write_encodes_with_record_line(self, tmp_path):
         rows = [{"a": "\u00e9"}, {"b": [1, None]}]
