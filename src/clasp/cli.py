@@ -14,7 +14,8 @@ override the default decoding of the method. The ts/tb slot n-best pass
 keeps its own decoding (beam, 4 outputs).
 A null value leaves its setting unset. Any other key, or a value that fails
 its flag's or field's type or choices, is an error. The target languages
-default to every language of the anchor file, sorted.
+default to every language of the anchor file, sorted; a list that names
+no language is an error.
 
 ``augment`` streams: tasks are built as the generate pass asks for them,
 and each row goes in task order to a temp file beside --out that is
@@ -387,6 +388,8 @@ def _merge_config(args: argparse.Namespace) -> None:
             raise CliError(f"--{key} is required (flag or config file)")
     if isinstance(args.langs, str):
         args.langs = [l.strip() for l in args.langs.split(",") if l.strip()]
+    if args.langs == []:
+        raise CliError("--langs names no language")
 
 
 def _load_backend(args: argparse.Namespace):
@@ -400,19 +403,35 @@ def _load_backend(args: argparse.Namespace):
     return backends.HttpBackend()
 
 
+_ANCHOR_PAIR = 'an object of "en" and "tgt", each an object of a "text" and a "parse" string'
+
+
 def _anchor_pairs(mapping) -> dict[str, tuple[Example, Example]]:
-    """{language: (English anchor, target anchor)} of an anchor file; both
-    parses of each pair must parse as MTOP brackets."""
+    """{language: (English anchor, target anchor)} of an anchor file, an
+    object of {language: pair}; both parses of each pair must parse as MTOP
+    brackets."""
+    if not isinstance(mapping, dict):
+        raise ValueError(
+            f"an anchor file must be an object of {{language: pair}}, got {type(mapping).__name__}"
+        )
     anchors = {}
     for lang, pair in mapping.items():
+        if not isinstance(pair, dict):
+            raise ValueError(
+                f"the anchor pair of {lang!r} must be {_ANCHOR_PAIR}, got {type(pair).__name__}"
+            )
+        for side in "en", "tgt":
+            found = pair.get(side)
+            if not (isinstance(found, dict) and all(
+                isinstance(found.get(field), str) for field in ("text", "parse")
+            )):
+                got = f"its {side!r} is {found!r}" if side in pair else f"it has no {side!r}"
+                raise ValueError(f"the anchor pair of {lang!r} must be {_ANCHOR_PAIR}; {got}")
         en, tgt = pair["en"], pair["tgt"]
         anchors[lang] = (
             Example(f"anchor-{lang}-en", "en", en["text"], en["parse"], "anchor"),
             Example(f"anchor-{lang}", lang, tgt["text"], tgt["parse"], "anchor"),
         )
-        texts = [s for ex in anchors[lang] for s in (ex.text, ex.parse)]
-        if not all(isinstance(s, str) for s in texts):
-            raise ValueError(f"the anchor pair of {lang!r} must hold strings")
         for ex in anchors[lang]:
             try:
                 parse_tree(ex.parse, Dialect.MTOP_BRACKET)

@@ -22,13 +22,18 @@ synthetic sets of ``mix``, and the source, MT and alignment rows of
 command holds whole is what it must keep: the parses that ``score`` pairs
 by id.
 
-``map_chunks`` maps chunks of work on every CPU: forked workers map the
-chunks, and the main process takes their results in order, reading at
-most a few chunks per worker ahead. One chunk, or a single CPU, is mapped
-in process with no other process started, and ``multiprocessing`` is
-imported only when a pool starts. That choice, ``_map_workers``, is made
-here alone: no other module reads the CPUs. A worker that dies ends the
-map with one ``WorkerLost``; workers ignore SIGINT, which only the main
+``map_chunks`` maps chunks of work on every CPU, on one worker per CPU
+forked with ``os.fork`` and joined to the main process by two plain
+pipes, one of pickled chunks and one of pickled results; no process pool
+is involved and no thread is started. Chunk i goes to worker i mod the
+workers, each with at most ``_AHEAD_PER_WORKER`` chunks sent and not yet
+taken back, and the main process reads the results in chunk order: a
+finished result waits in its worker's pipe, so the main process holds
+one result at a time. One chunk, or a single CPU, is mapped in process
+with no other process started, and ``pickle`` is imported only when
+workers are forked. That choice, ``_map_workers``, is made here alone: no
+other module reads the CPUs or forks. A worker that dies ends the map
+with one ``WorkerLost``; workers ignore SIGINT, which only the main
 process acts on. ``map_rows`` maps the rows of a file with it: the main
 process numbers the lines and hands each chunk out as the byte span of
 its rows, holding none of their text; a worker reads its span, then
@@ -377,6 +382,10 @@ class RecordRows(Sequence):
         try:
             with open(fd, "rb", buffering=0, closefd=False) as fh:
                 self._index(path, fh, fields, key, check)
+        except OSError as exc:
+            # A read fault names the descriptor read ("Is a directory: 3").
+            self.close()
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         except BaseException:
             self.close()
             raise
@@ -526,8 +535,8 @@ def decode_mtop_line(line: str) -> dict[str, Any]:
 # ones, and a mock augment run of at most 1000 tasks stays in one process,
 # where a patched backend sees every request.
 _CHUNK_ROWS = 1000
-# Chunks queued per worker ahead of the one being written: one to map and
-# one waiting, so no worker idles while the main process writes.
+# Chunks sent to a worker and not yet taken back: one to map and one
+# waiting, so no worker idles while the main process writes.
 _AHEAD_PER_WORKER = 2
 
 
@@ -574,52 +583,170 @@ def _map_workers(chunks: int) -> int:
 
 
 class WorkerLost(Exception):
-    """A worker of ``map_chunks`` ended without returning its chunk."""
+    """A worker of ``map_chunks`` that did not send back its chunk's result."""
+
+
+_LOST = "a worker process died before returning its chunk"
 
 
 def map_chunks(task: Callable[[Any], T], chunks: Iterable[Any]) -> Iterator[T]:
     """Yield ``task(chunk)`` for each of ``chunks``, in order.
 
-    When ``_map_workers`` gives workers for them, the chunks go to forked
-    workers and at most ``_AHEAD_PER_WORKER`` chunks per worker are read
-    ahead of the one yielded; otherwise each is mapped in this process,
-    which starts no other. Call it with no other thread running. An
-    exception that ``task`` raises in a worker is raised here;
-    a worker that dies without one (killed by a signal) raises
-    ``WorkerLost``. Workers ignore SIGINT, so an interrupt reaches only
-    this process, which lets the running chunks finish before it goes on.
-    Close the generator to stop the workers early.
+    When ``_map_workers`` gives workers for them, the chunks are mapped by
+    worker processes forked here, each joined to this process by two
+    pipes: chunk i is pickled onto the request pipe of worker ``i mod
+    workers``, which writes ``(ok, result or exception)`` to its result
+    pipe. At most ``_AHEAD_PER_WORKER`` chunks per worker are sent and not
+    yet taken back, so ``chunks`` is read at most that many per worker
+    ahead of the one yielded. Results are read in chunk order: a finished
+    one waits in its worker's pipe, and this process holds one at a time.
+    Otherwise each chunk is mapped in this process, which starts no other.
+
+    Forking copies only the calling thread, so call it with no other
+    thread running (cli's mock passes start none; only HTTP runs do, and
+    they map nothing); it starts none itself. A worker inherits ``task``
+    and every module imported, so ``task`` need not pickle, but each chunk
+    and result must. A chunk should pickle to a few bytes, such as a span
+    of indices: the chunks sent to a worker wait in its pipe's buffer.
+
+    An exception that ``task`` raises in a worker is raised here, in chunk
+    order; a result or exception that cannot be pickled is replaced by a
+    ``WorkerLost`` naming its type. A worker that dies without its result
+    (killed by a signal) ends the map with one ``WorkerLost``, whether
+    this process finds its result pipe or its request pipe closed. Workers
+    ignore SIGINT, so an interrupt reaches only this process. Closing the
+    generator, or any exception, closes every pipe and waits for every
+    worker: each finishes the chunk it is mapping and starts no other.
     """
     chunks = iter(chunks)
     head = list(islice(chunks, 2))
-    workers = _map_workers(len(head))
-    if not workers:
+    count = _map_workers(len(head))
+    if not count:
         yield from map(task, chain(head, chunks))
         return
-    # Imported here: a command that maps no chunks loads no multiprocessing.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    # Imported here: a command that maps no chunks loads no pickle.
+    import pickle
 
-    # Fork, not spawn: a worker inherits the imported modules and ``task``,
-    # whose closures need not pickle. Forking is safe because the callers
-    # run no thread (cli's mock passes start none; only HTTP runs do, and
-    # they map nothing) and the pool forks every worker before it starts
-    # its own.
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(task,),
-    )
+    chunks = chain(head, chunks)
+    workers: list[tuple[int, int, int]] = []  # (pid, request end, result end)
     try:
-        yield from ordered_map(
-            pool, _worker_map, chain(head, chunks), _AHEAD_PER_WORKER * workers
-        )
-    except BrokenProcessPool:
-        raise WorkerLost("a worker process died before returning its chunk") from None
+        for _ in range(count):
+            workers.append(_fork_worker(task, workers))
+        sent = taken = 0
+        while True:
+            # Chunk i goes to worker i mod count once chunk i - ahead is
+            # taken back, the last that worker was sent.
+            for chunk in islice(chunks, _AHEAD_PER_WORKER * count - (sent - taken)):
+                try:
+                    _send(workers[sent % count][1], pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
+                except BrokenPipeError:
+                    raise WorkerLost(_LOST) from None
+                sent += 1
+            if taken == sent:
+                return
+            data = _receive(workers[taken % count][2])
+            if data is None:
+                raise WorkerLost(_LOST)
+            ok, value = pickle.loads(data)
+            del data
+            taken += 1
+            if not ok:
+                raise value
+            yield value
+            del value  # not held while the next result is read
     finally:
-        pool.shutdown(cancel_futures=True)
+        # Result ends first: a worker then fails its write at once, and
+        # one between chunks finds its result pipe closed.
+        for _, _, results in workers:
+            os.close(results)
+        for _, requests, _ in workers:
+            os.close(requests)
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
+
+
+def _fork_worker(task, workers: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Fork a worker that maps chunks with ``task``: ``(pid, request end,
+    result end)``, the ends of its pipes that this process keeps.
+    ``workers`` are the ones forked before it, whose ends it closes: a
+    worker holding them would keep another's pipes open."""
+    fds = list(os.pipe())
+    try:
+        fds += os.pipe()
+        pid = os.fork()
+    except BaseException:
+        for fd in fds:
+            os.close(fd)
+        raise
+    request_read, request_write, result_read, result_write = fds
+    if pid == 0:
+        try:
+            for fd in request_write, result_read, *(fd for _, *ends in workers for fd in ends):
+                os.close(fd)
+            _serve(task, request_read, result_write)
+        finally:
+            os._exit(0)  # never back into the caller's frames
+    os.close(request_read)
+    os.close(result_write)
+    return pid, request_write, result_read
+
+
+def _serve(task, requests: int, results: int) -> None:
+    """The loop of a forked worker: map each chunk read from the pipe
+    ``requests`` with ``task`` and write ``(ok, result or exception)`` to
+    the pipe ``results``, until the main process closes either pipe."""
+    import pickle
+    import select
+    import signal
+
+    # Ctrl-C goes to the whole process group; only the main process acts.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # The writer of a pipe polls POLLERR once the reader has closed it.
+    closed = select.poll()
+    closed.register(results, 0)
+    while not closed.poll(0) and (request := _receive(requests)) is not None:
+        try:
+            value, ok = task(pickle.loads(request)), True
+        except BaseException as exc:  # raised in the main process instead
+            value, ok = exc, False
+        try:
+            reply = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
+            if not ok:
+                pickle.loads(reply)  # an exception must rebuild there too
+        except Exception as exc:
+            name = type(value).__name__
+            reply = pickle.dumps(
+                (False, WorkerLost(f"a worker could not send back the {name} of its chunk: {exc}"))
+            )
+        del value  # not held while the reply waits for the main process
+        _send(results, reply)
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write ``data`` to the pipe ``fd`` as one frame: its length, then it."""
+    for part in len(data).to_bytes(8, "little"), data:
+        view = memoryview(part)
+        while view:
+            view = view[os.write(fd, view) :]
+
+
+def _receive(fd: int) -> bytearray | None:
+    """The data of the next frame on the pipe ``fd``, or None if its writer
+    closed the pipe before the frame was whole."""
+    size = _read(fd, 8)
+    return None if size is None else _read(fd, int.from_bytes(size, "little"))
+
+
+def _read(fd: int, n: int) -> bytearray | None:
+    """The next ``n`` bytes of the pipe ``fd``; None if it ends first."""
+    data = bytearray(n)
+    view, got = memoryview(data), 0
+    while got < n:
+        read = os.readv(fd, [view[got:]])
+        if not read:
+            return None
+        got += read
+    return data
 
 
 def ordered_map(
@@ -673,20 +800,3 @@ def _map_chunk(path, decode, build, chunk) -> tuple[str, int, int]:
         if record is not None:
             lines.append(record_line(record))
     return "".join(lines), len(lines), flagged
-
-
-# The chunk function of a forked ``map_chunks`` worker, set as it starts.
-_worker_task: Callable[[Any], Any] | None = None
-
-
-def _start_worker(task) -> None:
-    import signal
-
-    global _worker_task
-    _worker_task = task
-    # Ctrl-C goes to the whole process group; only the main process acts.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _worker_map(chunk):
-    return _worker_task(chunk)

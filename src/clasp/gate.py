@@ -131,8 +131,18 @@ class SlotNBestMap:
         cls, mapping: Mapping[str, Mapping[str, Sequence[str]]]
     ) -> "SlotNBestMap":
         """Build from {language: {english_value: [candidates...]}}."""
+        if not isinstance(mapping, Mapping):
+            raise GateError(
+                "a slot n-best must be an object of {language: {English value: "
+                f"[candidates]}}}}, got {type(mapping).__name__}"
+            )
         lists: dict[str, dict[str, tuple[str, ...]]] = {}
         for lang, values in mapping.items():
+            if not isinstance(values, Mapping):
+                raise GateError(
+                    f"the n-best of {lang!r} must be an object of {{English value: "
+                    f"[candidates]}}, got {type(values).__name__}"
+                )
             for en_value, candidates in values.items():
                 if not isinstance(candidates, (list, tuple)) or not all(
                     isinstance(c, str) for c in candidates

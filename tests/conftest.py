@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -18,6 +19,16 @@ WORDS = (
 )
 
 LABELS = ("Alpha", "Beta", "Gamma", "Delta", "Epsilon")
+
+
+def assert_no_child_left() -> None:
+    """Fail while this process has a child it has not reaped, running or
+    exited; the check reaps none."""
+    try:
+        found = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return  # no child at all
+    raise AssertionError(f"a child process is left unreaped: {found}")
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ import gc
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import random
 import shutil
@@ -33,6 +32,7 @@ from hypothesis import example, given, strategies as st
 from clasp import cli, datasets, gate, prompts, trees
 from clasp.backends import BackendUnavailable, HttpBackend, MockBackend, MockRule
 from clasp.datasets import Example, RecordWriter, iter_records, read_jsonl
+from conftest import assert_no_child_left
 
 PIZZA_ROWS = [
     ("i want two pizza with bacon",
@@ -335,7 +335,7 @@ def test_preprocess_in_chunks_on_two_workers_is_the_one_chunk_run(
     pids = mapped_in.read_text().split()
     assert len(pids) == -(-MAP_ROWS // MAP_CHUNK)
     assert str(os.getpid()) not in pids
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     if case.startswith("pizza"):
         # Ids number the non-blank rows, skipped ones included.
         assert read_jsonl(many)[-1].id == f"pizza-{MAP_ROWS - 1:06d}"
@@ -366,7 +366,7 @@ def test_a_malformed_parse_names_its_row_and_leaves_no_output(
     assert_one_line_error(caplog, code, path)
     assert f"{path}:15: unclosed group" in caplog.records[-1].getMessage()
     assert list(out.parent.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_a_pizza_src_that_is_not_a_string_names_its_row(tmp_path, caplog):
@@ -418,15 +418,37 @@ def test_one_chunk_or_one_cpu_starts_no_process(data, tmp_path, monkeypatch):
     assert preprocess(inputs, "mtop-sentinels", tmp_path / "sent.jsonl") == 0
 
 
-def test_cli_import_loads_no_multiprocessing():
-    # A pool loads it when it starts; the start-up of every command does not.
+# Imports the CLI, then maps the rows of the file argv[1] in chunks of two
+# on two forked workers; prints the rows written and the process-pool
+# modules loaded after each step.
+MAP_ON_TWO_WORKERS = """
+import sys, clasp.cli
+from clasp import datasets
+
+def pool_modules():
+    return sorted(m for m in sys.modules
+                  if m.startswith(("multiprocessing", "concurrent.futures.process")))
+
+imported = pool_modules()
+datasets._CHUNK_ROWS = 2
+datasets.os.sched_getaffinity = lambda pid: {0, 1}
+with datasets.RecordWriter(sys.argv[1] + ".out") as out:
+    datasets.map_rows(sys.argv[1], str.strip, lambda i, w: ({"w": w}, False), out)
+print(out.count, imported, pool_modules())
+"""
+
+
+def test_cli_import_loads_no_multiprocessing(tmp_path):
+    # Neither the start-up of a command nor a forked map loads a process pool.
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, clasp.cli; print(sorted(m for m in sys.modules if 'multiproc' in m))"
+    rows = tmp_path / "rows.txt"
+    rows.write_text("".join(f"w{i}\n" for i in range(7)), encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+        [sys.executable, "-c", MAP_ON_TWO_WORKERS, rows], env={"PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "7 [] []"
+    assert read_records(f"{rows}.out") == [{"w": f"w{i}"} for i in range(7)]
 
 
 # --------------------------------------------------------------------- augment
@@ -681,6 +703,20 @@ def test_early_errors_leave_no_partial(data, tmp_path, caplog):
     assert sorted(tmp_path.iterdir()) == [names, tiny]
 
 
+@pytest.mark.parametrize("langs", [
+    ("--langs", ","), ("--config", []), ("--config", " , ")
+], ids=["flag", "config-list", "config-string"])
+def test_an_empty_language_list_is_a_one_line_error(data, tmp_path, caplog, langs):
+    # An empty list would otherwise run every anchor language.
+    flag, value = langs
+    if flag == "--config":
+        value = write_json(tmp_path / "config.json", {"langs": value})
+    out = tmp_path / "out" / "ts.jsonl"
+    assert run(*augment_argv(data, "ts", out, "--k", "3", flag, value)) == 1
+    assert _one_error(caplog) == "--langs names no language"
+    assert not out.parent.exists()
+
+
 def _http_gb_argv(data, out, inflight):
     return ["augment", "--method", "gb", "--dataset", data / "pool.jsonl",
             "--seed", "7", "--backend", "http", "--k", "30",
@@ -769,15 +805,17 @@ def test_tasks_are_built_within_the_window(
     assert max(ahead) == window
 
 
-@pytest.mark.parametrize("chunks", ["one", "many"])
+@pytest.mark.parametrize("chunks", ["one", "many", "forked"])
 def test_a_mock_run_starts_no_thread(data, tmp_path, monkeypatch, chunks):
     # --max-inflight is an HTTP setting: gb asks for 4 and ts takes the
-    # default, yet the mock sends one request at a time, here in process.
+    # default, yet the mock sends one request at a time, in process or on
+    # forked workers, which start no thread here either.
     def forbidden(self):
         raise AssertionError("a thread was started")
 
-    if chunks == "many":
+    if chunks != "one":
         two_workers(monkeypatch)
+    if chunks == "many":
         monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(threading.Thread, "start", forbidden)
     for method in ("gb", "ts"):
@@ -861,7 +899,7 @@ def test_augment_in_chunks_on_two_workers_is_the_in_process_run(
     assert {name: sha256(path) for name, path in files.items()} == EXPECTED_DIGESTS[method]
     sent_from = pids.read_text().split()
     assert sent_from and str(os.getpid()) not in sent_from
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_a_backend_failure_in_a_later_chunk_leaves_the_in_process_partial(
@@ -898,7 +936,7 @@ def test_a_backend_failure_in_a_later_chunk_leaves_the_in_process_partial(
         partials.append(Path(f"{out}.partial").read_bytes())
     assert partials[0] == partials[1]
     assert read_records(tmp_path / "two-workers.jsonl.partial") == read_records(full)[:13]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("command", ["preprocess-pizza", "augment"])
@@ -957,7 +995,7 @@ def test_a_worker_that_dies_is_one_error_line(
     else:
         assert len(errors) == 1
         assert list(out.parent.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_an_interrupt_stops_only_the_main_process(data, tmp_path, monkeypatch, caplog):
@@ -991,7 +1029,7 @@ def test_an_interrupt_stops_only_the_main_process(data, tmp_path, monkeypatch, c
     assert stopped.traceback
     assert read_records(f"{out}.partial") == read_records(files["out"])[:3]
     assert f"flushed 3 partial rows to {out}.partial" in caplog.text
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_a_one_chunk_mock_run_and_an_http_run_start_no_process(
@@ -1566,6 +1604,48 @@ def test_malformed_record_file_is_a_one_line_error(data, tmp_path, caplog, case)
     assert_one_line_error(caplog, run(*argv(data, bad, tmp_path)), bad)
 
 
+def _project_mt_argv(d: Path, tmp: Path, **inputs) -> list:
+    """project-mt over one MT row and its alignment, with ``inputs``
+    (dataset, mt, align) replacing those files."""
+    files = {
+        "dataset": d / "mtop.jsonl",
+        "mt": write_jsonl(tmp / "mt.jsonl", [
+            {"id": "en-0", "language": "de", "text": "david anrufen ;"}]),
+        "align": write_jsonl(tmp / "align.jsonl", [
+            {"id": "en-0", "language": "de", "pairs": [[0, 1], [1, 0]]}]),
+        **inputs,
+    }
+    return ["project-mt", *(item for name, path in files.items()
+                            for item in (f"--{name}", path)),
+            "--out", tmp / "out" / "proj.jsonl"]
+
+
+# Each flag whose file is read as a ``RecordRows`` view: its argv given the
+# data fixture, the path given and tmp_path.
+VIEW_INPUTS = {
+    "augment-dataset": lambda d, bad, tmp: [
+        "augment", "--method", "rs", "--dataset", bad, "--seed", "1", "--k", "2",
+        "--out", tmp / "out" / "rs.jsonl"],
+    "mix-real": lambda d, bad, tmp: [
+        "mix", "--real", bad, "--updates", "10", "--batch", "2", "--seed", "1",
+        "--out", tmp / "out" / "manifest.jsonl"],
+    "project-mt-dataset": lambda d, bad, tmp: _project_mt_argv(d, tmp, dataset=bad),
+    "project-mt-mt": lambda d, bad, tmp: _project_mt_argv(d, tmp, mt=bad),
+    "project-mt-align": lambda d, bad, tmp: _project_mt_argv(d, tmp, align=bad),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIEW_INPUTS))
+def test_a_directory_input_is_named_by_its_path(data, tmp_path, caplog, case):
+    # The view opens a directory without fault, and its read fails on the
+    # descriptor: the error names the path, not the descriptor's number.
+    bad = tmp_path / "rows"
+    bad.mkdir()
+    assert run(*VIEW_INPUTS[case](data, bad, tmp_path)) == 1
+    assert _one_error(caplog) == f"[Errno 21] Is a directory: {str(bad)!r}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_preprocess_pizza_original_names_the_line_of_a_row_without_cf(tmp_path, caplog):
     src, top = PIZZA_ROWS[0]
     bad = write_jsonl(tmp_path / "pizza.jsonl", [{"train.SRC": src, "train.TOP": top}])
@@ -1621,6 +1701,37 @@ def test_malformed_setting_file_is_a_one_line_error(
     if flag == "--cf-templates" and "size_values" in content:
         # A key that is no template field is named, not type-checked.
         assert "unknown CF template key 'size_values'" in caplog.text
+
+
+ANCHOR_EN = {"text": "call bob", "parse": "[IN:CREATE_CALL [SL:CONTACT bob ] ]"}
+ANCHOR_PAIR = ('an object of "en" and "tgt", each an object of a "text" and a '
+               '"parse" string')
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--nbest-in", [{"de": {"call": ["anrufen"]}}],
+     "a slot n-best must be an object of {language: {English value: "
+     "[candidates]}}, got list"),
+    ("--nbest-in", {"de": ["anrufen"]},
+     "the n-best of 'de' must be an object of {English value: [candidates]}, got list"),
+    ("--anchors", [{"de": {"en": ANCHOR_EN, "tgt": ANCHOR_EN}}],
+     "an anchor file must be an object of {language: pair}, got list"),
+    ("--anchors", {"de": "bob anrufen"},
+     f"the anchor pair of 'de' must be {ANCHOR_PAIR}, got str"),
+    ("--anchors", {"de": {"en": ANCHOR_EN}},
+     f"the anchor pair of 'de' must be {ANCHOR_PAIR}; it has no 'tgt'"),
+    ("--anchors", {"de": {"en": ANCHOR_EN, "tgt": ["bob anrufen"]}},
+     f"the anchor pair of 'de' must be {ANCHOR_PAIR}; its 'tgt' is ['bob anrufen']"),
+], ids=["nbest-list-at-the-top", "nbest-list-under-a-language",
+        "anchors-list-at-the-top", "anchor-pair-not-an-object",
+        "anchor-pair-without-tgt", "anchor-side-not-an-object"])
+def test_a_wrong_shape_names_its_level_and_the_shape_wanted(
+    data, tmp_path, caplog, flag, content, message
+):
+    bad = write_json(tmp_path / "bad.json", content)
+    code = run(*augment_argv(data, "ts", tmp_path / "out.jsonl", "--k", "2", flag, bad))
+    assert_one_line_error(caplog, code, bad)
+    assert _one_error(caplog) == f"{bad}: {message}"
 
 
 @pytest.mark.parametrize("method", ["ts", "tb", "mt"])

@@ -4,12 +4,14 @@ import ast
 import gc
 import io
 import json
-import multiprocessing
 import os
+import signal
 import tempfile
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from clasp.datasets import (
     FileMalformed,
     RecordWriter,
     RowMalformed,
+    WorkerLost,
     decode_mtop_line,
     iter_records,
     map_chunks,
@@ -33,6 +36,7 @@ from clasp.datasets import (
     record_line,
     write_jsonl,
 )
+from conftest import assert_no_child_left
 
 
 def read_records(path, *fields) -> list:
@@ -263,7 +267,7 @@ class TestReadJsonl:
         pids, chunks = zip(*mapped)
         assert os.getpid() not in pids
         assert [ex for chunk in chunks for ex in chunk] == here
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         with ThreadPoolExecutor(max_workers=4) as pool:
             order = [i for _ in range(5) for i in reversed(range(40))]
             assert list(pool.map(view.__getitem__, order)) == [here[i] for i in order]
@@ -493,7 +497,7 @@ class TestMapRows:
         with pytest.raises(RowMalformed, match=rf"w\.txt:{line}: no good"):
             with RecordWriter(tmp_path / "bad.jsonl") as out:
                 map_rows(path, str.strip, failing, out)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_the_main_process_holds_no_line_of_a_chunk(self, tmp_path, monkeypatch):
         # With workers, the main process numbers the lines and sends each
@@ -521,9 +525,44 @@ class TestMapRows:
             finally:
                 tracemalloc.stop()
             assert read_records(tmp_path / f"{length}.jsonl") == [{"i": i} for i in range(600)]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         # The block being split into lines is the same size for both.
         assert peaks[4000] - peaks[100] <= datasets._READ_BYTES, peaks
+
+    def test_the_main_process_holds_one_chunk_result_at_a_time(self, tmp_path, monkeypatch):
+        # A writer slower than the workers: a finished chunk waits in its
+        # worker's pipe, so the main process holds the chunk it writes and
+        # the one it reads, not the _AHEAD_PER_WORKER * 2 chunks sent.
+        monkeypatch.setattr(datasets, "_CHUNK_ROWS", 50)
+        two_cpus(monkeypatch)
+        width = 20_000
+        text_bytes = 50 * len(record_line({"i": 100, "t": "x" * width}))  # one chunk's text
+        path = write(tmp_path / "w.txt", [str(i) for i in range(400)])
+        write_text = RecordWriter.write_text
+
+        def writing(self, text, count):
+            time.sleep(0.05)
+            write_text(self, text, count)
+
+        def mapped():
+            with RecordWriter(tmp_path / "out.jsonl") as out:
+                map_rows(path, str.strip,
+                         lambda i, w: ({"i": int(w), "t": "x" * width}, False), out)
+
+        mapped()  # imports what a map loads
+        monkeypatch.setattr(RecordWriter, "write_text", writing)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mapped()
+            grown = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert_no_child_left()
+        assert [row["i"] for row in read_records(tmp_path / "out.jsonl")] == list(range(400))
+        # The text written, the pickle read and the text built from it.
+        assert grown <= 3.5 * text_bytes, (grown, text_bytes)
 
     def test_write_encodes_with_record_line(self, tmp_path):
         rows = [{"a": "\u00e9"}, {"b": [1, None]}]
@@ -534,6 +573,141 @@ class TestMapRows:
             text.write_text("".join(map(record_line, rows)), len(rows))
         assert one.count == text.count == 2
         assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "text.jsonl").read_bytes()
+
+
+def two_cpus(monkeypatch) -> None:
+    monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def open_descriptors() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+class RebuildFails(Exception):
+    """Pickles, but its pickle does not rebuild: ``__init__`` wants two
+    arguments and ``args`` holds one."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+class PicklesNot(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def test_the_no_child_check_fails_while_a_child_is_unreaped():
+    wait_end, wake_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.read(wait_end, 1)
+        finally:
+            os._exit(0)
+    try:
+        with pytest.raises(AssertionError, match="left unreaped"):
+            assert_no_child_left()  # running
+        os.write(wake_end, b"x")
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        with pytest.raises(AssertionError, match="left unreaped"):
+            assert_no_child_left()  # exited, not reaped
+    finally:
+        os.close(wait_end)
+        os.close(wake_end)
+        os.waitpid(pid, 0)
+    assert_no_child_left()
+
+
+class TestMapChunks:
+    @pytest.mark.parametrize("end", ["whole", "closed-early", "a-chunk-fails"])
+    def test_workers_take_chunks_in_turn_and_leave_nothing_open(self, monkeypatch, end):
+        # No thread starts here; chunk i is mapped by worker i mod 2; and
+        # however the map ends, every pipe is closed and every worker reaped.
+        two_cpus(monkeypatch)
+
+        def forbidden(self):
+            raise AssertionError("a thread was started")
+
+        def task(i):
+            if end == "a-chunk-fails" and i == 5:
+                raise RowMalformed(f"chunk {i}")
+            return i, os.getpid()
+
+        before = open_descriptors()
+        monkeypatch.setattr(threading.Thread, "start", forbidden)
+        taken = []
+        with closing(map_chunks(task, range(9))) as results:
+            if end == "a-chunk-fails":
+                with pytest.raises(RowMalformed, match="chunk 5"):
+                    taken.extend(results)
+            else:
+                taken.extend(results if end == "whole" else [next(results), next(results)])
+        chunks, pids = zip(*taken)
+        assert list(chunks) == list(range({"whole": 9, "closed-early": 2}.get(end, 5)))
+        assert pids[0] != pids[1] and os.getpid() not in pids
+        assert all(pid == pids[i % 2] for i, pid in enumerate(pids))
+        assert open_descriptors() == before
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("at", ["read", "send"])
+    def test_a_worker_that_dies_is_one_worker_lost(self, tmp_path, monkeypatch, at):
+        # Worker 0 maps chunks 0, 2, 4...; chunks 0 to 3 are sent at once.
+        # Killed at chunk 0, its result pipe ends; killed at chunk 2, the
+        # send of chunk 4 to it, after chunk 0 is taken, finds its request
+        # pipe closed, for the chunks wait until it is dead.
+        two_cpus(monkeypatch)
+        dying = tmp_path / "pid"
+        fatal = 0 if at == "read" else 2
+
+        def task(i):
+            if i == fatal:
+                dying.write_text(f"{os.getpid()}\n")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        def chunks():
+            for i in range(8):
+                if i == 4:
+                    deadline = time.monotonic() + 30
+                    while not dying.exists() or not dying.read_text().endswith("\n"):
+                        assert time.monotonic() < deadline
+                        time.sleep(0.005)
+                    pid = int(dying.read_text())
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                yield i
+
+        before = open_descriptors()
+        taken = []
+        with pytest.raises(WorkerLost, match="^a worker process died before returning its chunk$"):
+            taken.extend(map_chunks(task, chunks()))
+        assert taken == ([] if at == "read" else [0])
+        assert open_descriptors() == before
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("value, name", [
+        (RebuildFails("no rebuild", 1), "RebuildFails"),
+        (PicklesNot("no pickle"), "PicklesNot"),
+        (lambda: None, "function"),
+    ], ids=["exception-that-does-not-rebuild", "exception-that-does-not-pickle",
+            "result-that-does-not-pickle"])
+    def test_what_cannot_be_sent_back_is_one_worker_lost_naming_its_type(
+        self, monkeypatch, value, name
+    ):
+        two_cpus(monkeypatch)
+
+        def task(i):
+            if i == 3:
+                if isinstance(value, Exception):
+                    raise value
+                return value
+            return i
+
+        taken = []
+        with pytest.raises(WorkerLost, match=f"^a worker could not send back the {name} of its chunk: "):
+            taken.extend(map_chunks(task, range(6)))
+        assert taken == [0, 1, 2]
+        assert_no_child_left()
 
 
 class TestOrderedMap:
