@@ -283,7 +283,7 @@ def _cover_text(parse_text: str, dialect: Dialect, i: int) -> str:
     """Text containing every leaf-slot value of the parse, in order."""
     try:
         refs = leaf_slots(parse_tree(parse_text, dialect))
-    except Exception:
+    except TreeError:
         refs = []
     values = " ".join(ref.value_text for ref in refs)
     # A filler sharing a word with a slot would take that slot's span from

@@ -25,10 +25,12 @@ so its jobs go in chunks (``datasets._CHUNK_ROWS``, 1000) through
 ``datasets.map_chunks``, one request at a time: one forked worker per CPU
 maps them, at most two chunks per worker ahead of the one being written,
 and a run of one chunk, or on one CPU, stays in this process. An HTTP
-backend waits on the network, so its jobs run in this process with
---max-inflight requests in flight, each on its own thread, at most a few
-tasks per request slot built ahead of the row being written, and each row
-is written when it is finished. --max-inflight is an HTTP setting: a mock
+backend waits on the network, so its jobs run in this process: at
+--max-inflight 1 one request at a time with no thread, and above that on
+one pool of --max-inflight request threads, with at most
+``_WINDOW_PER_SLOT`` tasks per request slot built ahead of the row being
+written. Either way each row is built from its outputs and written on
+the main thread, in task order. --max-inflight is an HTTP setting: a mock
 run starts no thread, since request threads only add to its CPU work
 (``augment gb --k 1000`` on a 20k-row pool took 1.76 s with 4 in flight
 against 1.25 s with 1, the same rows; medians of 7 runs of the whole
@@ -40,6 +42,12 @@ pool too small, a language without an anchor pair or a name in the
 prompt templates, an --nbest-in file without a value the run renders, an
 unreadable file) stop the run before its first request and leave no
 ``.partial``.
+
+Before any work, augment, project-mt, mix and score resolve every path
+they may write (rows, stats record and table, slot n-best, plan and
+``.partial``): two that are one file, where the later would replace the
+earlier, end the command with one error line naming both, and no file is
+written.
 
 Row files stream (see ``datasets``). preprocess-pizza and preprocess-mtop
 map their rows with ``datasets.map_rows``: this process numbers the input
@@ -75,11 +83,12 @@ import json
 import logging
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import replace as dc_replace
+from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -97,7 +106,6 @@ from .datasets import (
     iter_records,
     map_chunks,
     map_rows,
-    ordered_map,
     packaged,
     pizza_line_decoder,
     read_json,
@@ -464,62 +472,61 @@ def _task_seed(seed: int, i: int) -> int:
     return seed * 1_000_003 + i
 
 
-def _generate(backend, jobs, cfg: DecodingConfig, max_inflight: int):
-    """Yield ``(job, outputs)`` for each job of ``jobs``, in order; a job is
-    a tuple whose last item is its prompt, and a None prompt gets None
-    without a request.
+def _pass(backend, jobs, finish, cfg: DecodingConfig, n: int, max_inflight: int):
+    """Yield ``finish(*job, outputs)`` for each job of ``jobs(0, n)``, in
+    job order: ``jobs(start, stop)`` yields the jobs ``start <= i < stop``,
+    each a tuple whose last item is its prompt, and a None prompt gets None
+    without a request. The one generate loop of ``augment``.
 
-    At most ``max_inflight`` requests run at once, each on its own thread
-    when there is more than one, and ``jobs`` is read at most
-    ``_WINDOW_PER_SLOT * max_inflight`` jobs ahead of the one yielded.
+    The mock's jobs go through ``map_chunks`` in ``chunk_spans(n)``, one
+    request at a time, so ``map_chunks`` alone decides whether they run on
+    forked workers or here; a chunk keeps the jobs it finished before
+    whatever stopped it (a backend failure, an interrupt), and they are
+    yielded before that is raised. An HTTP backend's jobs run here, one at
+    a time at ``max_inflight`` 1. Above that, each request runs on one of
+    ``max_inflight`` threads, at most ``_WINDOW_PER_SLOT * max_inflight``
+    jobs are submitted ahead of the one yielded, and ``finish`` runs on
+    this thread, in job order; a run stopped early sends none of the
+    queued requests.
     """
 
     def call(job):
         prompt = job[-1]
         return job, None if prompt is None else backend.generate(prompt, cfg)
 
-    if max_inflight <= 1:
-        yield from map(call, jobs)
-        return
-    pool = ThreadPoolExecutor(max_workers=max_inflight)
-    try:
-        yield from ordered_map(pool, call, jobs, _WINDOW_PER_SLOT * max_inflight)
-    finally:
-        # A run stopped early sends none of the queued requests.
-        pool.shutdown(cancel_futures=True)
-
-
-def _pass(backend, jobs, finish, cfg: DecodingConfig, n: int, max_inflight: int):
-    """Yield ``finish(*job, outputs)`` for each job of ``jobs(0, n)``, in
-    job order: ``jobs(start, stop)`` yields the jobs ``start <= i < stop``
-    (see ``_generate``). The one generate loop of ``augment``.
-
-    The mock's jobs go through ``map_chunks`` in ``chunk_spans(n)``, one
-    request at a time, so ``map_chunks`` alone decides whether they run on
-    forked workers or here; a chunk keeps the jobs it finished before
-    whatever stopped it (a backend failure, an interrupt), and they are
-    yielded before that is raised. An HTTP backend's jobs run here with
-    ``max_inflight`` requests in flight, each yielded when it is finished.
-    """
-
     def chunk(span):
         done = []
         try:
-            for job, outs in _generate(backend, jobs(*span), cfg, 1):
+            for job, outs in map(call, jobs(*span)):
                 done.append(finish(*job, outs))
         except BaseException as exc:
             return done, exc
         return done, None
 
-    if not isinstance(backend, MockBackend):
-        for job, outs in _generate(backend, jobs(0, n), cfg, max_inflight):
+    if isinstance(backend, MockBackend):
+        with closing(map_chunks(chunk, chunk_spans(n))) as chunks:
+            for done, error in chunks:
+                yield from done
+                if error is not None:
+                    raise error
+    elif max_inflight == 1:
+        for job, outs in map(call, jobs(0, n)):
             yield finish(*job, outs)
-        return
-    with closing(map_chunks(chunk, chunk_spans(n))) as chunks:
-        for done, error in chunks:
-            yield from done
-            if error is not None:
-                raise error
+    else:
+        todo = jobs(0, n)
+        pool = ThreadPoolExecutor(max_workers=max_inflight)
+        try:
+            window = deque(
+                pool.submit(call, job)
+                for job in islice(todo, _WINDOW_PER_SLOT * max_inflight)
+            )
+            while window:
+                job, outs = window.popleft().result()
+                for job_ahead in islice(todo, 1):
+                    window.append(pool.submit(call, job_ahead))
+                yield finish(*job, outs)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def cmd_augment(args: argparse.Namespace) -> None:
@@ -527,6 +534,12 @@ def cmd_augment(args: argparse.Namespace) -> None:
     gated or falls back, and its row written, in task order."""
     _merge_config(args)
     spec = prompts.METHODS[prompts.Method(args.method)]
+    outputs = _stats_outputs(args)
+    outputs["partial rows"] = str(args.out) + ".partial"
+    if spec.family == "mtop" and args.method != "mt" and not args.nbest_in:
+        args.nbest_out = args.nbest_out or str(args.out) + ".nbest.json"
+        outputs["slot n-best"] = args.nbest_out
+    _check_outputs(outputs)
     # rs looks its pool up by id and gb by text (``_pizza_tasks``); the
     # mtop methods index it by position only.
     key = ("id" if args.method == "rs" else "text") if spec.family == "pizza" else None
@@ -560,7 +573,7 @@ def cmd_augment(args: argparse.Namespace) -> None:
                 return record_line(row), event
 
             events: Counter[gate.GateEvent] = Counter()
-            partial = str(args.out) + ".partial"
+            partial = outputs["partial rows"]
             with RecordWriter(args.out, partial) as writer:
                 try:
                     for line, event in _pass(
@@ -578,7 +591,7 @@ def cmd_augment(args: argparse.Namespace) -> None:
             backend.close()
     if events:
         stats = gate.compile_stats(list(events.elements()))
-        _write_stats(args, stats.to_record(), stats.to_table())
+        _write_stats(outputs, stats.to_record(), stats.to_table())
     log.info("wrote %d rows to %s", writer.count, args.out)
 
 
@@ -843,10 +856,9 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
     found = _pass(backend, jobs, finish, cfg, len(langs) * len(values), args.max_inflight)
     for n, candidates in enumerate(found):
         lists.setdefault(langs[n // len(values)], {})[values[n % len(values)]] = candidates
-    nbest_out = args.nbest_out or str(args.out) + ".nbest.json"
-    with RecordWriter(nbest_out) as out:
+    with RecordWriter(args.nbest_out) as out:
         json.dump(lists, out.file, ensure_ascii=False, indent=2)
-    log.info("wrote slot n-best lists for %d values to %s", len(values), nbest_out)
+    log.info("wrote slot n-best lists for %d values to %s", len(values), args.nbest_out)
     return gate.SlotNBestMap(lists)
 
 
@@ -863,9 +875,31 @@ def _slot_candidates(outs, templates) -> tuple[str, ...]:
     return tuple(dict.fromkeys(candidates))
 
 
-def _write_stats(args, record: dict, table: str) -> None:
+def _stats_outputs(args) -> dict[str, str]:
+    """The rows, stats record and stats table paths of augment and
+    project-mt: the record is --stats-out, by default beside --out, and
+    the table is the record's path with a .txt suffix."""
     stats_json = args.stats_out or str(Path(args.out).with_suffix("")) + ".stats.json"
-    stats_txt = str(Path(stats_json).with_suffix(".txt"))
+    return {
+        "rows": str(args.out),
+        "stats record": stats_json,
+        "stats table": str(Path(stats_json).with_suffix(".txt")),
+    }
+
+
+def _check_outputs(outputs: dict[str, str]) -> None:
+    """Stop the command before any work if two of its outputs, each named
+    by what it holds, are one file: the later would replace the earlier."""
+    seen: dict[Path, str] = {}
+    for name, path in outputs.items():
+        where = Path(path).resolve()
+        if where in seen:
+            raise CliError(f"the {seen[where]} and the {name} ({path}) are the same file")
+        seen[where] = f"{name} ({path})"
+
+
+def _write_stats(outputs: dict[str, str], record: dict, table: str) -> None:
+    stats_json, stats_txt = outputs["stats record"], outputs["stats table"]
     atomic_write_text(stats_json, json.dumps(record, ensure_ascii=False, indent=2) + "\n")
     atomic_write_text(stats_txt, table)
     log.info("wrote stats to %s and %s", stats_json, stats_txt)
@@ -888,6 +922,8 @@ def cmd_project_mt(args: argparse.Namespace) -> None:
     projection is counted by its (language, failure modes), and its tree
     is dropped once its row is written.
     """
+    outputs = _stats_outputs(args)
+    _check_outputs(outputs)
     with ExitStack() as views:
         mt = views.enter_context(RecordRows(args.mt, ("id", "language", "text")))
         if not mt:
@@ -955,7 +991,7 @@ def cmd_project_mt(args: argparse.Namespace) -> None:
 
         written = write_jsonl(args.out, projected())
     stats = projection.mt_stats(verdicts)
-    _write_stats(args, stats.to_record(), stats.to_table())
+    _write_stats(outputs, stats.to_record(), stats.to_table())
     if unbound:
         log.info("skipped %d rows whose source slots were not contiguous", unbound)
     log.info("wrote %d projected examples to %s", written, args.out)
@@ -984,6 +1020,8 @@ def _alignment_key(record) -> tuple[str, str | None]:
 
 
 def cmd_mix(args: argparse.Namespace) -> None:
+    plan_path = args.plan_out or str(Path(args.out).with_suffix("")) + ".plan.json"
+    _check_outputs({"manifest": args.out, "plan": plan_path})
     for flag, value in (("--updates", args.updates), ("--batch", args.batch)):
         if value <= 0:
             raise CliError(f"{flag} must be positive, got {value}")
@@ -1001,7 +1039,6 @@ def cmd_mix(args: argparse.Namespace) -> None:
                                batch_size=args.batch)
         lines = mixing.emit_manifest(plan, real, synthetic, seed=args.seed,
                                      path=args.out, real_tag=args.real_tag)
-    plan_path = args.plan_out or str(Path(args.out).with_suffix("")) + ".plan.json"
     atomic_write_text(
         plan_path, json.dumps(plan.to_record(), ensure_ascii=False, indent=2) + "\n"
     )
@@ -1015,6 +1052,9 @@ def cmd_mix(args: argparse.Namespace) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> None:
+    if args.out:
+        table_path = str(Path(args.out).with_suffix(".txt"))
+        _check_outputs({"score record": args.out, "score table": table_path})
     # Only what scoring reads: the parse of each hyp row, and the parse and
     # language of each ref row.
     hyp = {str(r["id"]): str(r["parse"]) for r in iter_records(args.hyp, "id", "parse")}
@@ -1044,7 +1084,7 @@ def cmd_score(args: argparse.Namespace) -> None:
             args.out,
             json.dumps(report.to_record(), ensure_ascii=False, indent=2) + "\n",
         )
-        atomic_write_text(str(Path(args.out).with_suffix(".txt")), table)
+        atomic_write_text(table_path, table)
     sys.stdout.write(table)
 
 

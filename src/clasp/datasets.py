@@ -52,7 +52,6 @@ import tempfile
 import weakref
 from array import array
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Sequence
 from contextlib import closing
 from dataclasses import dataclass
@@ -747,21 +746,6 @@ def _read(fd: int, n: int) -> bytearray | None:
             return None
         got += read
     return data
-
-
-def ordered_map(
-    pool, fn: Callable[[Any], T], items: Iterable[Any], ahead: int
-) -> Iterator[T]:
-    """Yield ``fn(item)`` for each of ``items``, in order, each run on the
-    executor ``pool``. ``items`` is read at most ``ahead`` items ahead of
-    the one yielded; shutting ``pool`` down is the caller's."""
-    items = iter(items)
-    window = deque(pool.submit(fn, item) for item in islice(items, ahead))
-    while window:
-        result = window.popleft().result()
-        for item in islice(items, 1):
-            window.append(pool.submit(fn, item))
-        yield result
 
 
 def _chunks(

@@ -410,7 +410,7 @@ def build_sent_mt_prompt(
 
 
 def split_generation(
-    method: Method | str, raw_output: str, templates: PromptTemplates = PromptTemplates()
+    method: Method, raw_output: str, templates: PromptTemplates = PromptTemplates()
 ) -> SplitCandidate:
     """Invert the continuation format: extract text and/or parse fields.
 
@@ -418,10 +418,6 @@ def split_generation(
     duplicated for the method's expected shape.
     """
     t = templates
-    # The slot n-best pass splits every beam of every request, and Method()
-    # of a member costs more than a text-only split.
-    if not isinstance(method, Method):
-        method = Method(method)
     raw = raw_output.strip()
     if raw.count(t.terminator) != 1 or not raw.endswith(t.terminator):
         raise InvalidSeparators(f"expected exactly one trailing {t.terminator!r}")
@@ -448,7 +444,7 @@ def split_generation(
 
 
 def continuation_for(
-    method: Method | str,
+    method: Method,
     *,
     text: str,
     parse_text: str | None = None,
@@ -460,10 +456,6 @@ def continuation_for(
     The one renderer of the continuation format: every prompt example and
     the mock's outputs are its output."""
     t = templates
-    # A prompt renders one continuation per example, and Method() of a
-    # member costs more than a text-only render.
-    if not isinstance(method, Method):
-        method = Method(method)
     if not METHODS[method].pair:
         return f"{text}{t.terminator}"
     if parse_text is None:

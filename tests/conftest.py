@@ -6,6 +6,7 @@ import json
 import os
 import random
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -49,7 +50,10 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
     (status, close) popped one per POST, then 200 without closing; close
     is "header" (send ``Connection: close``) or "silent" (hang up after
     the response without saying so). A 200 carries ``n`` outputs with the
-    text ``server.text``. A CONNECT is refused with 502.
+    text ``server.text``. The first POST waits ``server.first_delay``
+    seconds before it answers, and ``server.answered`` lists each POST's
+    place in ``server.seen`` in the order the answers were sent. A CONNECT
+    is refused with 502.
     """
 
     protocol_version = "HTTP/1.1"
@@ -59,10 +63,13 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         srv = self.server
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         with srv.lock:
+            place = len(srv.seen)
             srv.seen.append(
                 (self.client_address, "POST", self.path, dict(self.headers), payload)
             )
             status, close = srv.script.pop(0) if srv.script else (200, None)
+        if place == 0:
+            time.sleep(srv.first_delay)
         outputs = [{"text": srv.text, "score": 0.5}] * int(payload.get("n", 1))
         body = json.dumps({"outputs": outputs}).encode() if status == 200 else b"{}"
         self.send_response(status)
@@ -72,6 +79,8 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+        with srv.lock:
+            srv.answered.append(place)
         if close == "silent":
             self.close_connection = True
 
@@ -96,6 +105,7 @@ def keepalive_server():
     server.daemon_threads = True
     server.lock = threading.Lock()
     server.seen, server.script, server.text = [], [], "out;"
+    server.first_delay, server.answered = 0.0, []
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
     )

@@ -149,6 +149,17 @@ class TestMockBackend:
         text = split_generation(Method.REPLACE_SLOTS, outs[0].text).text
         assert "five" not in text.split()
 
+    def test_a_malformed_context_parse_gets_the_filler_alone(self):
+        # gb covers the slot values of a context parse; one that does not
+        # parse has none, so its text is the first filler alone.
+        context = [Example("m", "en", "two pies", "(ORDER (PIZZAORDER (NUMBER two )")]
+        (out,) = MockBackend([MockRule()]).generate(
+            build_gb_prompt(context), DecodingConfig("greedy")
+        )
+        cand = split_generation(Method.GENERATE_BOTH, out.text)
+        assert cand.parse_text == context[0].parse
+        assert cand.text == "please get me thanks"
+
     def test_unknown_entity_edits_only_the_slot_tokens(self):
         # The first slot of these context parses is Number=a, a letter that
         # also occurs inside labels and the translation cue.

@@ -779,6 +779,25 @@ def test_partial_is_the_same_with_requests_in_flight(
     ]
 
 
+def test_rows_keep_task_order_when_answers_come_out_of_order(
+    data, tmp_path, monkeypatch, keepalive_server
+):
+    # Every candidate of the server's "out;" fails the gate, so each row is
+    # its task's seeded fallback draw, and a row written out of task order
+    # would show.
+    server, url = keepalive_server
+    monkeypatch.setenv("CLASP_BACKEND_ENDPOINT", url)
+    one_at_a_time = tmp_path / "one.jsonl"
+    assert run(*_http_gb_argv(data, one_at_a_time, 1)) == 0
+    server.seen, server.answered, server.first_delay = [], [], 0.2
+    out = tmp_path / "out.jsonl"
+    assert run(*_http_gb_argv(data, out, 3)) == 0
+    assert server.answered[0] != 0
+    rows = read_records(out)
+    assert len({row["text"] for row in rows}) > 1
+    assert rows == read_records(one_at_a_time)
+
+
 @pytest.mark.parametrize("inflight", [1, 3])
 def test_tasks_are_built_within_the_window(
     data, tmp_path, monkeypatch, keepalive_server, inflight
@@ -1533,6 +1552,61 @@ def test_score_reports_exact_match(data, tmp_path, capsys):
     rendered = tmp_path / "report.txt"
     assert run("report", "--in", out, "--out", rendered) == 0
     assert rendered.read_bytes() == (tmp_path / "score.txt").read_bytes()
+
+
+def _colliding_runs(data: Path, d: Path) -> dict[str, tuple[list, str]]:
+    """(argv, error) of each command run with two outputs that are one
+    file; ``d`` holds the project-mt inputs and every output."""
+    out, stats, score = d / "out.jsonl", d / "s.txt", d / "r.txt"
+    project = ["project-mt", "--dataset", data / "mtop.jsonl", "--mt", d / "mt.jsonl",
+               "--align", d / "align.jsonl", "--out", out]
+    return {
+        "augment-stats-table": (
+            augment_argv(data, "gb", out, "--k", "3", "--stats-out", stats),
+            f"the stats record ({stats}) and the stats table ({stats})"),
+        "augment-stats-rows": (
+            augment_argv(data, "gb", out, "--k", "3", "--stats-out", out),
+            f"the rows ({out}) and the stats record ({out})"),
+        "augment-stats-partial": (
+            augment_argv(data, "rs", out, "--k", "3", "--stats-out", f"{out}.partial"),
+            f"the stats record ({out}.partial) and the partial rows ({out}.partial)"),
+        "augment-nbest-rows": (
+            augment_argv(data, "ts", out, "--k", "3", "--nbest-out", out),
+            f"the rows ({out}) and the slot n-best ({out})"),
+        "augment-nbest-stats": (
+            augment_argv(data, "tb", out, "--k", "3", "--nbest-out", d / "out.stats.json"),
+            f"the stats record ({d / 'out.stats.json'}) and the slot n-best "
+            f"({d / 'out.stats.json'})"),
+        "project-mt-stats-table": (
+            [*project, "--stats-out", stats],
+            f"the stats record ({stats}) and the stats table ({stats})"),
+        "project-mt-stats-rows": (
+            [*project, "--stats-out", out],
+            f"the rows ({out}) and the stats record ({out})"),
+        "score-table": (
+            ["score", "--hyp", data / "mtop.jsonl", "--ref", data / "mtop.jsonl",
+             "--metric", "uem", "--out", score],
+            f"the score record ({score}) and the score table ({score})"),
+        "mix-plan-rows": (
+            ["mix", "--real", data / "pool.jsonl", "--updates", "10", "--batch", "2",
+             "--seed", "1", "--out", out, "--plan-out", f"{d}/./out.jsonl"],
+            f"the manifest ({out}) and the plan ({d}/./out.jsonl)"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_colliding_runs(Path("data"), Path("d"))))
+def test_outputs_that_are_one_file_are_a_one_line_error(data, tmp_path, caplog, case):
+    # The later output would replace the earlier: the command stops before
+    # any work and writes or replaces no file.
+    argv, error = _colliding_runs(data, tmp_path)[case]
+    write_jsonl(tmp_path / "mt.jsonl", [_MT_ROW])
+    write_jsonl(tmp_path / "align.jsonl", [{"id": "en-0", "pairs": IDENTITY}])
+    for name in ("out.jsonl", "s.txt", "r.txt"):
+        (tmp_path / name).write_text("kept\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(*argv) == 1
+    assert _one_error(caplog) == f"{error} are the same file"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("record", [

@@ -29,7 +29,6 @@ from clasp.datasets import (
     iter_records,
     map_chunks,
     map_rows,
-    ordered_map,
     pizza_line_decoder,
     read_json,
     read_jsonl,
@@ -708,29 +707,6 @@ class TestMapChunks:
             taken.extend(map_chunks(task, range(6)))
         assert taken == [0, 1, 2]
         assert_no_child_left()
-
-
-class TestOrderedMap:
-    def test_results_come_in_order_within_the_window(self):
-        read = []
-
-        def items():
-            for i in range(20):
-                read.append(i)
-                yield i
-
-        def slow_first(i):
-            if i == 0:
-                time.sleep(0.05)
-            return i * i
-
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            out = []
-            for result in ordered_map(pool, slow_first, items(), 4):
-                out.append(result)
-                # The item yielded, plus at most 4 read ahead of it.
-                assert len(read) <= len(out) + 4
-        assert out == [i * i for i in range(20)]
 
 
 class TestExample:

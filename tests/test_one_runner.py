@@ -1,6 +1,7 @@
 """Where generate work runs is decided in one place: ``cli._pass`` is the
-only code of ``cli`` that names ``map_chunks`` or ``_generate``, and
-``datasets`` is the only module that reads the CPUs."""
+only code of ``cli`` that names ``map_chunks`` or ``ThreadPoolExecutor``,
+so only it maps chunks or starts request threads, and ``datasets`` is the
+only module that reads the CPUs."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import clasp
 
 SOURCES = Path(clasp.__file__).parent
 RUNNER = "_pass"
-RUN_NAMES = {"map_chunks", "_generate"}
+RUN_NAMES = {"map_chunks", "ThreadPoolExecutor"}
 
 
 def _names(node: ast.AST) -> list[tuple[str, int]]:
@@ -67,16 +68,17 @@ def test_only_datasets_reads_the_cpus():
 def test_guards_see_a_violation(tmp_path):
     src = tmp_path / "sample.py"
     src.write_text(
+        "from concurrent.futures import ThreadPoolExecutor\n"
         "from os import sched_getaffinity\n"
         "def _pass(jobs):\n"
         "    def chunk(span):\n"
-        "        return _generate(span)\n"
+        "        return ThreadPoolExecutor(2).map(len, span)\n"
         "    return map_chunks(chunk, jobs)\n"
         "def other(jobs):\n"
         "    return datasets.map_chunks(len, jobs)\n"
-        "run = functools.partial(_generate, 1)\n"
+        "pool = ThreadPoolExecutor(max_workers=4)\n"
         "cpus = len(os.sched_getaffinity(0))\n",
         encoding="utf-8",
     )
-    assert runs_outside_the_runner(src) == ["sample.py:7", "sample.py:8"]
-    assert cpu_reads(src) == ["sample.py:1", "sample.py:9"]
+    assert runs_outside_the_runner(src) == ["sample.py:8", "sample.py:9"]
+    assert cpu_reads(src) == ["sample.py:2", "sample.py:10"]
