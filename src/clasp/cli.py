@@ -21,10 +21,12 @@ no language is an error.
 and each row goes in task order to a temp file beside --out that is
 renamed onto --out when the run ends. One runner, ``_pass``, serves the
 task pass and the ts/tb slot n-best pass. The mock answers with CPU work,
-so its jobs go in chunks (``datasets._CHUNK_ROWS``, 1000) through
-``datasets.map_chunks``, one request at a time: one forked worker per CPU
-maps them, at most two chunks per worker ahead of the one being written,
-and a run of one chunk, or on one CPU, stays in this process. An HTTP
+so its jobs go in chunks through ``datasets.map_chunks``, one request at
+a time: one forked worker per CPU maps them, at most two chunks per
+worker ahead of the one being written. A pass of more than
+``datasets._CHUNK_ROWS`` (1000) jobs is cut into equal chunks, as many
+as a multiple of the workers, so each worker maps as many jobs; a pass
+of one chunk, or on one CPU, stays in this process. An HTTP
 backend waits on the network, so its jobs run in this process: at
 --max-inflight 1 one request at a time with no thread, and above that on
 one pool of --max-inflight request threads, with at most
@@ -41,7 +43,19 @@ in ``<out>.partial`` and --out is not created. Errors in the settings (a
 pool too small, a language without an anchor pair or a name in the
 prompt templates, an --nbest-in file without a value the run renders, an
 unreadable file) stop the run before its first request and leave no
-``.partial``.
+``.partial``. So does an output flag the method never writes: --nbest-out
+for rs, gb and mt, or beside --nbest-in, and --stats-out for mt.
+
+The ts/tb slot n-best is a JSON-lines file of one ``{"language",
+"value", "candidates"}`` row per (language, English value), language by
+language and each language's values sorted; --nbest-out defaults to
+``<out>.nbest.jsonl``. The n-best pass writes each row as its job
+finishes, and the run reads the file, or --nbest-in, as a
+``gate.SlotNBestMap`` view keyed by each row's (language, value) and by
+each (language, candidate), so it holds about 60 bytes a row and rereads
+a row only when it looks it up. A row of the wrong shape, or a pool row
+whose parse is malformed, ends the run with one error line naming
+``<file>:<line>``.
 
 Before any work, augment, project-mt, mix and score resolve every path
 they may write (rows, stats record and table, slot n-best, plan and
@@ -65,8 +79,8 @@ the ``datasets.RecordRows`` view it returns: one pass checks every row
 and keeps its byte span, and a row is reread only when a task, the
 manifest or a projection uses it. rs, gb and project-mt look rows up by
 id, text or (id, language) through the view's hashed key index
-(``RecordRows.find``), which holds a hash a row, not the key, and
-compares each found row's own key. A command holds a whole file only
+(``RecordRows.find``), which holds a hash a key, not the key, and
+compares each found row's own keys. A command holds a whole file only
 where it must: score the parses of the hyp and ref rows by id.
 
 Every JSON file a command reads (the setting files of ``augment``, its
@@ -140,10 +154,13 @@ _AUGMENT_FLAGS = {
 _DECODING_FIELDS = get_type_hints(DecodingConfig)
 _AUGMENT_HELP = {
     "langs": "comma-separated target languages (default: every anchor language)",
-    "nbest_in": "ts/tb: read the slot n-best from this file instead of translating "
-    "the slot values; it must hold every value of the rows the run renders",
-    "nbest_out": "ts/tb: write the slot n-best here (default: <out>.nbest.json); "
-    "it holds only the values of the rows the run renders",
+    "nbest_in": "ts/tb: read the slot n-best from this JSON-lines file, as "
+    "--nbest-out writes it, instead of translating the slot values; it must hold "
+    "every value of the rows the run renders",
+    "nbest_out": "ts/tb without --nbest-in: write the slot n-best here as JSON "
+    "lines, one {language, value, candidates} row per (language, English value) "
+    "(default: <out>.nbest.jsonl); it holds only the values of the rows the run "
+    "renders",
     "max_inflight": "HTTP backend: requests in flight, each on its own thread "
     "(default 4); the mock sends one request at a time and ignores it",
 }
@@ -509,6 +526,7 @@ def _pass(backend, jobs, finish, cfg: DecodingConfig, n: int, max_inflight: int)
                 yield from done
                 if error is not None:
                     raise error
+                del done  # not held while the next chunk is mapped
     elif max_inflight == 1:
         for job, outs in map(call, jobs(0, n)):
             yield finish(*job, outs)
@@ -534,16 +552,24 @@ def cmd_augment(args: argparse.Namespace) -> None:
     gated or falls back, and its row written, in task order."""
     _merge_config(args)
     spec = prompts.METHODS[prompts.Method(args.method)]
-    outputs = _stats_outputs(args)
+    translates_slots = spec.family == "mtop" and args.method != "mt"
+    if args.nbest_out and not translates_slots:
+        raise CliError(f"--nbest-out: augment --method {args.method} writes no slot n-best")
+    if args.nbest_out and args.nbest_in:
+        raise CliError("--nbest-out: a run given --nbest-in writes no slot n-best")
+    if args.stats_out and args.method == "mt":
+        raise CliError("--stats-out: augment --method mt gates nothing, so it writes no stats")
+    outputs = {"rows": str(args.out)} if args.method == "mt" else _stats_outputs(args)
     outputs["partial rows"] = str(args.out) + ".partial"
-    if spec.family == "mtop" and args.method != "mt" and not args.nbest_in:
-        args.nbest_out = args.nbest_out or str(args.out) + ".nbest.json"
+    if translates_slots and not args.nbest_in:
+        args.nbest_out = args.nbest_out or str(args.out) + ".nbest.jsonl"
         outputs["slot n-best"] = args.nbest_out
     _check_outputs(outputs)
     # rs looks its pool up by id and gb by text (``_pizza_tasks``); the
     # mtop methods index it by position only.
     key = ("id" if args.method == "rs" else "text") if spec.family == "pizza" else None
-    with read_jsonl(args.dataset, key) as pool:
+    with ExitStack() as views:
+        pool = views.enter_context(read_jsonl(args.dataset, key))
         if not pool:
             raise CliError(f"dataset {args.dataset} is empty")
         if args.k <= 0:
@@ -558,8 +584,10 @@ def cmd_augment(args: argparse.Namespace) -> None:
         cfg = dc_replace(DecodingConfig(*spec.decoding), **args.decoding)
         backend = _load_backend(args)
         try:
-            build = _pizza_tasks if spec.family == "pizza" else _mtop_tasks
-            tasks, to_row = build(args, pool, templates, backend)
+            if spec.family == "pizza":
+                tasks, to_row = _pizza_tasks(args, pool, templates, backend)
+            else:
+                tasks, to_row = _mtop_tasks(args, pool, templates, backend, views)
 
             kinds: dict[gate.GateEvent, gate.GateEvent] = {}
 
@@ -737,13 +765,14 @@ def _mtop_row(i: int, langs: Sequence[str], pool: Sequence[Example]) -> int:
     return (i // len(langs)) % len(pool)
 
 
-def _mtop_tasks(args, pool, templates, backend):
+def _mtop_tasks(args, pool, templates, backend, views: ExitStack):
     """ts/tb/mt: ``tasks(start, stop)`` yields tasks ``start <= i < stop``,
     and task i renders the pool row ``_mtop_row(i, langs, pool)``
     in language langs[i % len(langs)]; mt rows are bare translations with
     no gate. The slot n-best is ready before the first task and covers only
     the leaf-slot values of the rows the tasks render, so --nbest-in must
-    hold each of them; tasks are built as they are read."""
+    hold each of them; its view is closed with ``views``. Tasks are built
+    as they are read."""
     # The shipped pairs by default.
     anchors = read_json(args.anchors or packaged("mtop_anchors.json"), _anchor_pairs)
     langs = args.langs or sorted(anchors)
@@ -756,7 +785,7 @@ def _mtop_tasks(args, pool, templates, backend):
         prompts.require_cross_lingual(templates, lang)
     nbest = None
     if args.method != "mt":
-        nbest = _load_or_build_nbest(args, backend, pool, langs, anchors, templates)
+        nbest = _load_or_build_nbest(args, backend, pool, langs, anchors, templates, views)
 
     def tasks(start, stop):
         j = None
@@ -799,38 +828,38 @@ def _mtop_tasks(args, pool, templates, backend):
     return tasks, to_row
 
 
-def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
-    """The slot n-best of each leaf-slot value of the rows that tasks
-    ``i < k`` render, in each language: read from --nbest-in, which must
-    hold every such (language, value), else translated through the backend
-    and written to --nbest-out. A value that got no candidate is written
-    with an empty list, so the file shows that it was tried.
+def _load_or_build_nbest(args, backend, pool, langs, anchors, templates, views):
+    """The slot n-best view (``gate.SlotNBestMap``) of each leaf-slot value
+    of the rows that tasks ``i < k`` render, in each language: opened on
+    --nbest-in, which must hold every such (language, value), else
+    translated through the backend and written to --nbest-out. A value
+    that got no candidate is written with an empty list, so the file shows
+    that it was tried.
 
     The (language, value) jobs run through ``_pass`` like the tasks, at the
     pass's own decoding. Each rendered row is reread from the pool once, to
-    collect its values. Job n is ``values[n % len(values)]`` in
-    ``langs[n // len(values)]``, so no list of jobs is held; the pass
-    yields each job's deduplicated candidates in job order, and they go
-    straight into the map's lists, keyed by the one string of each value.
-    Beyond the map, what is held is the sorted values and the candidates of
-    the chunk being taken. The file is streamed from the lists by
-    ``json.dump`` into a ``RecordWriter`` temp file, so the write holds
-    neither a copy of the map nor the file's text. Task workers fork after
-    the map is built, so they inherit it."""
+    collect its values; a malformed parse names ``<dataset>:<line>``. Job n
+    is ``values[n % len(values)]`` in ``langs[n // len(values)]``, so no
+    list of jobs is held, and each job's ``finish`` encodes its row, which
+    is written as it arrives, in job order: language by language, values
+    sorted. What is held is the sorted values and the lines of the chunk
+    being taken; the view then holds a few bytes a key, and ``views``
+    closes it. Task workers fork after the view is opened, so they share
+    its descriptor."""
     values = sorted(
         {
             ref.value_text
             for j in {_mtop_row(i, langs, pool) for i in range(args.k)}
-            for ref in leaf_slots(parse_tree(pool[j].parse, Dialect.MTOP_BRACKET))
+            for ref in leaf_slots(_pool_tree(pool, j, args.dataset))
         }
     )
     if args.nbest_in:
-        nbest = read_json(args.nbest_in, gate.SlotNBestMap.from_mapping)
+        nbest = views.enter_context(gate.SlotNBestMap(args.nbest_in))
         missing = [
             (lang, value)
             for lang in langs
             for value in values
-            if value not in nbest.lists.get(lang, {})
+            if nbest.candidates(value, lang) is None
         ]
         if missing:
             raise CliError(
@@ -845,24 +874,33 @@ def _load_or_build_nbest(args, backend, pool, langs, anchors, templates):
     def jobs(start, stop):
         for n in range(start, stop):
             lang, value = langs[n // len(values)], values[n % len(values)]
-            yield (prompts.build_slot_mt_prompt(pairs[lang], value, lang, templates),)
+            yield lang, value, prompts.build_slot_mt_prompt(pairs[lang], value, lang, templates)
 
-    def finish(prompt, outs):
-        return _slot_candidates(outs, templates)
+    def finish(lang, value, prompt, outs):
+        candidates = _slot_candidates(outs, templates)
+        return record_line({"language": lang, "value": value, "candidates": candidates})
 
     # --config decoding sets the method's decoding, not this pass's.
     cfg = DecodingConfig(*prompts.METHODS[prompts.Method.SLOT_MT].decoding)
-    lists: dict[str, dict[str, tuple[str, ...]]] = {}
-    found = _pass(backend, jobs, finish, cfg, len(langs) * len(values), args.max_inflight)
-    for n, candidates in enumerate(found):
-        lists.setdefault(langs[n // len(values)], {})[values[n % len(values)]] = candidates
     with RecordWriter(args.nbest_out) as out:
-        json.dump(lists, out.file, ensure_ascii=False, indent=2)
+        for line in _pass(backend, jobs, finish, cfg, len(langs) * len(values),
+                          args.max_inflight):
+            out.write_text(line, 1)
     log.info("wrote slot n-best lists for %d values to %s", len(values), args.nbest_out)
-    return gate.SlotNBestMap(lists)
+    return views.enter_context(gate.SlotNBestMap(args.nbest_out))
 
 
-def _slot_candidates(outs, templates) -> tuple[str, ...]:
+def _pool_tree(pool, j: int, path):
+    """The MTOP tree of the parse of pool row ``j``; a malformed parse ends
+    the run with a ``RowMalformed`` naming ``<path>:<line>``, the line
+    counted only then."""
+    try:
+        return parse_tree(pool[j].parse, Dialect.MTOP_BRACKET)
+    except TreeError as exc:
+        raise RowMalformed(f"{path}:{pool.line(j)}: {exc}") from exc
+
+
+def _slot_candidates(outs, templates) -> list[str]:
     """The distinct non-empty translations of a slot value, in output order."""
     candidates = []
     for out in outs:
@@ -872,7 +910,7 @@ def _slot_candidates(outs, templates) -> tuple[str, ...]:
             continue
         if cand.text:
             candidates.append(cand.text)
-    return tuple(dict.fromkeys(candidates))
+    return list(dict.fromkeys(candidates))
 
 
 def _stats_outputs(args) -> dict[str, str]:
@@ -1006,14 +1044,14 @@ def _last(found):
     return row
 
 
-def _alignment_key(record) -> tuple[str, str | None]:
-    """The key of an alignment row: its id and language, None for a row
-    without one, which serves every language of the id. A language that
-    is neither a string nor null is a ``ValueError``."""
+def _alignment_key(record) -> tuple[tuple[str, str | None]]:
+    """The one key of an alignment row: its id and language, None for a
+    row without one, which serves every language of the id. A language
+    that is neither a string nor null is a ``ValueError``."""
     language = record.get("language")
     if language is not None and not isinstance(language, str):
         raise ValueError(f"language must be a string or null, got {language!r}")
-    return str(record["id"]), language
+    return ((str(record["id"]), language),)
 
 
 # ----------------------------------------------------------------------- mix

@@ -12,15 +12,16 @@ at a time, each as the line ``record_line`` makes.
 
 ``RecordRows`` checks every row of a JSON-lines file in one pass but
 keeps only each row's byte span; indexing it rereads that row and builds
-what the caller asked for. Given a key, the pass also keeps a hashed key
-index, 8 bytes a row whatever the key's length, and ``find`` yields the
-rows whose key equals a value, each reread to compare its key.
-``read_jsonl`` is the view of an ``Example`` file. So the augment pool,
-which rs and gb sample by index and look up by id or text, the real and
-synthetic sets of ``mix``, and the source, MT and alignment rows of
-``project-mt`` cost a few bytes per row until a row is used. What a
-command holds whole is what it must keep: the parses that ``score`` pairs
-by id.
+what the caller asked for. Given a key function, which returns each
+row's keys, the pass also keeps a hashed key index, 8 bytes a key
+whatever the key's length, and ``find`` yields each row that has a key
+equal to a value once, reread to compare its keys. ``read_jsonl`` is the
+view of an ``Example`` file. So the augment pool, which rs and gb sample
+by index and look up by id or text, the real and synthetic sets of
+``mix``, the source, MT and alignment rows of ``project-mt`` and the
+ts/tb slot n-best (``gate.SlotNBestMap``) cost a few bytes per row until
+a row is used. What a command holds whole is what it must keep: the
+parses that ``score`` pairs by id.
 
 ``map_chunks`` maps chunks of work on every CPU, on one worker per CPU
 forked with ``os.fork`` and joined to the main process by two plain
@@ -39,7 +40,8 @@ process numbers the lines and hands each chunk out as the byte span of
 its rows, holding none of their text; a worker reads its span, then
 decodes, builds and encodes the rows, and the main process writes each
 chunk's text in input order. ``cli`` maps every mock augment pass, tasks
-or slot n-best jobs, with it, in ``chunk_spans`` of job indices.
+or slot n-best jobs, with it, in ``chunk_spans`` of job indices: equal
+spans, as many as a multiple of the workers, so each maps as many jobs.
 """
 
 from __future__ import annotations
@@ -341,8 +343,19 @@ def read_jsonl(path: str | Path, key: str | None = None) -> "RecordRows":
     """
     return RecordRows(
         path, _EXAMPLE_FIELDS, Example.from_dict,
-        None if key is None else lambda record: str(record[key]), _checked_cf,
+        None if key is None else lambda record: (str(record[key]),), _checked_cf,
     )
+
+
+# The low 32 bits of a key index entry hold its row's position, room for
+# more rows than a view's spans fit in memory; the high 32 hold a prefix of
+# its key's hash, which leaves a lookup in a million-key index about one
+# chance in four thousand of rereading a row without the key.
+_POSITION_MASK = (1 << 32) - 1
+# Buckets of the key index as it is built: entries go to the bucket of
+# their top 6 bits, so the buckets, each sorted, are the index in order.
+_BUCKET_SHIFT = 58
+_BUCKETS = 64
 
 
 class RecordRows(Sequence):
@@ -354,14 +367,15 @@ class RecordRows(Sequence):
     the read with a ``RowMalformed`` naming ``<path>:<line>``.
 
     Only each row's byte span is held (16 bytes a row), and, when ``key``
-    is given, a hashed index of each row's ``key(record)`` (8 bytes a row,
-    whatever the key's length) that ``find`` reads. ``rows[i]`` rereads row
-    ``i`` with ``os.pread`` and returns ``build`` of its record, or the
-    record itself; ``pread`` moves no shared file offset, so threads and
-    forked workers can read one view at once. The view reads the file it
-    opened, even after another file is renamed onto its path. It owns its
-    descriptor: ``close()`` or the end of a ``with`` block closes it, and
-    so does the view's collection.
+    is given, a hashed index of the keys ``key(record)`` returns for each
+    row, a tuple of one or more (8 bytes a key, whatever its length), that
+    ``find`` reads; a ``ValueError`` from ``key`` fails the row too.
+    ``rows[i]`` rereads row ``i`` with ``os.pread`` and returns ``build``
+    of its record, or the record itself; ``pread`` moves no shared file
+    offset, so threads and forked workers can read one view at once. The
+    view reads the file it opened, even after another file is renamed onto
+    its path. It owns its descriptor: ``close()`` or the end of a ``with``
+    block closes it, and so does the view's collection.
     """
 
     def __init__(
@@ -369,7 +383,7 @@ class RecordRows(Sequence):
         path: str | Path,
         fields: tuple[str, ...],
         build: Callable[[dict[str, Any]], Any] | None = None,
-        key: Callable[[dict[str, Any]], Any] | None = None,
+        key: Callable[[dict[str, Any]], tuple] | None = None,
         check: Callable[[dict[str, Any]], Any] | None = None,
     ) -> None:
         fd = os.open(path, os.O_RDONLY)
@@ -390,28 +404,33 @@ class RecordRows(Sequence):
             raise
 
     def _index(self, path, fh: BinaryIO, fields, key, check) -> None:
+        # Each entry of the key index is a key's hash with its low bits
+        # replaced by its row's position, so the sorted entries of one hash
+        # prefix are its rows in file order.
+        high, shift, half = ~_POSITION_MASK, _BUCKET_SHIFT, _BUCKETS // 2
+        buckets = [array("q") for _ in range(_BUCKETS if key is not None else 0)]
+        into = [bucket.append for bucket in buckets]
         append = self._spans.append
-        hashes = array("q")
-        for n, start, stop, line in _numbered_rows(path, fh):
+        for j, (n, start, stop, line) in enumerate(_numbered_rows(path, fh)):
             try:
                 record = _decode_record(fields, None, line)
                 if check is not None:
                     check(record)
                 if key is not None:
-                    hashes.append(hash(key(record)))
+                    for value in key(record):
+                        h = hash(value)
+                        into[(h >> shift) + half](h & high | j)
             except ValueError as exc:
                 raise RowMalformed(f"{path}:{n}: {exc}") from exc
             append(start)
             append(stop)
-        # Each entry of the key index is a row's key hash with its low bits
-        # replaced by the row's position, so the sorted entries of one hash
-        # prefix are its rows in file order.
-        self._mask = mask = (1 << len(hashes).bit_length()) - 1
-        high = ~mask
-        entries = [(h & high) | j for j, h in enumerate(hashes)]
-        del hashes
-        entries.sort()
-        self._keyed = array("q", entries)
+        del into  # the bound appends would keep every bucket alive
+        # One bucket at a time is sorted as a list, never the whole index,
+        # and each is dropped once it is in the index.
+        self._keyed = keyed = array("q")
+        buckets.reverse()
+        while buckets:
+            keyed.extend(sorted(buckets.pop()))
 
     def __len__(self) -> int:
         return len(self._spans) // 2
@@ -427,36 +446,57 @@ class RecordRows(Sequence):
         start, stop = self._spans[2 * i], self._spans[2 * i + 1]
         return _json_value(os.pread(self._fd, stop - start, start).decode())
 
+    def line(self, i: int) -> int:
+        """The line number of row ``i`` in its file, counted by reading the
+        file up to the row: for an error message, not for a lookup."""
+        start = self._spans[2 * i]
+        with open(self._fd, "rb", buffering=0, closefd=False) as fh:
+            fh.seek(0)  # every other read is a pread, at its own offset
+            for n, at, _ in _numbered_lines(fh):
+                if at == start:
+                    return n
+        raise OSError("the file changed since the view read it")
+
     def find(
         self, value: Any, held: Mapping[int, Any] = {}
     ) -> Iterator[tuple[int, Any]]:
-        """``(position, row)`` of each row whose key equals ``value``, in
-        file order; the view must have been given a ``key``.
+        """``(position, row)`` of each row that has a key equal to
+        ``value``, once, in file order; the view must have been given a
+        ``key``.
 
-        The index gives the rows whose key hash has the prefix of
-        ``value``'s; each is reread and its own key compared with
+        The index gives the rows with a key whose hash has the prefix of
+        ``value``'s; each is reread and its own keys compared with
         ``value``, so a hash collision never changes the result, and the
         row yielded is built from that read. ``held`` maps positions to
         rows the caller already holds and knows to have this key: such a
-        row is yielded as it is, without a reread. The hashes are this
-        process's (``PYTHONHASHSEED``), which forked workers share.
+        row is yielded as it is, without a reread.
         """
         if self._key is None:
             raise TypeError("find needs a view indexed by a key")
-        mask, keyed = self._mask, self._keyed
-        prefix = hash(value) & ~mask
-        # The entries of the prefix run from the first at or above it to
-        # the last at or below it with every low bit set.
-        i, last, end = bisect_left(keyed, prefix), prefix | mask, len(keyed)
-        while i < end and (entry := keyed[i]) <= last:
-            i += 1
-            j = entry & mask
+        for j in self._positions(value):
             if j in held:
                 yield j, held[j]
                 continue
             record = self._record(j)
-            if self._key(record) == value:
+            if value in self._key(record):
                 yield j, record if self._build is None else self._build(record)
+
+    def _positions(self, value: Any) -> Iterator[int]:
+        """The position of each row with a key whose hash has the prefix of
+        ``value``'s, once, in file order. The hashes are this process's
+        (``PYTHONHASHSEED``), which forked workers share."""
+        mask, keyed = _POSITION_MASK, self._keyed
+        prefix = hash(value) & ~mask
+        # The entries of the prefix run from the first at or above it to
+        # the last at or below it with every low bit set; two keys of one
+        # row with the prefix are two equal entries, side by side.
+        i, last, end = bisect_left(keyed, prefix), prefix | mask, len(keyed)
+        seen = None
+        while i < end and (entry := keyed[i]) <= last:
+            i += 1
+            if entry != seen:
+                seen = entry
+                yield entry & mask
 
     def close(self) -> None:
         self._closer()
@@ -569,15 +609,27 @@ def map_rows(
 
 
 def chunk_spans(n: int) -> list[tuple[int, int]]:
-    """The ``(start, stop)`` index spans of ``n`` items in chunks of
-    ``_CHUNK_ROWS``."""
-    return [(start, min(start + _CHUNK_ROWS, n)) for start in range(0, n, _CHUNK_ROWS)]
+    """The ``(start, stop)`` index spans of ``n`` items, as the chunks of
+    ``map_chunks``. ``_CHUNK_ROWS`` items or fewer are one span, which is
+    mapped in process. More are cut into equal spans of at most
+    ``_CHUNK_ROWS``, their sizes differing by at most one, and as many as
+    a multiple of the CPUs: chunk i goes to worker i mod the workers, so
+    every worker maps as many items as another."""
+    spans = -(-n // _CHUNK_ROWS)
+    if spans > 1:
+        cpus = _cpus()
+        spans = -(-spans // cpus) * cpus
+    return [(n * i // spans, n * (i + 1) // spans) for i in range(spans)]
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0))
 
 
 def _map_workers(chunks: int) -> int:
     """The workers ``map_chunks`` forks for ``chunks`` chunks: one per CPU,
     or none for a single chunk or a single CPU."""
-    cpus = len(os.sched_getaffinity(0))
+    cpus = _cpus()
     return cpus if chunks > 1 and cpus > 1 else 0
 
 

@@ -36,13 +36,14 @@ so occurrence percentages can sum above 100.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from dataclasses import asdict, dataclass, replace
+from itertools import repeat
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backends import GenOutput
 from .canonical import SlotCatalog, contains_catalog_word
-from .datasets import Example
+from .datasets import Example, RecordRows
 from .prompts import (
     METHODS,
     InvalidSeparators,
@@ -115,63 +116,63 @@ class GateEvent:
     success_mode: str | None
 
 
-@dataclass(frozen=True)
-class SlotNBestMap:
-    """Beam-ranked translation alternatives per (English value, language).
+class SlotNBestMap(RecordRows):
+    """Beam-ranked translation alternatives per (English value, language):
+    a view of a JSON-lines file of rows ``{"language", "value",
+    "candidates"}``, each a list of strings, where an empty list records a
+    value that was translated but got no candidate.
 
-    ``lists`` is {language: {english_value: candidates}}, each candidate
-    tuple deduplicated; an empty tuple records a value that was translated
-    but got no candidate.
+    The view is keyed by each row's (language, value) and by each
+    (language, candidate) it holds, so it holds about 60 bytes a row of
+    four candidates, and a lookup rereads only the rows of its key (see
+    ``datasets.RecordRows``). A row of the wrong shape ends the read with
+    a ``RowMalformed`` naming ``<path>:<line>``.
     """
 
-    lists: Mapping[str, Mapping[str, tuple[str, ...]]] = field(default_factory=dict)
+    def __init__(self, path: str | Path) -> None:
+        super().__init__(path, ("language", "value", "candidates"), key=_nbest_keys)
 
-    @classmethod
-    def from_mapping(
-        cls, mapping: Mapping[str, Mapping[str, Sequence[str]]]
-    ) -> "SlotNBestMap":
-        """Build from {language: {english_value: [candidates...]}}."""
-        if not isinstance(mapping, Mapping):
-            raise GateError(
-                "a slot n-best must be an object of {language: {English value: "
-                f"[candidates]}}}}, got {type(mapping).__name__}"
-            )
-        lists: dict[str, dict[str, tuple[str, ...]]] = {}
-        for lang, values in mapping.items():
-            if not isinstance(values, Mapping):
-                raise GateError(
-                    f"the n-best of {lang!r} must be an object of {{English value: "
-                    f"[candidates]}}, got {type(values).__name__}"
-                )
-            for en_value, candidates in values.items():
-                if not isinstance(candidates, (list, tuple)) or not all(
-                    isinstance(c, str) for c in candidates
-                ):
-                    raise GateError(
-                        f"n-best of {en_value!r} in {lang!r} must be a list of "
-                        f"strings, got {candidates!r}"
-                    )
-                lists.setdefault(lang, {})[en_value] = tuple(dict.fromkeys(candidates))
-        return cls(lists)
-
-    @cached_property
-    def _by_candidate(self) -> dict[str, dict[str, tuple[str, ...]]]:
-        """{language: {candidate: the first list holding it, in map order}}."""
-        index: dict[str, dict[str, tuple[str, ...]]] = {}
-        for lang, values in self.lists.items():
-            owner = index.setdefault(lang, {})
-            for candidates in values.values():
-                for cand in candidates:
-                    owner.setdefault(cand, candidates)
-        return index
+    def candidates(self, en_value: str, language: str) -> list[str] | None:
+        """The candidates of the last row of (``language``, ``en_value``):
+        a later row of one pair replaces an earlier one, as in every lookup
+        by key. None when no row holds that pair."""
+        found = None
+        for j in self._positions((language, en_value)):
+            record = self._record(j)
+            if record["value"] == en_value and record["language"] == language:
+                found = record["candidates"]
+        return found
 
     def top(self, en_value: str, language: str) -> str | None:
-        candidates = self.lists.get(language, {}).get(en_value)
+        candidates = self.candidates(en_value, language)
         return candidates[0] if candidates else None
 
     def alternatives(self, current_value: str, language: str) -> tuple[str, ...]:
-        """Beam-ordered variants of the list containing ``current_value``."""
-        return self._by_candidate.get(language, {}).get(current_value, ())
+        """Beam-ordered variants of the first row, in file order, whose
+        candidates hold ``current_value``, each once."""
+        for j in self._positions((language, current_value)):
+            record = self._record(j)
+            if record["language"] == language and current_value in record["candidates"]:
+                return tuple(dict.fromkeys(record["candidates"]))
+        return ()
+
+
+def _nbest_keys(record) -> tuple[tuple[str, str], ...]:
+    """The keys of a slot n-best row: each (language, candidate), and its
+    (language, value) unless a candidate is the value itself. A field of
+    the wrong type is a ``ValueError``."""
+    language, value, candidates = record["language"], record["value"], record["candidates"]
+    if not isinstance(language, str) or not isinstance(value, str):
+        raise ValueError(
+            f"language and value must be strings, got {language!r} and {value!r}"
+        )
+    if not isinstance(candidates, list) or not all(map(_is_str, candidates)):
+        raise ValueError(f"candidates must be a list of strings, got {candidates!r}")
+    keys = zip(repeat(language), candidates)
+    return tuple(keys) if value in candidates else ((language, value), *keys)
+
+
+_is_str = str.__instancecheck__
 
 
 # What ``trees.bind_slot_spans`` returns: each leaf slot with its span.

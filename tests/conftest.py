@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -12,6 +13,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from clasp.canonical import CfTemplateSet, SlotCatalog
+from clasp.datasets import record_line
+from clasp.gate import SlotNBestMap
 from clasp.trees import Dialect, Intent, Node, ParseTree, Slot, Token
 
 WORDS = (
@@ -30,6 +33,25 @@ def assert_no_child_left() -> None:
     except ChildProcessError:
         return  # no child at all
     raise AssertionError(f"a child process is left unreaped: {found}")
+
+
+def nbest_view(nbest) -> SlotNBestMap:
+    """A slot n-best view of ``nbest``: rows ``(language, value,
+    candidates)`` in file order, or a mapping {language: {English value:
+    candidates}}, written as ``augment`` writes them. The file is unlinked
+    once the view has opened it, so the view alone holds it."""
+    if isinstance(nbest, dict):
+        nbest = [(language, value, candidates) for language, values in nbest.items()
+                 for value, candidates in values.items()]
+    fd, path = tempfile.mkstemp(suffix=".nbest.jsonl")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            for language, value, candidates in nbest:
+                fh.write(record_line({"language": language, "value": value,
+                                      "candidates": list(candidates)}))
+        return SlotNBestMap(path)
+    finally:
+        os.unlink(path)
 
 
 @pytest.fixture(scope="session")

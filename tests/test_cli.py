@@ -23,6 +23,7 @@ import threading
 import tracemalloc
 import warnings
 from collections import Counter
+from contextlib import ExitStack
 from importlib import resources
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from hypothesis import example, given, strategies as st
 
 from clasp import cli, datasets, gate, prompts, trees
 from clasp.backends import BackendUnavailable, HttpBackend, MockBackend, MockRule
-from clasp.datasets import Example, RecordWriter, iter_records, read_jsonl
+from clasp.datasets import Example, RecordWriter, iter_records, read_jsonl, record_line
 from conftest import assert_no_child_left
 
 PIZZA_ROWS = [
@@ -133,7 +134,7 @@ EXPECTED_DIGESTS = {
         "out": "bd34caf2e9a1652cb465977d6d907724d5f2cd5f1cacddb06d62bbaf5e527de1",
         "stats.json": "9fed37e39064c06a489514873740ef166e662926bff9d2db5ff9f6066992c41a",
         "stats.txt": "53a67e1c3a6bde8d4eb7dfc190f88cfa086a1d522dfac66f39c2510b91ba3c02",
-        "nbest": "3b66e7f4f23e216c32938698b1a8fe7261815f102f547b54b0fac22cf576fd3d",
+        "nbest": "462456543b36c5608fa231b26a956cc9f047364e106a6a32fddd747fbf8af1b0",
     },
 }
 
@@ -204,7 +205,7 @@ def augment_outputs(data: Path, method: str, tmp_path: Path) -> dict[str, Path]:
     extra = list(AUGMENT_RUNS[method])
     if method == "tb":
         # tb reads the n-best list that a ts run wrote.
-        nbest = tmp_path / "ts.jsonl.nbest.json"
+        nbest = tmp_path / "ts.jsonl.nbest.jsonl"
         assert run(*augment_argv(data, "ts", tmp_path / "ts.jsonl",
                                  *AUGMENT_RUNS["ts"])) == 0
         extra += ["--nbest-in", nbest]
@@ -214,7 +215,7 @@ def augment_outputs(data: Path, method: str, tmp_path: Path) -> dict[str, Path]:
         files["stats.json"] = tmp_path / f"{method}.stats.json"
         files["stats.txt"] = tmp_path / f"{method}.stats.txt"
     if method == "ts":
-        files["nbest"] = tmp_path / "ts.jsonl.nbest.json"
+        files["nbest"] = tmp_path / "ts.jsonl.nbest.jsonl"
     return files
 
 
@@ -882,7 +883,7 @@ def test_the_slot_nbest_pass_runs_over_http(
                "--seed", "7", "--backend", "http", "--k", "18",
                "--langs", "de,es,fr", "--max-inflight", "3", "--out", out) == 0
     values = {v for _, _, parse in MTOP_ROWS for v in _leaf_values(parse)}
-    written = json.loads(Path(f"{out}.nbest.json").read_text(encoding="utf-8"))
+    written = read_nbest(Path(f"{out}.nbest.jsonl"))
     assert {lang: set(found) for lang, found in written.items()} == {
         lang: values for lang in ("de", "es", "fr")
     }
@@ -1140,7 +1141,7 @@ def test_config_decoding_leaves_the_slot_nbest_pass_at_its_own(data, tmp_path):
     out = tmp_path / "ts.jsonl"
     assert run(*augment_argv(data, "ts", out, *AUGMENT_RUNS["ts"],
                              "--config", config)) == 0
-    assert sha256(Path(f"{out}.nbest.json")) == EXPECTED_DIGESTS["ts"]["nbest"]
+    assert sha256(Path(f"{out}.nbest.jsonl")) == EXPECTED_DIGESTS["ts"]["nbest"]
 
 
 # ------------------------------------------------------------- slot n-best map
@@ -1151,6 +1152,19 @@ def _leaf_values(parse: str) -> list[str]:
     return [ref.value_text for ref in trees.leaf_slots(tree)]
 
 
+def read_nbest(path: Path) -> dict[str, dict[str, list[str]]]:
+    """{language: {English value: candidates}} of an n-best file, whose rows
+    must come language by language, each language's values sorted."""
+    rows = read_records(path)
+    keys = [(row["language"], row["value"]) for row in rows]
+    languages = list(dict.fromkeys(lang for lang, _ in keys))
+    assert keys == [key for lang in languages for key in sorted(k for k in keys if k[0] == lang)]
+    written: dict = {}
+    for row in rows:
+        written.setdefault(row["language"], {})[row["value"]] = row["candidates"]
+    return written
+
+
 def test_nbest_covers_only_the_rendered_rows(data, tmp_path):
     # ts --k 3 in three languages renders row 0 only, so only its values
     # are translated; the rows equal a run given the whole-pool map.
@@ -1159,14 +1173,14 @@ def test_nbest_covers_only_the_rendered_rows(data, tmp_path):
     full.mkdir()
     langs = ("--langs", "de,es,fr")
     assert run(*augment_argv(data, "ts", small / "ts.jsonl", "--k", "3", *langs)) == 0
-    written = json.loads((small / "ts.jsonl.nbest.json").read_text(encoding="utf-8"))
+    written = read_nbest(small / "ts.jsonl.nbest.jsonl")
     row0 = sorted(_leaf_values(MTOP_ROWS[0][2]))
     assert {lang: sorted(values) for lang, values in written.items()} == {
         lang: row0 for lang in ("de", "es", "fr")
     }
     assert run(*augment_argv(data, "ts", full / "ts.jsonl", *AUGMENT_RUNS["ts"])) == 0
     assert run(*augment_argv(data, "ts", full / "k3.jsonl", "--k", "3", *langs,
-                             "--nbest-in", full / "ts.jsonl.nbest.json")) == 0
+                             "--nbest-in", full / "ts.jsonl.nbest.jsonl")) == 0
     assert (small / "ts.jsonl").read_bytes() == (full / "k3.jsonl").read_bytes()
     assert (small / "ts.stats.json").read_bytes() == (full / "k3.stats.json").read_bytes()
 
@@ -1174,7 +1188,7 @@ def test_nbest_covers_only_the_rendered_rows(data, tmp_path):
 def test_nbest_in_missing_a_rendered_value_is_a_one_line_error(data, tmp_path, caplog):
     langs = ("--langs", "de,es,fr")
     assert run(*augment_argv(data, "ts", tmp_path / "k3.jsonl", "--k", "3", *langs)) == 0
-    nbest = tmp_path / "k3.jsonl.nbest.json"
+    nbest = tmp_path / "k3.jsonl.nbest.jsonl"
     out = tmp_path / "k18.jsonl"
     caplog.clear()
     code = run(*augment_argv(data, "ts", out, "--k", "18", *langs, "--nbest-in", nbest))
@@ -1198,11 +1212,11 @@ def test_nbest_keeps_a_value_without_candidates(data, tmp_path):
     argv = ["augment", "--method", "ts", "--dataset", data / "mtop.jsonl", "--seed",
             "7", "--mock-rules", rules, "--k", "1", "--langs", "de"]
     assert run(*argv, "--out", first) == 0
-    nbest = tmp_path / "a.jsonl.nbest.json"
+    nbest = tmp_path / "a.jsonl.nbest.jsonl"
     row0 = _leaf_values(MTOP_ROWS[0][2])
-    assert json.loads(nbest.read_text(encoding="utf-8")) == {
-        "de": {value: [] for value in sorted(row0)}
-    }
+    assert read_records(nbest) == [
+        {"language": "de", "value": value, "candidates": []} for value in sorted(row0)
+    ]
     assert run(*argv, "--out", again, "--nbest-in", nbest) == 0
     assert again.read_bytes() == first.read_bytes()
 
@@ -1348,34 +1362,61 @@ def test_project_mt_holds_a_few_bytes_per_mt_row(tmp_path):
     assert per_row <= MAX_PROJECT_BYTES_PER_ROW, per_row
 
 
-def test_the_nbest_write_holds_little_beyond_the_map(tmp_path, monkeypatch):
-    # Building the slot n-best holds, beyond the map it returns, the sorted
-    # values and a chunk's candidates; the file is streamed from the map,
-    # so neither a copy of the map nor the file's text is held.
+# Bytes ts and tb may hold per slot n-best row, at most, once its view is
+# open: the row's byte span (16) and an index entry for its value and each
+# of its candidates (8 each), with the arrays' slack. The in-memory map it
+# replaced held about 550 bytes a row on the benchmark's n-best. Opening
+# the view may hold as much again for a while, in the index's buckets; a
+# list of the index (about 40 bytes an entry) or the file's text (here
+# about 300 bytes a row) would hold far more.
+MAX_NBEST_BYTES_PER_ROW = 64
+
+
+@pytest.mark.parametrize("method", ["ts", "tb"])
+def test_the_nbest_view_holds_a_few_bytes_per_row(tmp_path, monkeypatch, method):
+    # ts builds the n-best and opens the view of the file it wrote; tb
+    # opens the view of such a file as --nbest-in. Between two sizes, what
+    # either holds, and holds for a while, grows by a few bytes a row.
+    # One CPU maps in process, one chunk's lines at a time.
     monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(datasets, "_CHUNK_ROWS", 100)
     rows = [dict(_work_row("ts", j), text=f"call doctor bob{j} of the yearly planning "
                  f"meeting {_WORK_TIMES[j % 3]}",
                  parse=f"[IN:CREATE_CALL [SL:CONTACT doctor bob{j} of the yearly "
                  f"planning meeting ] [SL:DATE_TIME {_WORK_TIMES[j % 3]} ] ]")
             for j in range(600)]
     anchors = datasets.read_json(datasets.packaged("mtop_anchors.json"), cli._anchor_pairs)
-    nbest = tmp_path / "nbest.json"
+    pool_path = write_jsonl(tmp_path / "pool.jsonl", rows)
+    backend = MockBackend([MockRule()])
+    measured = []
+    with read_jsonl(pool_path) as pool, ExitStack() as views:
 
-    def build(k):
-        args = argparse.Namespace(k=k, nbest_in=None, nbest_out=nbest,
-                                  out=tmp_path / "out.jsonl", max_inflight=1)
-        return cli._load_or_build_nbest(
-            args, MockBackend([MockRule()]), pool, list(WORK_LANGS), anchors,
-            prompts.PromptTemplates())
+        def build(k, nbest_in, nbest_out):
+            args = argparse.Namespace(k=k, nbest_in=nbest_in, nbest_out=nbest_out,
+                                      dataset=pool_path, max_inflight=1)
+            return cli._load_or_build_nbest(
+                args, backend, pool, list(WORK_LANGS), anchors,
+                prompts.PromptTemplates(), views)
 
-    with read_jsonl(write_jsonl(tmp_path / "pool.jsonl", rows)) as pool:
-        build(3)
-        built, peak, after = _traced_peak(lambda: build(3 * len(rows)))
-    size = nbest.stat().st_size
-    assert len(built.lists["de"]) == len(rows) + 3
-    assert json.loads(nbest.read_text(encoding="utf-8")) == json.loads(
-        json.dumps(built.lists))
-    assert peak - after < 0.25 * size, (peak - after, size)
+        build(3, None, tmp_path / "warm.jsonl")  # fills every cache the pass keeps
+        for k in (3 * 300, 3 * 600):
+            written = tmp_path / f"written{k}.jsonl"
+            build(k, None, written)
+            nbest_in = written if method == "tb" else None
+            gc.collect()
+            tracemalloc.start()
+            try:
+                view = build(k, nbest_in, tmp_path / f"nbest{k}.jsonl")
+                after, peak = tracemalloc.get_traced_memory()
+                gc.collect()  # a full collection also empties the free lists
+                measured.append((len(view), tracemalloc.get_traced_memory()[0], peak - after))
+            finally:
+                tracemalloc.stop()
+            assert [record_line(row) for row in view] == written.read_text(
+                encoding="utf-8").splitlines(keepends=True)
+    (small, small_held, small_transient), (big, big_held, big_transient) = measured
+    assert (big_held - small_held) / (big - small) <= MAX_NBEST_BYTES_PER_ROW, measured
+    assert (big_transient - small_transient) / (big - small) <= MAX_NBEST_BYTES_PER_ROW, measured
 
 
 # ------------------------------------------------------------ downstream stages
@@ -1609,6 +1650,39 @@ def test_outputs_that_are_one_file_are_a_one_line_error(data, tmp_path, caplog, 
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+# (method, the output flag it never writes, other flags, the error)
+UNWRITTEN_OUTPUTS = {
+    "rs-nbest": ("rs", "--nbest-out", (), "augment --method rs writes no slot n-best"),
+    "gb-nbest": ("gb", "--nbest-out", (), "augment --method gb writes no slot n-best"),
+    "mt-nbest": ("mt", "--nbest-out", (), "augment --method mt writes no slot n-best"),
+    "ts-nbest-in": ("ts", "--nbest-out", ("--nbest-in", "no-such.jsonl"),
+                    "a run given --nbest-in writes no slot n-best"),
+    "tb-nbest-in": ("tb", "--nbest-out", ("--nbest-in", "no-such.jsonl"),
+                    "a run given --nbest-in writes no slot n-best"),
+    "mt-stats": ("mt", "--stats-out", (),
+                 "augment --method mt gates nothing, so it writes no stats"),
+    "rs-nbest-config": ("rs", "--config", (), "augment --method rs writes no slot n-best"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITTEN_OUTPUTS))
+def test_an_output_flag_the_method_never_writes_is_a_one_line_error(
+    data, tmp_path, caplog, case
+):
+    # The flag would be ignored and its file never written: the command
+    # stops before any work and writes no file.
+    method, flag, extra, error = UNWRITTEN_OUTPUTS[case]
+    target = tmp_path / "x.json"
+    if flag == "--config":
+        target = write_json(tmp_path / "config.json", {"nbest_out": str(tmp_path / "x.json")})
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "out.jsonl"
+    assert run(*augment_argv(data, method, out, "--k", "3", flag, target, *extra)) == 1
+    name = "--stats-out" if flag == "--stats-out" else "--nbest-out"
+    assert _one_error(caplog) == f"{name}: {error}"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("record", [
     {"kind": "gate_stats", "rows": [{"method": "rs"}]},
     {"kind": "mt_stats", "rows": [{"language": "de", "total": 1}]},
@@ -1783,11 +1857,6 @@ ANCHOR_PAIR = ('an object of "en" and "tgt", each an object of a "text" and a '
 
 
 @pytest.mark.parametrize("flag, content, message", [
-    ("--nbest-in", [{"de": {"call": ["anrufen"]}}],
-     "a slot n-best must be an object of {language: {English value: "
-     "[candidates]}}, got list"),
-    ("--nbest-in", {"de": ["anrufen"]},
-     "the n-best of 'de' must be an object of {English value: [candidates]}, got list"),
     ("--anchors", [{"de": {"en": ANCHOR_EN, "tgt": ANCHOR_EN}}],
      "an anchor file must be an object of {language: pair}, got list"),
     ("--anchors", {"de": "bob anrufen"},
@@ -1796,8 +1865,7 @@ ANCHOR_PAIR = ('an object of "en" and "tgt", each an object of a "text" and a '
      f"the anchor pair of 'de' must be {ANCHOR_PAIR}; it has no 'tgt'"),
     ("--anchors", {"de": {"en": ANCHOR_EN, "tgt": ["bob anrufen"]}},
      f"the anchor pair of 'de' must be {ANCHOR_PAIR}; its 'tgt' is ['bob anrufen']"),
-], ids=["nbest-list-at-the-top", "nbest-list-under-a-language",
-        "anchors-list-at-the-top", "anchor-pair-not-an-object",
+], ids=["anchors-list-at-the-top", "anchor-pair-not-an-object",
         "anchor-pair-without-tgt", "anchor-side-not-an-object"])
 def test_a_wrong_shape_names_its_level_and_the_shape_wanted(
     data, tmp_path, caplog, flag, content, message
@@ -1806,6 +1874,53 @@ def test_a_wrong_shape_names_its_level_and_the_shape_wanted(
     code = run(*augment_argv(data, "ts", tmp_path / "out.jsonl", "--k", "2", flag, bad))
     assert_one_line_error(caplog, code, bad)
     assert _one_error(caplog) == f"{bad}: {message}"
+
+
+@pytest.mark.parametrize("method", ["ts", "tb"])
+def test_a_malformed_pool_parse_names_its_file_and_line(data, tmp_path, caplog, method):
+    # ts and tb read a pool row's parse when they collect its slot values;
+    # a malformed one names the pool's line, blank lines counted.
+    rows = read_records(data / "mtop.jsonl")
+    bad = {**rows[2], "parse": "[IN:GET_WEATHER [SL:DATE_TIME today ]"}
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text("".join(record_line(r) + "\n" for r in [*rows[:2], bad, *rows[3:]]),
+                    encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    code = run("augment", "--method", method, "--dataset", pool, "--seed", "7",
+               "--mock-rules", data / "mtop_rules.json", "--k", "18", "--out", out)
+    assert code == 1
+    assert _one_error(caplog) == (
+        f"{pool}:5: unclosed group in '[IN:GET_WEATHER [SL:DATE_TIME today ]'")
+    assert not out.exists() and not Path(f"{out}.partial").exists()
+
+
+_NBEST_ROW = {"language": "de", "value": "call", "candidates": ["anrufen"]}
+
+
+@pytest.mark.parametrize("content, line, message", [
+    (Raw(json.dumps({"de": {"call": ["anrufen"]}}, indent=2)), 1, "invalid JSON record"),
+    (Raw(json.dumps({"de": {"call": ["anrufen"]}})), 1, "record lacks field 'language'"),
+    (Raw(record_line(_NBEST_ROW) + "\n" + json.dumps({"value": "x", "candidates": []})),
+     3, "record lacks field 'language'"),
+    (Raw(json.dumps({**_NBEST_ROW, "candidates": "anrufen"})), 1,
+     "candidates must be a list of strings, got 'anrufen'"),
+    (Raw(json.dumps({**_NBEST_ROW, "candidates": ["anrufen", 1]})), 1,
+     "candidates must be a list of strings, got ['anrufen', 1]"),
+    (Raw(json.dumps({**_NBEST_ROW, "language": ["de"]})), 1,
+     "language and value must be strings, got ['de'] and 'call'"),
+], ids=["old-format", "old-format-on-one-line", "row-without-language",
+        "candidates-not-a-list", "candidate-not-a-string", "language-not-a-string"])
+def test_a_malformed_nbest_row_is_a_one_line_error_naming_its_line(
+    data, tmp_path, caplog, content, line, message
+):
+    # --nbest-in is JSON lines of {language, value, candidates}; the file a
+    # run wrote before holds one JSON object, which is no such row.
+    bad = write_json(tmp_path / "bad.jsonl", content)
+    out = tmp_path / "out.jsonl"
+    code = run(*augment_argv(data, "ts", out, "--k", "2", "--nbest-in", bad))
+    assert code == 1
+    assert _one_error(caplog) == f"{bad}:{line}: {message}"
+    assert not out.exists() and not Path(f"{out}.partial").exists()
 
 
 @pytest.mark.parametrize("method", ["ts", "tb", "mt"])

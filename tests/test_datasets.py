@@ -13,9 +13,10 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import clasp
 from clasp import datasets
@@ -273,15 +274,20 @@ class TestReadJsonl:
 
 
 def _id_key(record):
-    return str(record["id"])
+    return (str(record["id"]),)
 
 
 def _id_language_key(record):
-    return str(record["id"]), record.get("language")
+    return ((str(record["id"]), record.get("language")),)
 
 
 def _number_key(record):
-    return record["n"]
+    return (record["n"],)
+
+
+def _word_keys(record):
+    # Several keys a row, one of them maybe twice: its id and its words.
+    return (record["id"], *record["words"])
 
 
 class TestKeyIndex:
@@ -299,8 +305,9 @@ class TestKeyIndex:
                 return record(i)
 
             view._record = recording
-            for value in [*{key(r): None for r in records}, ("absent", None), "absent", 7]:
-                scan = [(j, r) for j, r in enumerate(records) if key(r) == value]
+            values = {k: None for r in records for k in key(r)}
+            for value in [*values, ("absent", None), "absent", 7]:
+                scan = [(j, r) for j, r in enumerate(records) if value in key(r)]
                 assert list(view.find(value)) == scan
                 # Held rows come back as they are, unread; each other match
                 # is read once.
@@ -333,6 +340,19 @@ class TestKeyIndex:
         records = [{"id": f"r{j}", "n": n} for j, n in enumerate(numbers)]
         with tempfile.TemporaryDirectory() as tmp:
             self._check(Path(tmp), records, _number_key, held_every)
+
+    @given(
+        words=st.lists(st.lists(st.sampled_from(["a", "b", "c", -1, -2]), max_size=4),
+                       max_size=30),
+        held_every=st.integers(min_value=1, max_value=3),
+    )
+    @example(words=[["a", "a", "b"], [], ["b", -1, -2], ["a"]], held_every=2)
+    def test_a_row_of_several_keys_is_found_once_in_file_order(self, words, held_every):
+        # A row found by two of its keys, or by one it holds twice, or by
+        # keys whose hashes collide, is yielded once, where it stands.
+        records = [{"id": f"r{j}", "words": w} for j, w in enumerate(words)]
+        with tempfile.TemporaryDirectory() as tmp:
+            self._check(Path(tmp), records, _word_keys, held_every)
 
 
 LINE_PARTS = [b"a", b" ", b"\r", b"\n", b"\r\n", b"\x0b\x0c\x1c\x1e",
@@ -616,6 +636,30 @@ def test_the_no_child_check_fails_while_a_child_is_unreaped():
         os.close(wake_end)
         os.waitpid(pid, 0)
     assert_no_child_left()
+
+
+@given(n=st.integers(min_value=1, max_value=30_000), cpus=st.integers(min_value=1, max_value=9))
+@example(n=4500, cpus=2)
+@example(n=datasets._CHUNK_ROWS, cpus=2)
+@example(n=datasets._CHUNK_ROWS + 1, cpus=2)
+def test_chunk_spans_are_equal_and_a_multiple_of_the_workers(n, cpus):
+    # Chunk i goes to worker i mod the workers: equal chunks, as many as a
+    # multiple of the workers, give each worker as many jobs.
+    with mock.patch.object(datasets.os, "sched_getaffinity", lambda pid: set(range(cpus))):
+        spans = datasets.chunk_spans(n)
+    assert spans[0][0] == 0 and spans[-1][1] == n
+    assert [stop for _, stop in spans[:-1]] == [start for start, _ in spans[1:]]
+    sizes = [stop - start for start, stop in spans]
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= datasets._CHUNK_ROWS
+    if n <= datasets._CHUNK_ROWS:
+        assert spans == [(0, n)]
+    else:
+        assert len(spans) % cpus == 0
+        # The fewest such spans.
+        assert len(spans) - cpus < -(-n // datasets._CHUNK_ROWS)
+    if (n, cpus) == (4500, 2):
+        assert sizes == [750] * 6
 
 
 class TestMapChunks:

@@ -1,15 +1,12 @@
 from __future__ import annotations
 
-import json
 import random
-import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from clasp.backends import DecodingConfig, GenOutput, MockBackend, MockRule
-from clasp.datasets import Example, read_json
+from clasp.datasets import Example, record_line
 from clasp.gate import (
     CLEAN,
     COPY_EXAMPLE,
@@ -22,7 +19,6 @@ from clasp.gate import (
     MISMATCH_PARSE,
     MISSING_SLOT,
     SLOT_NBEST,
-    SlotNBestMap,
     UNKNOWN_ENTITY,
     UNTAGGED_SLOT,
     check_vp2,
@@ -57,7 +53,7 @@ from clasp.trees import (
     structure_signature,
 )
 
-from conftest import WORDS, random_encodable_example, random_pizza_tree
+from conftest import WORDS, nbest_view, random_encodable_example, random_pizza_tree
 from test_prompts import TS_ANCHOR_EN, TS_ANCHOR_FR, TS_SOURCE, TS_TRANSLATED
 
 PIZZA = Dialect.PIZZA_PAREN
@@ -172,7 +168,7 @@ class TestCheckVp2:
             "ts",
             [GenOutput(f"{text};", 0.5)],
             PromptExpectation(language="fr", target_parse=serialize(tree)),
-            SlotNBestMap(),
+            EMPTY_NBEST,
         )
         row = verdict.final
         assert (row is not None) == ok
@@ -352,12 +348,13 @@ class TestGateGb:
         assert INVALID_PARSE in event.candidate_modes[0]
 
 
-NBEST = SlotNBestMap.from_mapping(
+NBEST = nbest_view(
     {
         "es": {"all": ["todo", "todos", "todas", "todos los"], "for Friday": ["viernes"]},
         "de": {"nicole": ["nicole"]},
     }
 )
+EMPTY_NBEST = nbest_view({})
 
 NBEST_PARSE = "[IN:GET_ALARM [SL:AMOUNT todo ] [SL:DATE_TIME viernes ] ]"
 NBEST_TEXT = "Quiero ver todas las alarmas para el viernes ."
@@ -383,7 +380,7 @@ class TestRecovery:
 
     def test_empty_nbest_gives_none(self):
         repaired = recover_slot_nbest(
-            parse(NBEST_PARSE, MTOP), NBEST_TEXT, SlotNBestMap(), "es"
+            parse(NBEST_PARSE, MTOP), NBEST_TEXT, EMPTY_NBEST, "es"
         )
         assert repaired is None
 
@@ -722,7 +719,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         )
         backend = MockBackend([MockRule(corruptions=("mismatch_parse",))])
         outs = backend.generate(prompt, DecodingConfig("greedy"))
-        verdict, event = gate_mtop("tb", [outs[0]], prompt.expected, SlotNBestMap())
+        verdict, event = gate_mtop("tb", [outs[0]], prompt.expected, EMPTY_NBEST)
         assert verdict.final is None
         assert MISMATCH_PARSE in _failure_modes(event)
 
@@ -743,7 +740,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         out = MockBackend([MockRule(corruptions=(flag,))]).generate(
             prompt, DecodingConfig("greedy")
         )[0]
-        verdict, event = gate_mtop("tb", [out], prompt.expected, SlotNBestMap())
+        verdict, event = gate_mtop("tb", [out], prompt.expected, EMPTY_NBEST)
         assert event.success_mode == success
         assert (verdict.final is None) == (success is None)
 
@@ -758,7 +755,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         out = MockBackend([MockRule(corruptions=("flip_casing",))]).generate(
             prompt, DecodingConfig("greedy")
         )[0]
-        _, event = gate_mtop("tb", [out], prompt.expected, SlotNBestMap())
+        _, event = gate_mtop("tb", [out], prompt.expected, EMPTY_NBEST)
         assert event.success_mode == FIX_CASING
 
     def test_ts_flip_casing_recovered(self):
@@ -771,7 +768,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         )
         backend = MockBackend([MockRule(corruptions=("flip_casing",))])
         outs = backend.generate(prompt, DecodingConfig("greedy"))
-        verdict, event = gate_mtop("ts", [outs[0]], prompt.expected, SlotNBestMap())
+        verdict, event = gate_mtop("ts", [outs[0]], prompt.expected, EMPTY_NBEST)
         assert event.success_mode == FIX_CASING
 
     def test_ts_substitution_recovered_via_nbest(self):
@@ -785,7 +782,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         backend = MockBackend(
             [MockRule(substitutions=((("mon"), ("ma")),))]
         )
-        nbest = SlotNBestMap.from_mapping({"fr": {"my": ["mon", "ma"]}})
+        nbest = nbest_view({"fr": {"my": ["mon", "ma"]}})
         outs = backend.generate(prompt, DecodingConfig("greedy"))
         verdict, event = gate_mtop("ts", [outs[0]], prompt.expected, nbest)
         assert event.success_mode == SLOT_NBEST
@@ -814,7 +811,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         out = MockBackend([MockRule()]).generate(prompt, DecodingConfig("greedy"))[0]
         assert "=> Text in French: " in out.text
         verdict, event = gate_mtop(
-            "tb", [out], prompt.expected, SlotNBestMap(), templates=templates
+            "tb", [out], prompt.expected, EMPTY_NBEST, templates=templates
         )
         assert event.success_mode == CLEAN
         assert event.candidate_modes == (frozenset(),)
@@ -847,7 +844,7 @@ class TestMockCorruptionsTriggerIntendedModes:
         backend = MockBackend([MockRule(corruptions=(flag,))])
         out = backend.generate(prompt, DecodingConfig("greedy"))[0]
         verdict, event = gate_mtop(
-            "tb", [out], prompt.expected, SlotNBestMap(), templates=templates
+            "tb", [out], prompt.expected, EMPTY_NBEST, templates=templates
         )
         assert verdict.final is None
         assert mode in _failure_modes(event)
@@ -953,7 +950,7 @@ def _generate_and_gate(prompt, rule, catalog):
         return outs, gate_rs(outs, target, exp.context_texts, catalog, templates=t)
     if prompt.method is Method.GENERATE_BOTH:
         return outs, gate_gb(outs, exp.context_texts, catalog, templates=t)
-    return outs, gate_mtop(prompt.method, [outs[0]], exp, SlotNBestMap(), templates=t)
+    return outs, gate_mtop(prompt.method, [outs[0]], exp, EMPTY_NBEST, templates=t)
 
 
 def _first_slot_unedited(prompt, flag, clean_text):
@@ -1018,7 +1015,7 @@ class TestMockCorruptionProperty:
             assert event.candidate_modes == (frozenset(), {DUPLICATE_OUTPUT})
 
 
-# Reference scans: the n-best lookups as they were before the dict index,
+# Reference scans: the n-best lookups as they were before any index,
 # over the (English value, language) entries in map order. A value with
 # no candidate keeps its (empty) entry, so a loaded map shows it was tried.
 
@@ -1045,11 +1042,28 @@ def _scan_alternatives(entries, current_value, language):
     return ()
 
 
-def _scan_to_mapping(entries) -> dict:
-    out: dict = {}
-    for (en_value, lang), candidates in entries:
-        out.setdefault(lang, {})[en_value] = list(candidates)
-    return out
+def _dict_reference(rows):
+    """``top`` and ``alternatives`` over the n-best ``rows`` as the
+    in-memory map answered them: the lists built as its ``from_mapping``
+    built them, a later row of one (language, value) replacing an earlier
+    one's list, and each candidate owned by the first list, in file
+    order, that holds it."""
+    lists: dict = {}
+    owners: dict = {}
+    for lang, value, cands in rows:
+        cands = tuple(dict.fromkeys(cands))
+        lists.setdefault(lang, {})[value] = cands
+        for cand in cands:
+            owners.setdefault(lang, {}).setdefault(cand, cands)
+
+    def top(value, lang):
+        cands = lists.get(lang, {}).get(value)
+        return cands[0] if cands else None
+
+    def alternatives(cand, lang):
+        return owners.get(lang, {}).get(cand, ())
+
+    return top, alternatives
 
 
 _NB_WORDS = ("todo", "todos", "viernes", "für", "mon", "ma", "día", "all")
@@ -1063,12 +1077,31 @@ _nbest_mappings = st.dictionaries(
     ),
     max_size=3,
 )
+# Rows drawn from few words repeat (language, value) pairs, hold empty
+# lists, repeat a candidate within one list and share one between lists.
+_nbest_rows = st.lists(
+    st.tuples(
+        st.sampled_from(_NB_LANGS),
+        st.sampled_from(_NB_WORDS[:4]),
+        st.lists(st.sampled_from(_NB_WORDS[:5]), max_size=4),
+    ),
+    max_size=12,
+)
 # "todos" sits in two Spanish lists: the first one in map order wins.
 _SHARED_CANDIDATE = {
     "es": {"all": ["todo", "todos", "todos"], "every": ["todos", "cada"], "none": []},
     "fr": {"all": ["tout", "todos"]},
     "de": {"none": []},
 }
+# The Spanish "all" comes three times: the last row sets its top, and
+# "todo" and "cada" belong to the first row that holds each.
+_REPEATED_VALUE = [
+    ("es", "all", ["todo", "todos"]),
+    ("es", "every", ["cada", "todos"]),
+    ("es", "all", []),
+    ("es", "all", ["todas", "todo", "cada"]),
+    ("fr", "all", ["todo"]),
+]
 
 
 class TestSlotNBestIndex:
@@ -1081,33 +1114,52 @@ class TestSlotNBestIndex:
     @example(mapping=_SHARED_CANDIDATE, word="todos", lang="fr")
     @example(mapping=_SHARED_CANDIDATE, word="none", lang="es")
     def test_top_and_alternatives_equal_the_scan(self, mapping, word, lang):
-        nbest = SlotNBestMap.from_mapping(mapping)
+        nbest = nbest_view(mapping)
         entries = _scan_entries(mapping)
         assert nbest.top(word, lang) == _scan_top(entries, word, lang)
         assert nbest.alternatives(word, lang) == _scan_alternatives(entries, word, lang)
 
+    @given(rows=_nbest_rows)
+    @example(rows=_REPEATED_VALUE)
+    @example(rows=[(lang, value, cands) for lang, values in _SHARED_CANDIDATE.items()
+                   for value, cands in values.items()])
+    def test_the_view_answers_as_the_dict_reference(self, rows):
+        nbest = nbest_view(rows)
+        top, alternatives = _dict_reference(rows)
+        for lang in (*_NB_LANGS, "hi"):
+            for word in (*_NB_WORDS, "every", "cada", "todas", "tout"):
+                assert nbest.top(word, lang) == top(word, lang), (word, lang)
+                assert nbest.alternatives(word, lang) == alternatives(word, lang), (word, lang)
+
     def test_a_value_without_candidates_stays_in_the_map(self):
-        nbest = SlotNBestMap.from_mapping(_SHARED_CANDIDATE)
-        assert nbest.lists["de"] == {"none": ()}
+        nbest = nbest_view(_SHARED_CANDIDATE)
+        # An empty list is a row the lookups find; an absent value is none.
+        assert nbest.candidates("none", "de") == []
+        assert nbest.candidates("none", "fr") is None
         assert nbest.top("none", "es") is None
         assert nbest.alternatives("none", "es") == ()
-        assert json.loads(json.dumps(nbest.lists))["es"]["none"] == []
 
     def test_first_list_in_map_order_wins(self):
-        nbest = SlotNBestMap.from_mapping(_SHARED_CANDIDATE)
+        nbest = nbest_view(_SHARED_CANDIDATE)
         assert nbest.alternatives("todos", "es") == ("todo", "todos")
         assert nbest.alternatives("todos", "fr") == ("tout", "todos")
         assert nbest.alternatives("cada", "es") == ("todos", "cada")
 
+    def test_a_later_row_of_one_value_sets_its_top(self):
+        nbest = nbest_view(_REPEATED_VALUE)
+        assert nbest.top("all", "es") == "todas"
+        assert nbest.alternatives("todo", "es") == ("todo", "todos")
+        assert nbest.alternatives("cada", "es") == ("cada", "todos")
+        assert nbest.top("all", "fr") == "todo"
+
     @given(mapping=_nbest_mappings)
     @example(mapping=_SHARED_CANDIDATE)
     def test_load_to_mapping_round_trips_byte_for_byte(self, mapping):
-        # The lists are written as they are held, as ``augment`` writes them.
-        nbest = SlotNBestMap.from_mapping(mapping)
-        text = json.dumps(nbest.lists, ensure_ascii=False, indent=2)
-        assert json.loads(text) == _scan_to_mapping(_scan_entries(mapping))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "nbest.json"
-            path.write_text(text, encoding="utf-8")
-            loaded = read_json(path, SlotNBestMap.from_mapping)
-        assert json.dumps(loaded.lists, ensure_ascii=False, indent=2) == text
+        # The rows are read back as ``augment`` writes them.
+        nbest = nbest_view(mapping)
+        lines = [
+            record_line({"language": lang, "value": value, "candidates": cands})
+            for lang, values in mapping.items()
+            for value, cands in values.items()
+        ]
+        assert [record_line(row) for row in nbest] == lines

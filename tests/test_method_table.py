@@ -11,7 +11,7 @@ import pytest
 import clasp
 from clasp import cli
 from clasp.backends import DecodingConfig, GenOutput, MockBackend, MockRule
-from clasp.gate import CLEAN, GateError, SlotNBestMap, gate_gb, gate_mtop, gate_rs
+from clasp.gate import CLEAN, GateError, gate_gb, gate_mtop, gate_rs
 from clasp.prompts import (
     METHODS,
     Method,
@@ -25,6 +25,7 @@ from clasp.prompts import (
 )
 from clasp.trees import parse
 
+from conftest import nbest_view
 from test_prompts import (
     GB_CONTEXT,
     RS_CONTEXT,
@@ -36,6 +37,8 @@ from test_prompts import (
     TS_TRANSLATED,
 )
 
+EMPTY_NBEST = nbest_view({})
+
 
 def _gate_rs(outs, prompt, catalog):
     target = parse(prompt.expected.target_parse, METHODS[prompt.method].dialect)
@@ -43,7 +46,7 @@ def _gate_rs(outs, prompt, catalog):
 
 
 def _gate_mtop(outs, prompt, catalog):
-    return gate_mtop(prompt.method, outs, prompt.expected, SlotNBestMap())
+    return gate_mtop(prompt.method, outs, prompt.expected, EMPTY_NBEST)
 
 
 # For each method with a dialect: a prompt of it and the gate that reads it.
@@ -99,7 +102,7 @@ def test_mock_clean_rule_gates_clean(catalog, method):
 )
 def test_gate_mtop_refuses_a_method_without_an_mtop_parse(method):
     with pytest.raises(GateError):
-        gate_mtop(method, [GenOutput("x;", 0.1)], PromptExpectation(), SlotNBestMap())
+        gate_mtop(method, [GenOutput("x;", 0.1)], PromptExpectation(), EMPTY_NBEST)
 
 
 @pytest.mark.parametrize("method", list(METHODS), ids=lambda m: m.value)
